@@ -57,6 +57,7 @@ from .estimators import (
 )
 from .homogenization import (
     CellSolution,
+    DoublingStep,
     ScalingFit,
     eddy_diffusivity_from_cell,
     fit_scaling_exponent,

@@ -166,6 +166,8 @@ def _cmd_diffusivity(args) -> int:
     _print_tensor(tensor.entries)
     print(f"modes = {sol.modes}")
     print(f"residual = {sol.residual:.3e}")
+    verdict = {True: "yes", False: "no", None: "not tested (fixed --modes)"}
+    print(f"converged = {verdict[sol.converged]}")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("flow,kappa,provenance,k11,k12,k22,modes,residual\n")

@@ -12,17 +12,24 @@ diffusivity follows by Parseval from the corrector gradients:
 
 Because every catalog flow has finitely many Fourier modes, the advection
 term is an exact sparse mode-shift stencil on the truncated lattice
-|k1|, |k2| <= M and the Galerkin system is solved directly by a sparse LU
-factorization; an explicit residual check enforces the 1e-10 relative
-residual contract. The zero mode is pinned to zero, which is consistent
-because incompressibility makes the advection row and column of the zero
-mode vanish identically.
+|k1|, |k2| <= M. The stencil couples a mode only to its shifts by the
+flow's modes, so the Galerkin system splits into blocks and only the
+block reachable from the right-hand side (and the zero mode) carries a
+nonzero solution: the parity sublattice k1 + k2 even for the cellular
+flows, the line k2 = 0 for the shear. Every catalog stream function is
+even, so its coefficients are real, the velocity coefficients purely
+imaginary, and the system on the reachable set is real once chi = i x is
+substituted. It is solved directly by a sparse LU factorization; an
+explicit residual check enforces the 1e-10 relative residual contract.
+The zero mode is pinned to zero, which is consistent because
+incompressibility makes the advection row and column of the zero mode
+vanish identically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,12 +41,31 @@ from .estimators import DiffusivityTensor
 from .fields import FlowSpec, velocity_modes
 
 
+class DoublingStep(NamedTuple):
+    """One truncation of the adaptive doubling in spectral_diffusivity.
+
+    ``change`` is the largest entrywise change of K from the previous
+    truncation relative to the tensor scale, the quantity compared with
+    rtol; it is nan for the first truncation.
+    """
+
+    modes: int
+    change: float
+    residual: float
+
+
 @dataclass(frozen=True)
 class CellSolution:
     """Truncated Fourier solution of the cell problem.
 
     ``coefficients[i, k1 + modes, k2 + modes]`` is the coefficient of
-    exp(i (k1 x + k2 y)) in chi^{i+1}.
+    exp(i (k1 x + k2 y)) in chi^{i+1}. Only the modes reachable from the
+    flow's modes are solved for; every other entry is exactly zero.
+
+    ``history`` and ``converged`` are filled in by spectral_diffusivity:
+    one DoublingStep per truncation tried, and whether the last doubling
+    met the tolerance. A single fixed-truncation solve leaves them at
+    () and None.
     """
 
     coefficients: np.ndarray  # complex, (2, 2M+1, 2M+1)
@@ -47,6 +73,8 @@ class CellSolution:
     modes: int
     residual: float
     flow: FlowSpec | None = None
+    history: tuple[DoublingStep, ...] = ()
+    converged: bool | None = None
 
     def __post_init__(self) -> None:
         coef = np.asarray(self.coefficients, dtype=complex)
@@ -72,53 +100,106 @@ class ScalingFit(NamedTuple):
     prefactor: float
 
 
-def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
-    """Sparse Galerkin matrix and right-hand side on the truncated lattice."""
-    vm = velocity_modes(flow)
+def _shifted(shift: int, side: int) -> tuple[slice, slice]:
+    """Destination and source slices of one axis moved by shift."""
+    return (slice(max(shift, 0), side + min(shift, 0)),
+            slice(max(-shift, 0), side - max(shift, 0)))
+
+
+def _reachable(shifts, m_trunc: int) -> np.ndarray:
+    """Boolean mask of the modes connected to the seeds and the zero mode.
+
+    Seeds are the shifts themselves (the right-hand side support). The
+    mask grows through k -> k +- m for every shift m, staying inside the
+    truncation, until it stops changing. Each sweep moves along every
+    shift ray with doubling strides, so it takes O(log M) array passes
+    per shift; a stride jump is exact because the box is convex.
+    """
     side = 2 * m_trunc + 1
-    n = side * side
-    ks = np.arange(-m_trunc, m_trunc + 1)
-    k1_grid, k2_grid = np.meshgrid(ks, ks, indexing="ij")
-    diag = kappa * (k1_grid ** 2 + k2_grid ** 2).astype(float).ravel()
+    mask = np.zeros((side, side), dtype=bool)
+    mask[m_trunc, m_trunc] = True
+    for s1, s2 in shifts:
+        mask[s1 + m_trunc, s2 + m_trunc] = True
+    rays = {r for s1, s2 in shifts if (s1, s2) != (0, 0) for r in ((s1, s2), (-s1, -s2))}
+    count, grown = 0, np.count_nonzero(mask)
+    while grown != count:
+        count = grown
+        for s1, s2 in rays:
+            stride = 1
+            while stride * max(abs(s1), abs(s2)) < side:
+                d1, r1 = _shifted(stride * s1, side)
+                d2, r2 = _shifted(stride * s2, side)
+                mask[d1, d2] |= mask[r1, r2]
+                stride *= 2
+        grown = np.count_nonzero(mask)
+    return mask
+
+
+def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
+    """Real sparse Galerkin system on the reachable modes.
+
+    Returns the CSC matrix, the (n, 2) right-hand side -Im vhat and the
+    flat lattice indices of the unknowns. The full complex system is
+    A chi = -vhat with chi = i x; a velocity coefficient with a real part
+    would make it genuinely complex and is refused.
+    """
+    vm = velocity_modes(flow)
+    for mode, vhat in vm.items():
+        if np.any(vhat.real != 0.0):
+            raise UnsupportedFlowError(
+                f"velocity coefficient at mode {mode} has a nonzero real part "
+                f"{vhat.real.tolist()}; the cell solver needs an even stream function"
+            )
+    side = 2 * m_trunc + 1
+    lattice = np.flatnonzero(_reachable(list(vm), m_trunc))
+    n = lattice.size
+    position = np.full(side * side, -1)
+    position[lattice] = np.arange(n)
+    k1, k2 = np.divmod(lattice, side)
+    k1 -= m_trunc
+    k2 -= m_trunc
 
     rows = [np.arange(n)]
     cols = [np.arange(n)]
-    vals = [diag.astype(complex)]
-    # -v . grad chi couples mode k' to k = k' - m with weight -i (vhat_m . k)
+    vals = [kappa * (k1 ** 2 + k2 ** 2).astype(float)]
+    # -v . grad chi couples mode k' to k = k' - m with weight -i (vhat_m . k),
+    # which is Im(vhat_m) . k once vhat_m is purely imaginary
     for mode, vhat in vm.items():
-        s1 = k1_grid - mode[0]
-        s2 = k2_grid - mode[1]
+        w = vhat.imag
+        s1 = k1 - mode[0]
+        s2 = k2 - mode[1]
         ok = (np.abs(s1) <= m_trunc) & (np.abs(s2) <= m_trunc)
-        kp1, kp2, src1, src2 = k1_grid[ok], k2_grid[ok], s1[ok], s2[ok]
-        rows.append((kp1 + m_trunc) * side + (kp2 + m_trunc))
-        cols.append((src1 + m_trunc) * side + (src2 + m_trunc))
-        vals.append(-1j * (vhat[0] * src1 + vhat[1] * src2))
+        src1, src2 = s1[ok], s2[ok]
+        rows.append(np.flatnonzero(ok))
+        cols.append(position[(src1 + m_trunc) * side + (src2 + m_trunc)])
+        vals.append(w[0] * src1 + w[1] * src2)
 
-    zero = (0 + m_trunc) * side + (0 + m_trunc)
+    zero = position[m_trunc * side + m_trunc]
     rows.append(np.array([zero]))
     cols.append(np.array([zero]))
-    vals.append(np.array([1.0 + 0.0j]))  # pins <chi> = 0; diag there is kappa*0
+    vals.append(np.array([1.0]))  # pins <chi> = 0; diag there is kappa*0
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n), dtype=complex,
+        shape=(n, n),
     ).tocsc()
 
-    rhs = np.zeros((n, 2), dtype=complex)
+    rhs = np.zeros((n, 2))
     for mode, vhat in vm.items():
-        row = (mode[0] + m_trunc) * side + (mode[1] + m_trunc)
-        rhs[row, 0] = -vhat[0]
-        rhs[row, 1] = -vhat[1]
-    return matrix, rhs, zero
+        rhs[position[(mode[0] + m_trunc) * side + (mode[1] + m_trunc)]] = -vhat.imag
+    return matrix, rhs, lattice
 
 
 def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSolution:
     """Galerkin solution of the cell problem on |k1|, |k2| <= modes.
 
-    The sparse system is factorized directly and both components are
-    solved from the same factorization. The relative residual of each
-    solve is computed explicitly; a residual above 1e-10 raises
-    ConvergenceError carrying the measured value.
+    Only the modes reachable from the flow's modes are unknowns, in real
+    arithmetic; the rest of the lattice is exactly zero. The sparse system
+    is factorized directly and both components are solved from the same
+    factorization. The relative residual of each solve is computed
+    explicitly; a residual above 1e-10 raises ConvergenceError carrying
+    the measured value. A flow whose velocity coefficients are not purely
+    imaginary raises UnsupportedFlowError.
     """
     if not flow.is_time_independent:
         raise UnsupportedFlowError(
@@ -130,23 +211,23 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
         raise ParameterError(f"modes must be an integer >= 4, got {modes!r}")
     modes = int(modes)
 
-    matrix, rhs, _ = _assemble(flow, kappa, modes)
+    matrix, rhs, lattice = _assemble(flow, kappa, modes)
     lu = spla.splu(matrix)
     side = 2 * modes + 1
-    coef = np.empty((2, side, side), dtype=complex)
+    coef = np.zeros((2, side * side), dtype=complex)
     residual = 0.0
     for i in range(2):
         sol = lu.solve(rhs[:, i])
         err = np.linalg.norm(matrix @ sol - rhs[:, i])
         scale = np.linalg.norm(rhs[:, i])
         residual = max(residual, float(err / scale) if scale > 0.0 else float(err))
-        coef[i] = sol.reshape(side, side)
+        coef[i, lattice] = 1j * sol
     if residual > 1e-10:
         raise ConvergenceError(
             f"cell-problem residual {residual:.3e} exceeds 1e-10 at modes={modes}",
             residual=residual,
         )
-    return CellSolution(coef, kappa, modes, residual, flow)
+    return CellSolution(coef.reshape(2, side, side), kappa, modes, residual, flow)
 
 
 def eddy_diffusivity_from_cell(sol: CellSolution) -> DiffusivityTensor:
@@ -179,9 +260,12 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
 
     Doubling stops once the maximum entrywise change between consecutive
     truncations drops below rtol relative to the tensor scale, or at
-    max_modes; the result at the cap is returned as is (the corrector
+    max_modes. The returned CellSolution records every truncation tried
+    in ``history`` as DoublingStep(modes, change, residual) and sets
+    ``converged`` to whether the tolerance was met. At the cap the result
+    is returned with ``converged=False`` rather than raised: the corrector
     boundary layers sharpen like kappa^(1/2), so small kappa legitimately
-    needs large M and the caller can inspect CellSolution.modes).
+    needs large M, and the caller decides whether an unconverged K will do.
     """
     if initial_modes < 4:
         raise ParameterError("initial_modes must be at least 4")
@@ -193,6 +277,8 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
     m_trunc = int(initial_modes)
     sol = solve_cell_problem(flow, kappa, m_trunc)
     tensor = eddy_diffusivity_from_cell(sol)
+    history = [DoublingStep(m_trunc, math.nan, sol.residual)]
+    converged = False
     while 2 * m_trunc <= max_modes:
         m_trunc *= 2
         sol_next = solve_cell_problem(flow, kappa, m_trunc)
@@ -200,9 +286,11 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
         change = np.max(np.abs(tensor_next.entries - tensor.entries))
         scale = max(np.max(np.abs(tensor_next.entries)), kappa)
         sol, tensor = sol_next, tensor_next
+        history.append(DoublingStep(m_trunc, float(change / scale), sol.residual))
         if change <= rtol * scale:
+            converged = True
             break
-    return tensor, sol
+    return tensor, replace(sol, history=tuple(history), converged=converged)
 
 
 def fit_scaling_exponent(samples) -> ScalingFit:

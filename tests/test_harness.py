@@ -417,6 +417,14 @@ def test_cli_diffusivity(tmp_path, capsys):
     assert float(row["k11"]) == pytest.approx(0.34166, rel=1e-3)
 
 
+def test_cli_diffusivity_reports_convergence(capsys):
+    assert main(["diffusivity", "--flow", "taylor_green", "--kappa", "0.5"]) == 0
+    assert "converged = yes" in capsys.readouterr().out
+    assert main(["diffusivity", "--flow", "shear", "--kappa", "0.1",
+                 "--modes", "8"]) == 0
+    assert "converged = not tested" in capsys.readouterr().out
+
+
 def test_cli_oracles(capsys):
     assert main(["oracle", "k-shear", "--kappa", "0.1"]) == 0
     assert float(capsys.readouterr().out) == 5.1

@@ -12,16 +12,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from eddykit import (
     CellSolution,
     ConvergenceError,
+    DoublingStep,
     ParameterError,
     ScalingFit,
     UnsupportedFlowError,
     childress_soward,
     eddy_diffusivity_from_cell,
     fit_scaling_exponent,
+    flow_label,
+    homogenization,
     k_shear,
     ou_shear,
     periodic_shear,
@@ -29,6 +34,7 @@ from eddykit import (
     spectral_diffusivity,
     steady_shear,
     taylor_green,
+    velocity_modes,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -147,6 +153,87 @@ def test_residual_is_recorded_and_small():
 
 
 # ---------------------------------------------------------------------------
+# reachable real system against the full-lattice complex Galerkin system
+# ---------------------------------------------------------------------------
+
+
+def _full_lattice_coefficients(flow, kappa, m):
+    """Reference: the complex Galerkin system on every |k1|, |k2| <= m."""
+    side = 2 * m + 1
+    n = side * side
+    ks = np.arange(-m, m + 1)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    vals = [(kappa * (k1 ** 2 + k2 ** 2)).astype(complex).ravel()]
+    rhs = np.zeros((n, 2), dtype=complex)
+    for mode, vhat in velocity_modes(flow).items():
+        s1, s2 = k1 - mode[0], k2 - mode[1]
+        ok = (np.abs(s1) <= m) & (np.abs(s2) <= m)
+        rows.append((k1[ok] + m) * side + (k2[ok] + m))
+        cols.append((s1[ok] + m) * side + (s2[ok] + m))
+        vals.append(-1j * (vhat[0] * s1[ok] + vhat[1] * s2[ok]))
+        rhs[(mode[0] + m) * side + (mode[1] + m)] = -vhat
+    zero = m * side + m
+    rows.append([zero])
+    cols.append([zero])
+    vals.append([1.0])
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n), dtype=complex).tocsc()
+    lu = spla.splu(matrix)
+    return np.stack([lu.solve(rhs[:, i]).reshape(side, side) for i in range(2)])
+
+
+REACHABLE_CASES = [
+    (steady_shear(), "line"),
+    (taylor_green(), "parity"),
+    (childress_soward(0.5), "parity"),
+    (childress_soward(1.0), "parity"),
+]
+REACHABLE_IDS = [flow_label(flow) for flow, _ in REACHABLE_CASES]
+
+
+@pytest.mark.parametrize("flow, shape", REACHABLE_CASES, ids=REACHABLE_IDS)
+@pytest.mark.parametrize("m", [8, 24])
+def test_reachable_real_system_matches_full_lattice(flow, shape, m):
+    kappa = 0.1
+    sol = solve_cell_problem(flow, kappa, modes=m)
+    ref = _full_lattice_coefficients(flow, kappa, m)
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(sol.coefficients, ref, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("flow, shape", REACHABLE_CASES, ids=REACHABLE_IDS)
+@pytest.mark.parametrize("m", [8, 24])
+def test_reachable_set_size_and_zero_off_set(flow, shape, m):
+    side = 2 * m + 1
+    matrix, rhs, lattice = homogenization._assemble(flow, 0.1, m)
+    ks = np.arange(-m, m + 1)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    if shape == "line":
+        expected = k2 == 0
+        assert matrix.shape == (side, side)
+    else:
+        expected = (k1 + k2) % 2 == 0
+        assert matrix.shape == ((side * side + 1) // 2,) * 2
+    np.testing.assert_array_equal(np.sort(lattice), np.flatnonzero(expected))
+    assert matrix.dtype == np.float64 and rhs.dtype == np.float64
+
+    sol = solve_cell_problem(flow, 0.1, modes=m)
+    off = sol.coefficients[:, ~expected]
+    assert np.all(off == 0.0)
+
+
+def test_velocity_with_real_part_is_refused(monkeypatch):
+    def modes_with_real_part(flow):
+        return {(1, 0): np.array([0.0, 0.5 - 0.5j]), (-1, 0): np.array([0.0, 0.5 + 0.5j])}
+
+    monkeypatch.setattr(homogenization, "velocity_modes", modes_with_real_part)
+    with pytest.raises(UnsupportedFlowError, match=r"\(1, 0\)"):
+        solve_cell_problem(steady_shear(), 0.1, modes=8)
+
+
+# ---------------------------------------------------------------------------
 # adaptive refinement and scaling fit
 # ---------------------------------------------------------------------------
 
@@ -164,6 +251,26 @@ def test_spectral_diffusivity_stops_at_cap():
                                        initial_modes=4, max_modes=8)
     assert sol.modes == 8
     assert tensor.entries[0, 0] > 0.5
+
+
+def test_spectral_diffusivity_records_history_and_convergence():
+    tensor, sol = spectral_diffusivity(taylor_green(), 0.1, rtol=1e-8)
+    assert sol.converged is True
+    assert [step.modes for step in sol.history] == [16 * 2 ** j for j in range(len(sol.history))]
+    assert sol.history[-1].modes == sol.modes
+    assert math.isnan(sol.history[0].change)
+    assert sol.history[-1].change <= 1e-8
+    assert all(step.residual <= 1e-10 for step in sol.history)
+    assert isinstance(sol.history[0], DoublingStep)
+    assert solve_cell_problem(taylor_green(), 0.1, modes=16).converged is None
+
+
+def test_spectral_diffusivity_flags_cap_as_unconverged():
+    _, sol = spectral_diffusivity(taylor_green(), 0.5, rtol=0.0,
+                                  initial_modes=4, max_modes=8)
+    assert sol.converged is False
+    assert [step.modes for step in sol.history] == [4, 8]
+    assert sol.history[1].change >= 0.0
 
 
 def test_fit_scaling_exponent_exact_power_law():
