@@ -41,7 +41,6 @@ from .dynamics import (
     ou_step,
     simulate_em,
     simulate_ensemble,
-    simulate_shear_exact,
     stationary_eta_draw,
     stream_generator,
 )

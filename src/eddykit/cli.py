@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, noise_generator, simulate_em, simulate_shear_exact
+from .dynamics import Trajectory, noise_generator, simulate_em
 from .errors import (
     CommensurabilityError,
     ConfigError,
@@ -25,20 +25,12 @@ from .errors import (
     ParameterError,
     UnsupportedFlowError,
 )
-from .estimators import (
-    ObservationSeries,
-    add_observation_noise,
-    box_estimate,
-    directional_component,
-    qv_estimate,
-    shift_estimate,
-    subsample,
-)
+from .estimators import directional_component
 from .fields import FlowSpec, childress_soward, flow_label, steady_shear, taylor_green
 from .harness import (
-    _resolve_integrator,
     adjudicate_periodic_shear,
     delta_sweep,
+    estimate_tensor,
     parse_config,
     rescaled_study,
 )
@@ -68,15 +60,10 @@ def _open_out(path: str):
 
 def _cmd_simulate(args) -> int:
     plan = parse_config(args.config)
-    integrator = _resolve_integrator(plan.flow, plan.sim, args.integrator)
-    if integrator == "shear_exact":
-        traj = simulate_shear_exact(plan.flow, plan.sim)
-    else:
-        traj = simulate_em(plan.flow, plan.sim)
+    traj = simulate_em(plan.flow, plan.sim)
     np.savez(args.output, positions=traj.positions, dt_stored=traj.dt_stored,
              flow=flow_label(plan.flow), kappa=plan.sim.kappa, seed=plan.sim.seed)
-    print(f"wrote {traj.n_points} positions at dt_stored={traj.dt_stored:g} "
-          f"({integrator}) to {args.output}")
+    print(f"wrote {traj.n_points} positions at dt_stored={traj.dt_stored:g} to {args.output}")
     return 0
 
 
@@ -84,21 +71,9 @@ def _cmd_estimate(args) -> int:
     with np.load(args.input) as data:
         positions = np.asarray(data["positions"], dtype=float)
         dt_stored = float(data["dt_stored"])
-    traj = Trajectory(positions, dt_stored)
-    if args.estimator == "qv":
-        series = subsample(traj, args.delta)
-        if args.theta > 0.0:
-            series = add_observation_noise(
-                series, args.theta, noise_generator(args.noise_seed, 0, 0))
-        tensor = qv_estimate(series)
-    else:
-        if args.theta > 0.0:
-            base = ObservationSeries(traj.positions, traj.dt_stored)
-            noisy = add_observation_noise(
-                base, args.theta, noise_generator(args.noise_seed, 0, 0))
-            traj = Trajectory(noisy.positions, traj.dt_stored)
-        tensor = (box_estimate(traj, args.delta) if args.estimator == "box"
-                  else shift_estimate(traj, args.delta))
+    noise = noise_generator(args.noise_seed, 0, 0) if args.theta > 0.0 else None
+    tensor = estimate_tensor(Trajectory(positions, dt_stored), args.estimator, args.delta,
+                             args.theta, noise)
     _print_tensor(tensor.entries)
     print(f"{args.direction} component = "
           f"{directional_component(tensor, args.direction):.12g}")
@@ -111,7 +86,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("[estimation] must set delta for the sweep command")
     report = delta_sweep(plan.flow, plan.sim, plan.estimator, plan.deltas,
                          plan.theta, plan.realizations, plan.direction,
-                         plan.integrator, plan.batch_size)
+                         plan.batch_size)
     out, close = _open_out(args.output)
     try:
         report.to_csv(out)
@@ -130,8 +105,7 @@ def _cmd_rescaled(args) -> int:
     report = rescaled_study(plan.flow, plan.sim.kappa, plan.epsilons,
                             plan.alpha_exponent, plan.realizations,
                             plan.sim.t_final, plan.estimator, plan.direction,
-                            plan.theta, plan.sim.seed, plan.integrator,
-                            plan.batch_size)
+                            plan.theta, plan.sim.seed, plan.batch_size)
     out, close = _open_out(args.output)
     try:
         report.to_csv(out)
@@ -217,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate one trajectory to an .npz file")
     p.add_argument("--config", required=True, help="INI file with [flow] and [simulation]")
     p.add_argument("--output", required=True, help="output .npz path")
-    p.add_argument("--integrator", default="auto", choices=["auto", "em", "shear_exact"])
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate a diffusivity tensor from a trajectory file")

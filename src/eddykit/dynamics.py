@@ -12,13 +12,15 @@ which is the equation satisfied by eps * x(t / eps^2). eps = 1 reduces to
 the unrescaled form bitwise (all rescaling factors become exact identities
 in floating point).
 
-Two integrators are provided. ``simulate_em`` is an Euler-Maruyama scheme
-valid for every catalog flow. ``simulate_shear_exact`` exploits the
-triangular structure of the shear family: the first coordinate is exactly
-Brownian, so it is sampled exactly on the time grid, and the second
-coordinate only needs a quadrature of eta(s) sin(x(s)) along that exact
-path plus an independent exact Brownian part. Both integrators advance the
-Ornstein-Uhlenbeck modulation by its exact one step transition.
+Every flow is integrated by the Euler-Maruyama scheme: each step adds the
+start-of-step drift times dt and an exact Brownian increment, and the
+Ornstein-Uhlenbeck modulation advances by its exact one step transition
+after the position step consumed the start-of-step value. For the shear
+family the drift does not act on x, so x is sampled exactly on the dt
+grid as a Brownian path and y is the left endpoint quadrature of
+(1/eps) eta(t/eps^2) sin(x/eps) along it plus its own Brownian part; that
+triangular structure lets the scheme run vectorised over time. The
+cellular flows (Taylor-Green, Childress-Soward) run as a step loop.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -34,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import IntegrationBlowupError, ParameterError, UnsupportedFlowError
+from .errors import IntegrationBlowupError, ParameterError
 from .fields import (
-    CHILDRESS_SOWARD,
     OU_SHEAR,
     PERIODIC_SHEAR,
     TAYLOR_GREEN,
@@ -52,8 +53,6 @@ SOURCE_ETA0 = 2    # stationary initial draw for eta
 SOURCE_NOISE = 3   # observation noise, consumed by the harness
 
 _CHUNK = 4096
-
-INTEGRATORS = ("em", "shear_exact")
 
 
 def stream_generator(seed: int, realization: int, source: int) -> np.random.Generator:
@@ -250,26 +249,18 @@ def _ou_setup(flow: FlowSpec, config: SimConfig, first: int, count: int, dt_mod:
 
 
 def _em_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.ndarray:
+    """Euler-Maruyama step loop for the cellular flows."""
     stride = config.store_stride
     n_stored = config.n_stored
     span = stride * (n_stored - 1)
     burn = config.burn_steps
-    dt = config.dt
-    eps = config.epsilon
-    inv_eps = 1.0 / eps
-    eps_sq = eps * eps
-    drift_dt = dt * inv_eps
-    noise_scale = math.sqrt(2.0 * config.kappa * dt)
-    kind = flow.kind
+    inv_eps = 1.0 / config.epsilon
+    drift_dt = config.dt * inv_eps
+    noise_scale = math.sqrt(2.0 * config.kappa * config.dt)
 
     gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]
     x = np.full(count, float(config.x0[0]))
     y = np.full(count, float(config.x0[1]))
-
-    eta = gens_ou = None
-    ou_decay = ou_scale = 0.0
-    if kind == OU_SHEAR:
-        eta, gens_ou, ou_decay, ou_scale = _ou_setup(flow, config, first, count, dt / eps_sq)
 
     out = np.empty((count, n_stored, 2))
     if burn == 0:
@@ -278,36 +269,19 @@ def _em_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.n
         out[:, 0, 1] = y
 
     g_bm = np.empty((count, _CHUNK, 2))
-    g_ou = np.empty((count, _CHUNK)) if kind == OU_SHEAR else None
-
     total = burn + span
     step = 0
     while step < total:
         c = min(_CHUNK, total - step)
         for i, g in enumerate(gens):
             g_bm[i, :c] = g.standard_normal((c, 2))
-        if gens_ou is not None:
-            for i, g in enumerate(gens_ou):
-                g_ou[i, :c] = g.standard_normal(c)
         for local in range(c):
-            if flow.is_shear:
-                if kind == PERIODIC_SHEAR:
-                    eta_now = math.sin(flow.omega * ((step + local) * dt / eps_sq))
-                elif kind == OU_SHEAR:
-                    eta_now = eta
-                else:
-                    eta_now = 1.0
-                y = y + drift_dt * (eta_now * np.sin(x * inv_eps)) + noise_scale * g_bm[:, local, 1]
-                x = x + noise_scale * g_bm[:, local, 0]
+            if flow.kind == TAYLOR_GREEN:
+                v1, v2 = _taylor_green_uv(x * inv_eps, y * inv_eps)
             else:
-                if kind == TAYLOR_GREEN:
-                    v1, v2 = _taylor_green_uv(x * inv_eps, y * inv_eps)
-                else:
-                    v1, v2 = _childress_soward_uv(x * inv_eps, y * inv_eps, flow.lam)
-                x = x + drift_dt * v1 + noise_scale * g_bm[:, local, 0]
-                y = y + drift_dt * v2 + noise_scale * g_bm[:, local, 1]
-            if kind == OU_SHEAR:
-                eta = ou_decay * eta + ou_scale * g_ou[:, local]
+                v1, v2 = _childress_soward_uv(x * inv_eps, y * inv_eps, flow.lam)
+            x = x + drift_dt * v1 + noise_scale * g_bm[:, local, 0]
+            y = y + drift_dt * v2 + noise_scale * g_bm[:, local, 1]
             done = step + local + 1
             if done >= burn and (done - burn) % stride == 0:
                 j = (done - burn) // stride
@@ -318,19 +292,22 @@ def _em_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.n
     return out
 
 
-def _shear_exact_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.ndarray:
-    if not flow.is_shear:
-        raise UnsupportedFlowError(
-            f"exact sampler applies to the shear family only, not {flow.kind}"
-        )
-    if config.epsilon != 1.0:
-        raise ParameterError("the exact shear sampler requires epsilon = 1")
+def _shear_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.ndarray:
+    """The same scheme for the shear family, vectorised over time.
 
+    x does not depend on y, so a chunk of x is one cumulative sum of its
+    Brownian increments; y then sums the left endpoint drift along that
+    path plus its own Brownian increments, and the OU modulation runs as
+    its AR(1) recursion through lfilter.
+    """
     stride = config.store_stride
     n_stored = config.n_stored
     span = stride * (n_stored - 1)
     burn = config.burn_steps
     dt = config.dt
+    inv_eps = 1.0 / config.epsilon
+    drift_dt = dt * inv_eps
+    clock_dt = dt / (config.epsilon * config.epsilon)
     noise_scale = math.sqrt(2.0 * config.kappa * dt)
     kind = flow.kind
 
@@ -341,16 +318,15 @@ def _shear_exact_block(flow: FlowSpec, config: SimConfig, first: int, count: int
     eta = gens_ou = None
     ou_decay = ou_scale = 0.0
     if kind == OU_SHEAR:
-        eta, gens_ou, ou_decay, ou_scale = _ou_setup(flow, config, first, count, dt)
+        eta, gens_ou, ou_decay, ou_scale = _ou_setup(flow, config, first, count, clock_dt)
 
     def advance(n_sub: int, step0: int):
-        """Advance every realization n_sub exact steps from absolute step step0."""
+        """Advance every realization n_sub steps from absolute step step0."""
         nonlocal x, y, eta
         g = np.empty((count, n_sub, 2))
         for i, gen in enumerate(gens):
             g[i] = gen.standard_normal((n_sub, 2))
         x_path = x[:, None] + noise_scale * np.cumsum(g[:, :, 0], axis=1)
-        x_left = np.concatenate([x[:, None], x_path[:, :-1]], axis=1)
         if kind == OU_SHEAR:
             g_mod = np.empty((count, n_sub))
             for i, gen in enumerate(gens_ou):
@@ -360,11 +336,18 @@ def _shear_exact_block(flow: FlowSpec, config: SimConfig, first: int, count: int
             eta_left = np.concatenate([eta[:, None], eta_path[:, :-1]], axis=1)
             eta = eta_path[:, -1]
         elif kind == PERIODIC_SHEAR:
-            eta_left = np.sin(flow.omega * ((step0 + np.arange(n_sub)) * dt))
+            eta_left = np.sin(flow.omega * ((step0 + np.arange(n_sub)) * clock_dt))
         else:
             eta_left = 1.0
-        increments = eta_left * np.sin(x_left) * dt + noise_scale * g[:, :, 1]
-        y_path = y[:, None] + np.cumsum(increments, axis=1)
+        # y increments, built in place on the left endpoint phases x/eps
+        inc = np.empty((count, n_sub))
+        np.multiply(x, inv_eps, out=inc[:, 0])
+        np.multiply(x_path[:, :-1], inv_eps, out=inc[:, 1:])
+        np.sin(inc, out=inc)
+        inc *= eta_left
+        inc *= drift_dt
+        inc += noise_scale * g[:, :, 1]
+        y_path = y[:, None] + np.cumsum(inc, axis=1)
         x = x_path[:, -1]
         y = y_path[:, -1]
         return x_path, y_path
@@ -403,44 +386,27 @@ def _shear_exact_block(flow: FlowSpec, config: SimConfig, first: int, count: int
 
 
 def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
-                      integrator: str = "em", first_realization: int = 0) -> np.ndarray:
+                      first_realization: int = 0) -> np.ndarray:
     """Simulate a block of realizations.
 
-    Returns an (n_realizations, n_stored, 2) array. Realization r draws
-    from substreams keyed by (config.seed, first_realization + r, source),
-    so blocks compose: simulating [0, 200) in one call or in any partition
-    yields bitwise identical rows.
+    Returns an (n_realizations, n_stored, 2) array. The shear family runs
+    through the time-vectorised kernel, the cellular flows through the
+    step loop; both compute the scheme described in the module docstring.
+    Realization r draws from substreams keyed by (config.seed,
+    first_realization + r, source), so blocks compose: simulating [0, 200)
+    in one call or in any partition yields bitwise identical rows.
     """
     if n_realizations < 1:
         raise ParameterError("n_realizations must be at least 1")
-    if integrator == "em":
-        return _em_block(flow, config, first_realization, n_realizations)
-    if integrator == "shear_exact":
-        return _shear_exact_block(flow, config, first_realization, n_realizations)
-    raise ParameterError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
+    block = _shear_block if flow.is_shear else _em_block
+    return block(flow, config, first_realization, n_realizations)
 
 
 def simulate_em(flow: FlowSpec, config: SimConfig) -> Trajectory:
-    """Euler-Maruyama integration of one trajectory.
+    """Integrate one trajectory; realization 0 of ``simulate_ensemble``.
 
-    The position advances with the start-of-step velocity; the OU
-    modulation advances by its exact transition after the position step
-    consumed the start-of-step value. Identical (flow, config) inputs
-    reproduce bitwise identical trajectories.
+    Identical (flow, config) inputs reproduce bitwise identical
+    trajectories.
     """
-    positions = _em_block(flow, config, 0, 1)[0]
-    return Trajectory(positions, config.dt_stored, flow, config)
-
-
-def simulate_shear_exact(flow: FlowSpec, config: SimConfig) -> Trajectory:
-    """Exact-statistics sampler for the shear family.
-
-    The first coordinate is sampled exactly as x0 + sqrt(2 kappa) W1(t) on
-    the dt grid. The second coordinate accumulates the left endpoint
-    quadrature of eta(s) sin(x(s)) ds plus an exact independent Brownian
-    part sqrt(2 kappa) W2(t). Only the quadrature of the smooth integrand
-    carries a discretization error; both Brownian parts and the OU
-    modulation are exact in law on the grid.
-    """
-    positions = _shear_exact_block(flow, config, 0, 1)[0]
+    positions = simulate_ensemble(flow, config, 1)[0]
     return Trajectory(positions, config.dt_stored, flow, config)

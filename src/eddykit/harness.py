@@ -126,36 +126,30 @@ class SweepReport:
                 fh.write(text)
 
 
-def _resolve_integrator(flow: FlowSpec, config: SimConfig, integrator: str) -> str:
-    if integrator == "auto":
-        return "shear_exact" if (flow.is_shear and config.epsilon == 1.0) else "em"
-    if integrator not in ("em", "shear_exact"):
-        raise ParameterError(f"integrator must be auto, em or shear_exact, got {integrator!r}")
-    return integrator
+def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float = 0.0,
+                    noise: np.random.Generator | None = None) -> DiffusivityTensor:
+    """One estimate from one trajectory, optionally under observation noise.
 
-
-def _estimate_value(traj: Trajectory, estimator: str, delta: float, theta: float,
-                    direction: str, seed: int, realization: int, noise_index: int) -> float:
+    qv subsamples at delta and then adds the noise to the observations;
+    box and shift add the noise to every stored position and average over
+    delta. ``noise`` draws the N(0, theta^2) perturbations and is only
+    consulted when theta > 0.
+    """
     if estimator == "qv":
         series = subsample(traj, delta)
         if theta > 0.0:
-            series = add_observation_noise(
-                series, theta, noise_generator(seed, realization, noise_index))
-        tensor = qv_estimate(series)
-    else:
-        if theta > 0.0:
-            base = ObservationSeries(traj.positions, traj.dt_stored)
-            noisy = add_observation_noise(
-                base, theta, noise_generator(seed, realization, noise_index))
-            traj = Trajectory(noisy.positions, traj.dt_stored, traj.flow)
-        tensor = box_estimate(traj, delta) if estimator == "box" else shift_estimate(traj, delta)
-    return directional_component(tensor, direction)
+            series = add_observation_noise(series, theta, noise)
+        return qv_estimate(series)
+    if theta > 0.0:
+        base = ObservationSeries(traj.positions, traj.dt_stored)
+        noisy = add_observation_noise(base, theta, noise)
+        traj = Trajectory(noisy.positions, traj.dt_stored, traj.flow)
+    return box_estimate(traj, delta) if estimator == "box" else shift_estimate(traj, delta)
 
 
 def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 theta: float = 0.0, n_realizations: int = 1000,
-                direction: str = "y", integrator: str = "auto",
-                batch_size: int = 64) -> SweepReport:
+                direction: str = "y", batch_size: int = 64) -> SweepReport:
     """One record per delta, all deltas sharing the same M trajectories.
 
     Observation noise is redrawn independently per (realization, delta)
@@ -185,19 +179,19 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
             )
         resolved.append(d_c)
 
-    intg = _resolve_integrator(flow, config, integrator)
     values = np.empty((len(resolved), n_realizations))
     first = 0
     while first < n_realizations:
         count = min(batch_size, n_realizations - first)
-        block = simulate_ensemble(flow, config, count, intg, first)
+        block = simulate_ensemble(flow, config, count, first_realization=first)
         for i in range(count):
             r = first + i
             traj = Trajectory(block[i], config.dt_stored, flow, config)
             for j, d_c in enumerate(resolved):
+                noise = noise_generator(config.seed, r, j) if theta > 0.0 else None
                 try:
-                    values[j, r] = _estimate_value(
-                        traj, estimator, d_c, theta, direction, config.seed, r, j)
+                    tensor = estimate_tensor(traj, estimator, d_c, theta, noise)
+                    values[j, r] = directional_component(tensor, direction)
                 except (InsufficientDataError, ParameterError) as exc:
                     raise type(exc)(f"realization {r}: {exc}") from exc
         first += count
@@ -219,11 +213,10 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
 
 def run_ensemble(flow: FlowSpec, config: SimConfig, estimator: str, delta: float,
                  theta: float = 0.0, n_realizations: int = 1000,
-                 direction: str = "y", integrator: str = "auto",
-                 batch_size: int = 64) -> EnsembleRecord:
+                 direction: str = "y", batch_size: int = 64) -> EnsembleRecord:
     """Single-delta ensemble; identical to a one-entry delta_sweep row."""
     report = delta_sweep(flow, config, estimator, [delta], theta, n_realizations,
-                         direction, integrator, batch_size)
+                         direction, batch_size)
     return report.rows[0]
 
 
@@ -251,8 +244,7 @@ def rescaled_config(kappa: float, epsilon: float, alpha_exponent: float,
 def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float,
                    n_realizations: int = 1000, t_final: float = 1.0,
                    estimator: str = "qv", direction: str = "y", theta: float = 0.0,
-                   seed: int = 0, integrator: str = "auto",
-                   batch_size: int = 64) -> SweepReport:
+                   seed: int = 0, batch_size: int = 64) -> SweepReport:
     """Estimator statistics for the rescaled dynamics at each epsilon.
 
     Every epsilon is observed at delta = epsilon^alpha over the same fixed
@@ -270,7 +262,7 @@ def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float
     rows = []
     for config, delta in planned:
         report = delta_sweep(flow, config, estimator, [delta], theta,
-                             n_realizations, direction, integrator, batch_size)
+                             n_realizations, direction, batch_size)
         rows.append(report.rows[0])
     return SweepReport(tuple(rows))
 
@@ -312,7 +304,7 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     config = SimConfig(kappa=kappa, dt=dt, t_final=t_final, seed=seed,
                        store_stride=stride)
     sweep = delta_sweep(flow, config, "qv", deltas, 0.0, n_realizations,
-                        "y", "auto", batch_size)
+                        "y", batch_size)
     plateau = float(np.mean([rec.mean for rec in sweep.rows[-2:]]))
     candidates = {
         "printed": k_periodic_shear(kappa, omega, "printed"),
@@ -375,7 +367,6 @@ class RunPlan:
     direction: str = "y"
     realizations: int = 1000
     batch_size: int = 64
-    integrator: str = "auto"
     epsilons: tuple[float, ...] = ()
     alpha_exponent: float = 1.0
 
@@ -384,8 +375,7 @@ _FLOW_KEYS = {"kind", "omega", "alpha", "sigma", "lam"}
 _SIM_KEYS = {"kappa", "dt", "t_final", "epsilon", "x0", "eta0", "seed",
              "store_stride", "burn_in"}
 _EST_KEYS = {"estimator", "delta", "theta", "direction"}
-_SWEEP_KEYS = {"realizations", "batch_size", "integrator", "epsilons",
-               "alpha_exponent"}
+_SWEEP_KEYS = {"realizations", "batch_size", "epsilons", "alpha_exponent"}
 
 
 _FLOW_PARAMS = {
@@ -504,7 +494,6 @@ def parse_config(source) -> RunPlan:
             direction=est_raw.get("direction", "y"),
             realizations=int(sweep_raw.get("realizations", 1000)),
             batch_size=int(sweep_raw.get("batch_size", 64)),
-            integrator=sweep_raw.get("integrator", "auto"),
             epsilons=_floats(sweep_raw["epsilons"]) if "epsilons" in sweep_raw else (),
             alpha_exponent=float(sweep_raw.get("alpha_exponent", 1.0)),
         )

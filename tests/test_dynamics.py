@@ -1,10 +1,12 @@
-"""Tests for the trajectory integrators.
+"""Tests for the trajectory integration.
 
-The deterministic checks exploit kappa -> 0: with a vanishing noise scale
-the position freezes (or follows the drift ODE), so every convention of the
-integrators (left endpoint velocity, modulation clock, rescaling, eta
-handling) becomes exactly predictable. Statistical checks use fixed seeds
-and z-score style bands of four to five standard errors.
+The shear family runs through the time-vectorised kernel and the cellular
+flows through the step loop; a scalar replay pins the kernel to the scheme
+step by step. The deterministic checks exploit kappa -> 0: with a vanishing
+noise scale the position freezes (or follows the drift ODE), so every
+convention of the scheme (left endpoint velocity, modulation clock,
+rescaling, eta handling) becomes exactly predictable. Statistical checks
+use fixed seeds and z-score style bands of four to five standard errors.
 """
 
 import math
@@ -18,7 +20,6 @@ from eddykit import (
     ParameterError,
     SimConfig,
     Trajectory,
-    UnsupportedFlowError,
     eval_velocity,
     ou_shear,
     ou_step,
@@ -27,13 +28,12 @@ from eddykit import (
     qv_expectation_shear,
     simulate_em,
     simulate_ensemble,
-    simulate_shear_exact,
     stationary_eta_draw,
     steady_shear,
     stream_generator,
     taylor_green,
 )
-from eddykit.dynamics import SOURCE_OU
+from eddykit.dynamics import SOURCE_BM, SOURCE_ETA0, SOURCE_OU
 
 TINY = 1e-300  # kappa small enough that the Brownian part is negligible
 
@@ -48,46 +48,42 @@ def _qv_per_realization(block: np.ndarray, delta: float, component: int = 1) -> 
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flow", [steady_shear(), ou_shear(1.0, 0.1)], ids=lambda f: f.kind)
+# ou_shear runs through the shear kernel, taylor_green through the step loop
+KERNEL_AND_LOOP = [ou_shear(1.0, 0.1), taylor_green()]
+
+
+@pytest.mark.parametrize("flow", KERNEL_AND_LOOP, ids=lambda f: f.kind)
 def test_em_is_deterministic(flow):
     config = SimConfig(kappa=0.2, dt=1e-2, t_final=0.5, seed=42)
     a = simulate_em(flow, config)
     b = simulate_em(flow, config)
     np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.positions, simulate_ensemble(flow, config, 2)[0])
 
 
-def test_exact_sampler_is_deterministic():
-    config = SimConfig(kappa=0.2, dt=1e-2, t_final=0.5, seed=42)
-    a = simulate_shear_exact(ou_shear(1.0, 0.1), config)
-    b = simulate_shear_exact(ou_shear(1.0, 0.1), config)
-    np.testing.assert_array_equal(a.positions, b.positions)
-
-
-@pytest.mark.parametrize("integrator", ["em", "shear_exact"])
-def test_ensemble_blocks_compose_bitwise(integrator):
-    flow = ou_shear(1.0, 0.1)
+@pytest.mark.parametrize("flow", KERNEL_AND_LOOP, ids=lambda f: f.kind)
+def test_ensemble_blocks_compose_bitwise(flow):
     config = SimConfig(kappa=0.2, dt=1e-2, t_final=0.5, seed=7)
-    whole = simulate_ensemble(flow, config, 6, integrator=integrator)
-    head = simulate_ensemble(flow, config, 3, integrator=integrator)
-    tail = simulate_ensemble(flow, config, 3, integrator=integrator, first_realization=3)
+    whole = simulate_ensemble(flow, config, 6)
+    head = simulate_ensemble(flow, config, 3)
+    tail = simulate_ensemble(flow, config, 3, first_realization=3)
     np.testing.assert_array_equal(whole, np.concatenate([head, tail], axis=0))
-    one = simulate_ensemble(flow, config, 1, integrator=integrator, first_realization=4)
+    one = simulate_ensemble(flow, config, 1, first_realization=4)
     np.testing.assert_array_equal(whole[4], one[0])
 
 
-@pytest.mark.parametrize("integrator", ["em", "shear_exact"])
-def test_store_stride_slices_the_fine_path(integrator):
+def test_store_stride_slices_the_fine_path():
     # fewer than one noise chunk so the summation order coincides
     flow = steady_shear()
-    fine = simulate_ensemble(flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3),
-                             2, integrator=integrator)
+    fine = simulate_ensemble(flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3), 2)
     coarse = simulate_ensemble(flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3,
-                                               store_stride=5), 2, integrator=integrator)
+                                               store_stride=5), 2)
     np.testing.assert_array_equal(coarse, fine[:, ::5])
 
 
 def test_burn_in_em_matches_shifted_run_bitwise():
-    flow = ou_shear(0.8, 0.2)
+    # the step loop carries its state across the burn boundary unchanged
+    flow = taylor_green()
     burned = simulate_ensemble(
         flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.2, seed=5, store_stride=2, burn_in=0.05), 2)
     full = simulate_ensemble(flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.25, seed=5), 2)
@@ -95,15 +91,60 @@ def test_burn_in_em_matches_shifted_run_bitwise():
 
 
 def test_burn_in_exact_matches_shifted_run():
-    # the exact sampler re-associates its cumulative sums at the burn
-    # boundary, so agreement is to rounding rather than bitwise
-    flow = steady_shear()
-    burned = simulate_ensemble(
-        flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.2, seed=5, store_stride=2, burn_in=0.05),
-        2, integrator="shear_exact")
-    full = simulate_ensemble(flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.25, seed=5),
-                             2, integrator="shear_exact")
-    np.testing.assert_allclose(burned, full[:, 50::2], atol=1e-12)
+    # the shear kernel re-associates its cumulative sums (and the OU
+    # recursion) at the burn boundary, so agreement is to rounding
+    for flow in (steady_shear(), ou_shear(0.8, 0.2)):
+        burned = simulate_ensemble(
+            flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.2, seed=5, store_stride=2,
+                            burn_in=0.05), 2)
+        full = simulate_ensemble(flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.25, seed=5), 2)
+        np.testing.assert_allclose(burned, full[:, 50::2], rtol=0.0, atol=1e-12)
+
+
+def _replay_shear(flow, config):
+    """Scalar left endpoint replay of realization 0, one step at a time.
+
+    Draws the same streams as the kernel: 2-D Brownian increments, then
+    for the OU shear the stationary eta0 draw and the modulation driver.
+    """
+    eps = config.epsilon
+    dt, n_burn = config.dt, config.burn_steps
+    total = n_burn + config.store_stride * (config.n_stored - 1)
+    noise = math.sqrt(2.0 * config.kappa * dt)
+    g = stream_generator(config.seed, 0, SOURCE_BM).standard_normal((total, 2))
+    eta = 1.0
+    if flow.kind == "ou_shear":
+        eta = stationary_eta_draw(flow.alpha, flow.sigma,
+                                  stream_generator(config.seed, 0, SOURCE_ETA0))
+        g_ou = stream_generator(config.seed, 0, SOURCE_OU).standard_normal(total)
+    x, y = config.x0
+    path = [(x, y)] if n_burn == 0 else []
+    for k in range(total):
+        t = k * dt / eps ** 2  # fast clock of the rescaled modulation
+        if flow.kind == "periodic_shear":
+            eta = math.sin(flow.omega * t)
+        y += eta * math.sin(x / eps) * dt / eps + noise * g[k, 1]
+        x += noise * g[k, 0]
+        if flow.kind == "ou_shear":
+            eta = ou_step(eta, flow.alpha, flow.sigma, dt / eps ** 2, g_ou[k])
+        done = k + 1
+        if done >= n_burn and (done - n_burn) % config.store_stride == 0:
+            path.append((x, y))
+    return np.array(path)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+@pytest.mark.parametrize("flow", [steady_shear(), periodic_shear(1.7), ou_shear(0.8, 0.3)],
+                         ids=lambda f: f.kind)
+def test_shear_kernel_matches_scalar_replay(flow, eps):
+    # 5000 steps cross a draw chunk in both the burn and the stored phase
+    config = SimConfig(kappa=0.3, dt=1e-3, t_final=4.5, epsilon=eps, seed=31,
+                       store_stride=3, burn_in=0.5)
+    kernel = simulate_ensemble(flow, config, 2)[0]
+    replay = _replay_shear(flow, config)
+    assert replay.shape == kernel.shape
+    err = np.abs(kernel - replay)
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(replay))), err.max()
 
 
 # ---------------------------------------------------------------------------
@@ -111,23 +152,21 @@ def test_burn_in_exact_matches_shifted_run():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("integrator", ["em", "shear_exact"])
-def test_steady_shear_drift_is_exact(integrator):
+def test_steady_shear_drift_is_exact():
     x0 = (0.7, -0.3)
     config = SimConfig(kappa=TINY, dt=1e-3, t_final=0.5, x0=x0, seed=1)
-    traj = simulate_ensemble(steady_shear(), config, 1, integrator=integrator)[0]
+    traj = simulate_ensemble(steady_shear(), config, 1)[0]
     assert traj[-1, 0] == pytest.approx(x0[0], abs=1e-12)
     assert traj[-1, 1] == pytest.approx(x0[1] + 0.5 * math.sin(x0[0]), rel=1e-12)
 
 
-@pytest.mark.parametrize("integrator", ["em", "shear_exact"])
-def test_periodic_shear_modulation_clock(integrator):
+def test_periodic_shear_modulation_clock():
     # left endpoint quadrature of sin(omega k dt) sin(x0), predictable term
     # by term once the noise is switched off
     omega, dt, n = 2.0, 1e-3, 400
     x0 = (1.1, 0.0)
     config = SimConfig(kappa=TINY, dt=dt, t_final=n * dt, x0=x0, seed=1)
-    traj = simulate_ensemble(periodic_shear(omega), config, 1, integrator=integrator)[0]
+    traj = simulate_ensemble(periodic_shear(omega), config, 1)[0]
     expected = x0[1] + math.sin(x0[0]) * dt * np.sum(np.sin(omega * np.arange(n) * dt))
     assert traj[-1, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -147,15 +186,14 @@ def test_rescaled_drift_and_clock():
     assert modulated[-1, 1] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("integrator", ["em", "shear_exact"])
-def test_ou_modulation_recursion_matches_scalar_replay(integrator):
+def test_ou_modulation_recursion_matches_scalar_replay():
     # replay the modulation driver stream and fold it with ou_step; the
-    # integrators must consume the identical sequence
+    # kernel must consume the identical sequence
     alpha, sigma, dt, n, eta0 = 1.3, 0.4, 1e-3, 200, 0.6
     x0 = (0.8, 0.0)
     flow = ou_shear(alpha, sigma)
     config = SimConfig(kappa=TINY, dt=dt, t_final=n * dt, x0=x0, eta0=eta0, seed=9)
-    traj = simulate_ensemble(flow, config, 1, integrator=integrator)[0]
+    traj = simulate_ensemble(flow, config, 1)[0]
     g = stream_generator(9, 0, SOURCE_OU).standard_normal(n)
     eta, drift = eta0, 0.0
     for k in range(n):
@@ -191,12 +229,11 @@ def test_em_tracks_taylor_green_ode():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("integrator", ["em", "shear_exact"])
-def test_x_channel_is_brownian(integrator):
+def test_x_channel_is_brownian():
     # the first shear coordinate is exactly sqrt(2 kappa) W(t)
     kappa, t_final, m = 0.3, 1.0, 3000
     config = SimConfig(kappa=kappa, dt=1e-2, t_final=t_final, seed=13, store_stride=100)
-    block = simulate_ensemble(steady_shear(), config, m, integrator=integrator)
+    block = simulate_ensemble(steady_shear(), config, m)
     x_end = block[:, -1, 0]
     var = 2.0 * kappa * t_final
     assert abs(x_end.mean()) < 4.0 * math.sqrt(var / m)
@@ -226,32 +263,22 @@ def test_stationary_eta_draw_law():
     assert isinstance(stationary_eta_draw(alpha, sigma, 3), float)
 
 
-def test_exact_and_em_agree_on_steady_shear():
+def test_steady_shear_qv_matches_oracle():
     kappa, delta, m = 0.5, 1.0, 80
     config = SimConfig(kappa=kappa, dt=2e-3, t_final=200.0, seed=21, store_stride=500)
-    em = _qv_per_realization(simulate_ensemble(steady_shear(), config, m), delta)
-    exact = _qv_per_realization(
-        simulate_ensemble(steady_shear(), config, m, integrator="shear_exact"), delta)
-    se = math.hypot(em.std(ddof=1), exact.std(ddof=1)) / math.sqrt(m)
-    assert abs(em.mean() - exact.mean()) < 4.0 * se
+    sample = _qv_per_realization(simulate_ensemble(steady_shear(), config, m), delta)
     expected = qv_expectation_shear(kappa, 200, delta)
-    for sample in (em, exact):
-        assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(m)
+    assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(m)
 
 
-def test_exact_and_em_agree_on_ou_shear():
+def test_ou_shear_qv_matches_oracle():
     kappa, delta, m = 0.1, 1.0, 80
     flow = ou_shear(1.0, 0.1)
     config = SimConfig(kappa=kappa, dt=2e-3, t_final=200.0, seed=22, store_stride=500,
                        burn_in=20.0)
-    em = _qv_per_realization(simulate_ensemble(flow, config, m), delta)
-    exact = _qv_per_realization(
-        simulate_ensemble(flow, config, m, integrator="shear_exact"), delta)
-    se = math.hypot(em.std(ddof=1), exact.std(ddof=1)) / math.sqrt(m)
-    assert abs(em.mean() - exact.mean()) < 4.0 * se
+    sample = _qv_per_realization(simulate_ensemble(flow, config, m), delta)
     expected = qv_expectation_ou_shear(kappa, 1.0, 0.1, delta)
-    for sample in (em, exact):
-        assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(m)
+    assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(m)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +315,14 @@ def test_blowup_reports_realization_and_step():
     assert info.value.step == 0
     with pytest.raises(IntegrationBlowupError, match="realization 7"):
         simulate_ensemble(steady_shear(), config, 2, first_realization=7)
-    with pytest.raises(IntegrationBlowupError):
-        simulate_shear_exact(steady_shear(), config)
-
-
-def test_exact_sampler_domain():
-    config = SimConfig(kappa=0.5, dt=0.01, t_final=0.1)
-    with pytest.raises(UnsupportedFlowError):
-        simulate_shear_exact(taylor_green(), config)
-    rescaled = SimConfig(kappa=0.5, dt=1e-4, t_final=0.1, epsilon=0.5)
-    with pytest.raises(ParameterError):
-        simulate_shear_exact(steady_shear(), rescaled)
+    with pytest.raises(IntegrationBlowupError, match="realization 0 at step 0"):
+        simulate_em(taylor_green(), config)
 
 
 def test_simulate_ensemble_validation():
     config = SimConfig(kappa=0.5, dt=0.01, t_final=0.1)
     with pytest.raises(ParameterError):
         simulate_ensemble(steady_shear(), config, 0)
-    with pytest.raises(ParameterError):
-        simulate_ensemble(steady_shear(), config, 1, integrator="rk4")
 
 
 def test_sim_config_validation():

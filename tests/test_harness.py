@@ -29,11 +29,12 @@ from eddykit import (
     rescaled_config,
     rescaled_study,
     run_ensemble,
+    simulate_em,
     steady_shear,
-    taylor_green,
 )
 from eddykit.cli import main
-from eddykit.harness import _CSV_COLUMNS, _resolve_integrator
+from eddykit.dynamics import noise_generator
+from eddykit.harness import _CSV_COLUMNS, estimate_tensor
 
 FLOW = steady_shear()
 FAST = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=1, store_stride=2)
@@ -142,19 +143,6 @@ def test_sweep_validation_happens_before_any_simulation():
         delta_sweep(FLOW, FAST, "box", [2.0], n_realizations=2)
 
 
-def test_resolve_integrator():
-    assert _resolve_integrator(FLOW, FAST, "auto") == "shear_exact"
-    assert _resolve_integrator(taylor_green(), FAST, "auto") == "em"
-    rescaled = SimConfig(kappa=0.5, dt=1e-4, t_final=0.1, epsilon=0.5)
-    assert _resolve_integrator(FLOW, rescaled, "auto") == "em"
-    assert _resolve_integrator(FLOW, FAST, "em") == "em"
-    with pytest.raises(ParameterError):
-        _resolve_integrator(FLOW, FAST, "rk4")
-    qv = delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=4, integrator="auto")
-    exact = delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=4, integrator="shear_exact")
-    assert qv.rows == exact.rows
-
-
 # ---------------------------------------------------------------------------
 # rescaled studies
 # ---------------------------------------------------------------------------
@@ -244,7 +232,6 @@ FULL_CONFIG = textwrap.dedent("""\
     [sweep]
     realizations = 32
     batch_size = 8
-    integrator = em
     epsilons = 0.4 0.2
     alpha_exponent = 1.0
     """)
@@ -260,7 +247,6 @@ def test_parse_full_config():
     assert plan.deltas == (0.1, 0.2, 0.5)
     assert plan.theta == 0.05 and plan.direction == "xi:1,1"
     assert plan.realizations == 32 and plan.batch_size == 8
-    assert plan.integrator == "em"
     assert plan.epsilons == (0.4, 0.2) and plan.alpha_exponent == 1.0
 
 
@@ -270,7 +256,7 @@ def test_parse_minimal_config_defaults():
     assert plan.sim.dt == 1e-3 and plan.sim.t_final == 1.0
     assert plan.estimator == "qv" and plan.deltas == ()
     assert plan.direction == "y" and plan.realizations == 1000
-    assert plan.integrator == "auto" and plan.epsilons == ()
+    assert plan.epsilons == ()
 
 
 def test_parse_config_from_file(tmp_path):
@@ -369,6 +355,22 @@ def test_cli_estimate_with_noise_is_reproducible(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("estimator", ["qv", "box"])
+def test_cli_estimate_matches_library(tmp_path, capsys, estimator):
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    out = str(tmp_path / "traj.npz")
+    main(["simulate", "--config", config, "--output", out])
+    capsys.readouterr()
+    assert main(["estimate", "--input", out, "--estimator", estimator, "--delta", "0.1",
+                 "--theta", "0.05", "--noise-seed", "4"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    plan = parse_config(config)
+    tensor = estimate_tensor(simulate_em(plan.flow, plan.sim), estimator, 0.1, 0.05,
+                             noise_generator(4, 0, 0))
+    assert printed[0] == f"K11 = {tensor.entries[0, 0]:.12g}"
+    assert printed[2] == f"K22 = {tensor.entries[1, 1]:.12g}"
+
+
 def test_cli_sweep_csv(tmp_path, capsys):
     text = SIM_CONFIG + textwrap.dedent("""\
 
@@ -462,3 +464,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", nan_cfg, "--output",
                  str(tmp_path / "y.npz")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_removed_integrator_choice_fails_loudly(tmp_path, capsys):
+    # configs and command lines written for the old integrator choice exit 2
+    sweep_cfg = _write(tmp_path, "old.ini", SIM_CONFIG + textwrap.dedent("""\
+
+        [estimation]
+        delta = 0.1
+
+        [sweep]
+        realizations = 4
+        integrator = em
+        """))
+    assert main(["sweep", "--config", sweep_cfg]) == 2
+    assert "integrator" in capsys.readouterr().err
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--config", config, "--output", str(tmp_path / "traj.npz"),
+              "--integrator", "em"])
+    assert info.value.code == 2
+    assert "--integrator" in capsys.readouterr().err
