@@ -61,6 +61,30 @@ def test_em_is_deterministic(flow):
     np.testing.assert_array_equal(a.positions, simulate_ensemble(flow, config, 2)[0])
 
 
+def test_exact_sampler_is_deterministic():
+    # the shear kernel repeats a whole block bitwise, also when rescaled
+    for eps in (1.0, 0.5):
+        config = SimConfig(kappa=0.2, dt=1e-3, t_final=0.5, epsilon=eps, seed=42,
+                           burn_in=0.1, store_stride=3)
+        a = simulate_ensemble(ou_shear(1.0, 0.1), config, 3)
+        b = simulate_ensemble(ou_shear(1.0, 0.1), config, 3)
+        np.testing.assert_array_equal(a, b)
+
+
+# Two ways into the shear kernel: "em" builds the block path by path
+# (simulate_em for realization 0, one-row blocks addressed by
+# first_realization after it), "shear_exact" asks for the whole block at once.
+ENTRIES = ["em", "shear_exact"]
+
+
+def _shear_block(entry, flow, config, m):
+    if entry == "shear_exact":
+        return simulate_ensemble(flow, config, m)
+    rows = [simulate_em(flow, config).positions]
+    rows += [simulate_ensemble(flow, config, 1, first_realization=r)[0] for r in range(1, m)]
+    return np.stack(rows)
+
+
 @pytest.mark.parametrize("flow", KERNEL_AND_LOOP, ids=lambda f: f.kind)
 def test_ensemble_blocks_compose_bitwise(flow):
     config = SimConfig(kappa=0.2, dt=1e-2, t_final=0.5, seed=7)
@@ -72,12 +96,13 @@ def test_ensemble_blocks_compose_bitwise(flow):
     np.testing.assert_array_equal(whole[4], one[0])
 
 
-def test_store_stride_slices_the_fine_path():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_store_stride_slices_the_fine_path(entry):
     # fewer than one noise chunk so the summation order coincides
     flow = steady_shear()
-    fine = simulate_ensemble(flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3), 2)
-    coarse = simulate_ensemble(flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3,
-                                               store_stride=5), 2)
+    fine = _shear_block(entry, flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3), 2)
+    coarse = _shear_block(entry, flow, SimConfig(kappa=0.3, dt=1e-3, t_final=2.0, seed=3,
+                                                 store_stride=5), 2)
     np.testing.assert_array_equal(coarse, fine[:, ::5])
 
 
@@ -152,21 +177,23 @@ def test_shear_kernel_matches_scalar_replay(flow, eps):
 # ---------------------------------------------------------------------------
 
 
-def test_steady_shear_drift_is_exact():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_steady_shear_drift_is_exact(entry):
     x0 = (0.7, -0.3)
     config = SimConfig(kappa=TINY, dt=1e-3, t_final=0.5, x0=x0, seed=1)
-    traj = simulate_ensemble(steady_shear(), config, 1)[0]
+    traj = _shear_block(entry, steady_shear(), config, 1)[0]
     assert traj[-1, 0] == pytest.approx(x0[0], abs=1e-12)
     assert traj[-1, 1] == pytest.approx(x0[1] + 0.5 * math.sin(x0[0]), rel=1e-12)
 
 
-def test_periodic_shear_modulation_clock():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_periodic_shear_modulation_clock(entry):
     # left endpoint quadrature of sin(omega k dt) sin(x0), predictable term
     # by term once the noise is switched off
     omega, dt, n = 2.0, 1e-3, 400
     x0 = (1.1, 0.0)
     config = SimConfig(kappa=TINY, dt=dt, t_final=n * dt, x0=x0, seed=1)
-    traj = simulate_ensemble(periodic_shear(omega), config, 1)[0]
+    traj = _shear_block(entry, periodic_shear(omega), config, 1)[0]
     expected = x0[1] + math.sin(x0[0]) * dt * np.sum(np.sin(omega * np.arange(n) * dt))
     assert traj[-1, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -186,14 +213,15 @@ def test_rescaled_drift_and_clock():
     assert modulated[-1, 1] == pytest.approx(expected, rel=1e-12)
 
 
-def test_ou_modulation_recursion_matches_scalar_replay():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_ou_modulation_recursion_matches_scalar_replay(entry):
     # replay the modulation driver stream and fold it with ou_step; the
     # kernel must consume the identical sequence
     alpha, sigma, dt, n, eta0 = 1.3, 0.4, 1e-3, 200, 0.6
     x0 = (0.8, 0.0)
     flow = ou_shear(alpha, sigma)
     config = SimConfig(kappa=TINY, dt=dt, t_final=n * dt, x0=x0, eta0=eta0, seed=9)
-    traj = simulate_ensemble(flow, config, 1)[0]
+    traj = _shear_block(entry, flow, config, 1)[0]
     g = stream_generator(9, 0, SOURCE_OU).standard_normal(n)
     eta, drift = eta0, 0.0
     for k in range(n):
@@ -229,11 +257,12 @@ def test_em_tracks_taylor_green_ode():
 # ---------------------------------------------------------------------------
 
 
-def test_x_channel_is_brownian():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_x_channel_is_brownian(entry):
     # the first shear coordinate is exactly sqrt(2 kappa) W(t)
     kappa, t_final, m = 0.3, 1.0, 3000
     config = SimConfig(kappa=kappa, dt=1e-2, t_final=t_final, seed=13, store_stride=100)
-    block = simulate_ensemble(steady_shear(), config, m)
+    block = _shear_block(entry, steady_shear(), config, m)
     x_end = block[:, -1, 0]
     var = 2.0 * kappa * t_final
     assert abs(x_end.mean()) < 4.0 * math.sqrt(var / m)
