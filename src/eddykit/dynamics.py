@@ -22,6 +22,13 @@ grid as a Brownian path and y is the left endpoint quadrature of
 triangular structure lets the scheme run vectorised over time. The
 cellular flows (Taylor-Green, Childress-Soward) run as a step loop.
 
+A shear block runs on one thread per CPU in the process's affinity mask,
+each on a contiguous share of the realizations, bitwise identical to one
+thread: the kernel's draws, cumulative sums and filters work row by row
+and release the interpreter lock on long rows. The cellular step loop
+stays on one thread, because each of its steps works on arrays only one
+realization wide and holds the lock, so threads would only slow it down.
+
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
 keyed by (s, r, source), one source tag per noise channel. Simulating
@@ -31,6 +38,8 @@ realization r alone or inside any block yields bitwise identical output.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,10 +241,8 @@ def _raise_if_not_finite(x: np.ndarray, y: np.ndarray, step: int, first: int) ->
         )
 
 
-def _ou_setup(flow: FlowSpec, config: SimConfig, first: int, count: int, dt_mod: float):
-    """Initial eta vector, per-realization driver generators and AR(1) constants."""
-    decay = math.exp(-flow.alpha * dt_mod)
-    scale = math.sqrt(flow.sigma / flow.alpha * -math.expm1(-2.0 * flow.alpha * dt_mod))
+def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
+    """Initial eta vector and per-realization driver generators of the OU modulation."""
     if config.eta0 == "stationary":
         eta = np.array([
             stationary_eta_draw(flow.alpha, flow.sigma,
@@ -245,7 +252,7 @@ def _ou_setup(flow: FlowSpec, config: SimConfig, first: int, count: int, dt_mod:
     else:
         eta = np.full(count, float(config.eta0))
     gens = [stream_generator(config.seed, first + i, SOURCE_OU) for i in range(count)]
-    return eta, gens, decay, scale
+    return eta, gens
 
 
 def _em_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.ndarray:
@@ -292,17 +299,22 @@ def _em_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.n
     return out
 
 
-def _shear_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.ndarray:
+def _shear_block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
+                 ou: tuple | None, out: np.ndarray) -> None:
     """The same scheme for the shear family, vectorised over time.
 
-    x does not depend on y, so a chunk of x is one cumulative sum of its
-    Brownian increments; y then sums the left endpoint drift along that
-    path plus its own Brownian increments, and the OU modulation runs as
-    its AR(1) recursion through lfilter.
+    Integrates the realizations first, first+1, ... whose Brownian
+    generators are ``gens`` into ``out`` (one row each); ``ou`` holds the
+    OU modulation's initial eta vector and driver generators, None for
+    the other shear flows. x does not depend on y, so a chunk of x is one
+    cumulative sum of its Brownian increments; y then sums the left
+    endpoint drift along that path plus its own Brownian increments, and
+    the OU modulation runs as its AR(1) recursion through lfilter. Every
+    chunk reuses the buffers allocated here, and every operation works
+    row by row, so any partition of the rows gives bitwise identical output.
     """
     stride = config.store_stride
-    n_stored = config.n_stored
-    span = stride * (n_stored - 1)
+    span = stride * (config.n_stored - 1)
     burn = config.burn_steps
     dt = config.dt
     inv_eps = 1.0 / config.epsilon
@@ -310,79 +322,96 @@ def _shear_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> n
     clock_dt = dt / (config.epsilon * config.epsilon)
     noise_scale = math.sqrt(2.0 * config.kappa * dt)
     kind = flow.kind
+    count = len(gens)
 
-    gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]
-    x = np.full(count, float(config.x0[0]))
+    # stored chunks hold whole strides; a stride longer than _CHUNK runs in
+    # _CHUNK-step pieces, so the buffers never outgrow _CHUNK columns
+    chunk = stride * (_CHUNK // stride) or _CHUNK
+    width = min(_CHUNK, max(burn, span))
+    g = np.empty((count, width, 2))        # Brownian draws of x and y
+    x_path = np.empty((count, width + 1))  # column 0 holds the previous x
+    inc = np.empty((count, width))         # y increments, then their partial sums
+    x_path[:, 0] = float(config.x0[0])
     y = np.full(count, float(config.x0[1]))
-
-    eta = gens_ou = None
-    ou_decay = ou_scale = 0.0
     if kind == OU_SHEAR:
-        eta, gens_ou, ou_decay, ou_scale = _ou_setup(flow, config, first, count, clock_dt)
+        eta0, gens_ou = ou
+        ou_decay = math.exp(-flow.alpha * clock_dt)
+        ou_scale = math.sqrt(flow.sigma / flow.alpha * -math.expm1(-2.0 * flow.alpha * clock_dt))
+        g_mod = np.empty((count, width))
+        eta_path = np.empty((count, width + 1))  # column 0 holds the previous eta
+        eta_path[:, 0] = eta0
 
-    def advance(n_sub: int, step0: int):
-        """Advance every realization n_sub steps from absolute step step0."""
-        nonlocal x, y, eta
-        g = np.empty((count, n_sub, 2))
+    def advance(c: int, step0: int) -> None:
+        """Advance every row c steps from absolute step step0.
+
+        Leaves x and eta after the chunk in column 0 of their paths and
+        the partial sums of the y increments in inc[:, :c]; y itself is
+        not touched.
+        """
         for i, gen in enumerate(gens):
-            g[i] = gen.standard_normal((n_sub, 2))
-        x_path = x[:, None] + noise_scale * np.cumsum(g[:, :, 0], axis=1)
-        if kind == OU_SHEAR:
-            g_mod = np.empty((count, n_sub))
-            for i, gen in enumerate(gens_ou):
-                g_mod[i] = gen.standard_normal(n_sub)
-            eta_path, _ = lfilter([ou_scale], [1.0, -ou_decay], g_mod,
-                                  axis=1, zi=(ou_decay * eta)[:, None])
-            eta_left = np.concatenate([eta[:, None], eta_path[:, :-1]], axis=1)
-            eta = eta_path[:, -1]
-        elif kind == PERIODIC_SHEAR:
-            eta_left = np.sin(flow.omega * ((step0 + np.arange(n_sub)) * clock_dt))
-        else:
-            eta_left = 1.0
+            gen.standard_normal((c, 2), out=g[i, :c])
+        xs = x_path[:, 1:c + 1]
+        np.cumsum(g[:, :c, 0], axis=1, out=xs)
+        xs *= noise_scale
+        xs += x_path[:, :1]
         # y increments, built in place on the left endpoint phases x/eps
-        inc = np.empty((count, n_sub))
-        np.multiply(x, inv_eps, out=inc[:, 0])
-        np.multiply(x_path[:, :-1], inv_eps, out=inc[:, 1:])
-        np.sin(inc, out=inc)
-        inc *= eta_left
-        inc *= drift_dt
-        inc += noise_scale * g[:, :, 1]
-        y_path = y[:, None] + np.cumsum(inc, axis=1)
-        x = x_path[:, -1]
-        y = y_path[:, -1]
-        return x_path, y_path
+        left = inc[:, :c]
+        np.multiply(x_path[:, :c], inv_eps, out=left)
+        np.sin(left, out=left)
+        if kind == OU_SHEAR:
+            for i, gen in enumerate(gens_ou):
+                gen.standard_normal(c, out=g_mod[i, :c])
+            eta_path[:, 1:c + 1], _ = lfilter([ou_scale], [1.0, -ou_decay], g_mod[:, :c],
+                                               axis=1, zi=ou_decay * eta_path[:, :1])
+            left *= eta_path[:, :c]
+            eta_path[:, 0] = eta_path[:, c]
+        elif kind == PERIODIC_SHEAR:
+            left *= np.sin(flow.omega * ((step0 + np.arange(c)) * clock_dt))
+        left *= drift_dt
+        g_y = g[:, :c, 1]
+        g_y *= noise_scale
+        left += g_y
+        np.cumsum(left, axis=1, out=left)
+        x_path[:, 0] = x_path[:, c]
 
     # burn phase, nothing stored
     step = 0
     while step < burn:
         c = min(_CHUNK, burn - step)
         advance(c, step)
+        y += inc[:, c - 1]
         step += c
 
-    out = np.empty((count, n_stored, 2))
-    _raise_if_not_finite(x, y, burn, first)
-    out[:, 0, 0] = x
+    _raise_if_not_finite(x_path[:, 0], y, burn, first)
+    out[:, 0, 0] = x_path[:, 0]
     out[:, 0, 1] = y
 
-    chunk = stride * max(1, _CHUNK // stride)
     done = 0
-    j = 0
+    j = 1
     while done < span:
         c = min(chunk, span - done)
-        x_path, y_path = advance(c, burn + done)
-        sel = slice(stride - 1, c, stride)
-        nj = c // stride
-        out[:, j + 1: j + 1 + nj, 0] = x_path[:, sel]
-        out[:, j + 1: j + 1 + nj, 1] = y_path[:, sel]
-        _raise_if_not_finite(x, y, burn + done + c, first)
+        advance(c, burn + done)
+        k0 = (-done - 1) % stride  # first local step that ends a stored interval
+        nj = len(range(k0, c, stride))
+        out[:, j:j + nj, 0] = x_path[:, k0 + 1:c + 1:stride]
+        np.add(y[:, None], inc[:, k0:c:stride], out=out[:, j:j + nj, 1])
+        y += inc[:, c - 1]
+        _raise_if_not_finite(x_path[:, 0], y, burn + done + c, first)
         done += c
         j += nj
-    return out
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
@@ -395,11 +424,45 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     Realization r draws from substreams keyed by (config.seed,
     first_realization + r, source), so blocks compose: simulating [0, 200)
     in one call or in any partition yields bitwise identical rows.
+
+    A shear block is split into contiguous row shares, one thread per CPU
+    in the process's affinity mask (at most one per row), each writing
+    its own rows of the output; the result is bitwise identical to one
+    thread. The cellular step loop runs on one thread, because it works
+    on arrays one realization wide per step and holds the interpreter
+    lock, so threads would only slow it down.
     """
     if n_realizations < 1:
         raise ParameterError("n_realizations must be at least 1")
-    block = _shear_block if flow.is_shear else _em_block
-    return block(flow, config, first_realization, n_realizations)
+    first, count = first_realization, n_realizations
+    if not flow.is_shear:
+        return _em_block(flow, config, first, count)
+
+    # every stream is created here, in the calling thread; the shares only draw
+    gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]
+    eta = gens_ou = None
+    if flow.kind == OU_SHEAR:
+        eta, gens_ou = _ou_streams(flow, config, first, count)
+    out = np.empty((count, config.n_stored, 2))
+
+    def run(rows: slice) -> None:
+        ou = None if gens_ou is None else (eta[rows], gens_ou[rows])
+        _shear_block(flow, config, first + rows.start, gens[rows], ou, out[rows])
+
+    n_shares = min(_cpu_count(), count)
+    if n_shares == 1:
+        run(slice(0, count))
+        return out
+    bounds = [count * k // n_shares for k in range(n_shares + 1)]
+    with ThreadPoolExecutor(max_workers=n_shares) as pool:
+        futures = [pool.submit(run, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+    # raise what one thread would have: the earliest step, ties going to the
+    # lowest rows; any other error arose before the first step
+    errors = [f.exception() for f in futures]
+    raised = [(getattr(e, "step", -1), k) for k, e in enumerate(errors) if e is not None]
+    if raised:
+        raise errors[min(raised)[1]]
+    return out
 
 
 def simulate_em(flow: FlowSpec, config: SimConfig) -> Trajectory:

@@ -10,6 +10,8 @@ use fixed seeds and z-score style bands of four to five standard errors.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from eddykit import (
     stream_generator,
     taylor_green,
 )
+from eddykit import dynamics
 from eddykit.dynamics import SOURCE_BM, SOURCE_ETA0, SOURCE_OU
 
 TINY = 1e-300  # kappa small enough that the Brownian part is negligible
@@ -124,6 +127,19 @@ def test_burn_in_exact_matches_shifted_run():
                             burn_in=0.05), 2)
         full = simulate_ensemble(flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.25, seed=5), 2)
         np.testing.assert_allclose(burned, full[:, 50::2], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flow", [steady_shear(), ou_shear(0.8, 0.2)], ids=lambda f: f.kind)
+def test_long_stride_matches_sliced_fine_path(flow):
+    # a stride above the draw chunk is integrated in chunk-sized pieces
+    # carried across the stored interval; the stored rows are the fine path's
+    fine = simulate_ensemble(flow, SimConfig(kappa=0.3, dt=1e-3, t_final=15.0, seed=13), 2)
+    coarse = simulate_ensemble(
+        flow, SimConfig(kappa=0.3, dt=1e-3, t_final=15.0, seed=13, store_stride=5000), 2)
+    expected = fine[:, ::5000]
+    assert coarse.shape == expected.shape == (2, 4, 2)
+    err = np.abs(coarse - expected)
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(expected))), err.max()
 
 
 def _replay_shear(flow, config):
@@ -308,6 +324,102 @@ def test_ou_shear_qv_matches_oracle():
     sample = _qv_per_realization(simulate_ensemble(flow, config, m), delta)
     expected = qv_expectation_ou_shear(kappa, 1.0, 0.1, delta)
     assert abs(sample.mean() - expected) < 4.0 * sample.std(ddof=1) / math.sqrt(m)
+
+
+# ---------------------------------------------------------------------------
+# row shares on threads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+@pytest.mark.parametrize("flow", [steady_shear(), periodic_shear(1.7), ou_shear(0.8, 0.3)],
+                         ids=lambda f: f.kind)
+def test_row_shares_are_bitwise_identical(monkeypatch, flow, eps):
+    config = SimConfig(kappa=0.3, dt=1e-3, t_final=5.0, epsilon=eps, seed=17,
+                       store_stride=3, burn_in=0.2)
+    blocks = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda cpus=cpus: cpus)
+        blocks.append(simulate_ensemble(flow, config, 5, first_realization=2))
+    for block in blocks[1:]:
+        np.testing.assert_array_equal(block, blocks[0])
+
+
+def _record_shares(monkeypatch, cpus):
+    """Patch the CPU count; record the pool sizes and the rows of every share."""
+    pools, shares = [], []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    kernel = dynamics._shear_block
+
+    def recording_kernel(flow, config, first, gens, ou, out):
+        shares.append((first, len(gens)))
+        kernel(flow, config, first, gens, ou, out)
+
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dynamics, "_shear_block", recording_kernel)
+    return pools, shares
+
+
+@pytest.mark.parametrize("cpus, rows", [(1, 5), (2, 5), (4, 3), (4, 1), (3, 7)])
+def test_share_count_is_bounded_by_cpus_and_rows(monkeypatch, cpus, rows):
+    pools, shares = _record_shares(monkeypatch, cpus)
+    config = SimConfig(kappa=0.3, dt=1e-3, t_final=0.05, seed=2)
+    simulate_ensemble(ou_shear(1.0, 0.1), config, rows, first_realization=4)
+    n_shares = min(cpus, rows)
+    assert len(shares) == n_shares
+    assert pools == ([] if n_shares == 1 else [n_shares])
+    # contiguous, nonempty shares that cover the block once
+    shares.sort()
+    assert shares[0][0] == 4 and all(n >= 1 for _, n in shares)
+    assert [f + n for f, n in shares] == [f for f, _ in shares[1:]] + [4 + rows]
+
+
+def test_cellular_block_starts_no_pool(monkeypatch):
+    pools, shares = _record_shares(monkeypatch, 2)
+    simulate_ensemble(taylor_green(), SimConfig(kappa=0.3, dt=1e-2, t_final=0.1), 4)
+    assert pools == [] and shares == []
+
+
+def test_row_shares_under_short_switch_interval(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows;
+    # a share writing outside its own rows would change the block
+    config = SimConfig(kappa=0.3, dt=1e-3, t_final=1.0, seed=23, store_stride=7)
+    flow = ou_shear(1.0, 0.2)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 1)
+    reference = simulate_ensemble(flow, config, 8)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            np.testing.assert_array_equal(simulate_ensemble(flow, config, 8), reference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_blowup_with_threads_reports_the_first_realization(monkeypatch):
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    config = SimConfig(kappa=0.5, dt=0.01, t_final=0.1, x0=(float("nan"), 0.0))
+    with pytest.raises(IntegrationBlowupError, match="realization 7 at step 0") as info:
+        simulate_ensemble(steady_shear(), config, 2, first_realization=7)
+    assert info.value.step == 0
+
+    # one thread would have stopped at the earliest step, ties going to the
+    # lowest realization, whichever share finished first
+    def failing_kernel(flow, config, first, gens, ou, out):
+        step = {7: 5, 8: 3, 9: 3}[first]
+        raise IntegrationBlowupError(step, f"realization {first} at step {step}")
+
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(dynamics, "_shear_block", failing_kernel)
+    with pytest.raises(IntegrationBlowupError, match="realization 8 at step 3"):
+        simulate_ensemble(steady_shear(), config, 3, first_realization=7)
 
 
 # ---------------------------------------------------------------------------
