@@ -20,15 +20,10 @@ from .errors import (
 )
 from .fields import (
     FlowSpec,
-    ModulationState,
     childress_soward,
-    divergence,
-    eval_velocity,
     flow_label,
-    modulation,
     ou_shear,
     periodic_shear,
-    spatial_mean,
     steady_shear,
     stream_modes,
     taylor_green,
@@ -38,7 +33,6 @@ from .dynamics import (
     SimConfig,
     Trajectory,
     noise_generator,
-    ou_step,
     simulate_em,
     simulate_ensemble,
     stationary_eta_draw,
@@ -64,8 +58,6 @@ from .homogenization import (
     spectral_diffusivity,
 )
 from .theory import (
-    AnalyticDiffusivity,
-    analytic_diffusivity,
     bm_box_expectation,
     k_ou_shear,
     k_periodic_shear,

@@ -68,9 +68,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    with np.load(args.input) as data:
-        positions = np.asarray(data["positions"], dtype=float)
-        dt_stored = float(data["dt_stored"])
+    try:
+        with np.load(args.input) as data:
+            positions = np.asarray(data["positions"], dtype=float)
+            dt_stored = float(data["dt_stored"])
+    except KeyError as exc:
+        raise ParameterError(f"{args.input}: {exc.args[0]}; simulate writes "
+                             f"'positions' and 'dt_stored'") from exc
+    except (ValueError, TypeError, EOFError) as exc:
+        # np.load refuses pickles, and an empty or plain array file is no archive
+        raise ParameterError(f"{args.input} is not an .npz archive with numeric "
+                             f"'positions' and 'dt_stored'") from exc
     noise = noise_generator(args.noise_seed, 0, 0) if args.theta > 0.0 else None
     tensor = estimate_tensor(Trajectory(positions, dt_stored), args.estimator, args.delta,
                              args.theta, noise)

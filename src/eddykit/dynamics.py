@@ -200,23 +200,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def ou_step(eta, alpha: float, sigma: float, dt: float, gaussian):
-    """Exact one-step transition of d eta = -alpha eta dt + sqrt(2 sigma) d beta.
-
-    Returns exp(-alpha dt) eta + sqrt((sigma/alpha)(1 - exp(-2 alpha dt))) g
-    for a standard normal draw g. Preserves the stationary law N(0, sigma/alpha).
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ParameterError(f"sigma must be nonnegative, got {sigma!r}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    decay = math.exp(-alpha * dt)
-    scale = math.sqrt(sigma / alpha * -math.expm1(-2.0 * alpha * dt))
-    return decay * eta + scale * gaussian
-
-
 def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
     """One draw from the stationary law N(0, sigma/alpha) of the OU modulation."""
     if not (math.isfinite(alpha) and alpha > 0.0):

@@ -16,8 +16,7 @@ The two cellular flows are time independent:
     taylor_green        psi = sin x sin y
     childress_soward    psi = sin x sin y + lam cos x cos y,  lam in [0, 1]
 
-All expressions (velocities and their derivatives) are hard coded; there is
-no runtime expression parser.
+All expressions are hard coded; there is no runtime expression parser.
 """
 
 from __future__ import annotations
@@ -95,13 +94,6 @@ class FlowSpec:
         return self.kind in TIME_INDEPENDENT
 
 
-@dataclass
-class ModulationState:
-    """Modulation amplitude eta(t); equals 1 for time-independent flows."""
-
-    eta: float = 1.0
-
-
 def steady_shear() -> FlowSpec:
     return FlowSpec(STEADY_SHEAR)
 
@@ -136,16 +128,10 @@ def flow_label(flow: FlowSpec) -> str:
 # ---------------------------------------------------------------------------
 # velocity kernels
 #
-# The *_uv helpers evaluate on plain ndarrays so the integrators can reuse
-# them on whole ensembles at once. eta enters multiplicatively for the shear
-# family and is ignored by the cellular flows.
+# The two cellular velocities, evaluated elementwise on plain ndarrays so the
+# Euler-Maruyama step loop advances a whole block of realizations at once.
+# The shear drift (0, eta(t) sin x) is inlined in the shear kernel instead.
 # ---------------------------------------------------------------------------
-
-
-def _shear_uv(x, y, eta):
-    v1 = np.zeros_like(np.asarray(x, dtype=float))
-    v2 = eta * np.sin(x)
-    return v1, v2
 
 
 def _taylor_green_uv(x, y):
@@ -160,78 +146,6 @@ def _childress_soward_uv(x, y, lam):
     v1 = -sx * cy + lam * cx * sy
     v2 = cx * sy - lam * sx * cy
     return v1, v2
-
-
-def modulation(flow: FlowSpec, time: float, state: ModulationState | None = None) -> float:
-    """Modulation amplitude eta at the given time.
-
-    For ou_shear the amplitude is carried by ``state``; for periodic_shear
-    it is sin(omega * time), computed here; steady flows return 1.
-    """
-    if flow.kind == PERIODIC_SHEAR:
-        return np.sin(flow.omega * time)
-    if flow.kind == OU_SHEAR:
-        if state is None:
-            raise ParameterError("ou_shear requires a ModulationState carrying eta(t)")
-        return state.eta
-    return 1.0
-
-
-def eval_velocity(flow: FlowSpec, position, time: float = 0.0,
-                  state: ModulationState | None = None) -> np.ndarray:
-    """Velocity of ``flow`` at ``position`` and ``time``.
-
-    Parameters
-    ----------
-    flow : FlowSpec
-    position : array_like
-        Length-2 position (x, y). Arrays broadcast elementwise, with the
-        leading axis of size 2.
-    time : float
-        Evaluation time; enters only through the modulation of the
-        time-dependent shears.
-    state : ModulationState, optional
-        Supplies eta(t) for ou_shear.
-
-    Returns
-    -------
-    ndarray
-        The velocity vector, same trailing shape as the input.
-    """
-    position = np.asarray(position, dtype=float)
-    x, y = position[0], position[1]
-    if flow.is_shear:
-        eta = modulation(flow, time, state)
-        v1, v2 = _shear_uv(x, y, eta)
-    elif flow.kind == TAYLOR_GREEN:
-        v1, v2 = _taylor_green_uv(x, y)
-    else:
-        v1, v2 = _childress_soward_uv(x, y, flow.lam)
-    return np.array([v1, v2])
-
-
-def divergence(flow: FlowSpec, position, time: float = 0.0,
-               state: ModulationState | None = None) -> float:
-    """Analytic divergence dv1/dx + dv2/dy; identically zero for the catalog.
-
-    The partial derivatives are written out by hand. For each flow the two
-    terms are equal and opposite factor by factor, so the sum is exactly
-    zero in floating point as well.
-    """
-    position = np.asarray(position, dtype=float)
-    x, y = position[0], position[1]
-    if flow.is_shear:
-        # v1 = 0 and v2 = eta sin(x) has no y dependence
-        dv1_dx = 0.0
-        dv2_dy = 0.0
-    elif flow.kind == TAYLOR_GREEN:
-        dv1_dx = -np.cos(x) * np.cos(y)
-        dv2_dy = np.cos(x) * np.cos(y)
-    else:
-        lam = flow.lam
-        dv1_dx = -np.cos(x) * np.cos(y) - lam * np.sin(x) * np.sin(y)
-        dv2_dy = np.cos(x) * np.cos(y) + lam * np.sin(x) * np.sin(y)
-    return float(dv1_dx + dv2_dy)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +178,3 @@ def velocity_modes(flow: FlowSpec) -> dict[tuple[int, int], np.ndarray]:
         k: np.array([-1j * k[1] * c, 1j * k[0] * c])
         for k, c in stream_modes(flow).items()
     }
-
-
-def spatial_mean(flow: FlowSpec) -> np.ndarray:
-    """Cell average of the spatial velocity factor over [0, 2*pi]^2.
-
-    Equals the k = 0 Fourier coefficient, which no catalog flow carries,
-    so the result is exactly (0, 0).
-    """
-    vk = velocity_modes(flow).get((0, 0))
-    if vk is None:
-        return np.zeros(2)
-    return vk.real.copy()

@@ -135,6 +135,8 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
     delta. ``noise`` draws the N(0, theta^2) perturbations and is only
     consulted when theta > 0.
     """
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise ParameterError(f"theta must be finite and nonnegative, got {theta!r}")
     if estimator == "qv":
         series = subsample(traj, delta)
         if theta > 0.0:
@@ -295,6 +297,8 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     the means at the two largest deltas and checks which candidate lies
     within 25% of it. The returned report spells out the comparison.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be finite and positive, got {dt!r}")
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 2:
         raise ParameterError("need at least 2 deltas to form a plateau estimate")

@@ -33,19 +33,10 @@ for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedFlowError
-from .fields import (
-    CHILDRESS_SOWARD,
-    OU_SHEAR,
-    PERIODIC_SHEAR,
-    STEADY_SHEAR,
-    TAYLOR_GREEN,
-    FlowSpec,
-)
+from .errors import ParameterError
 
 PERIODIC_SHEAR_VARIANTS = ("printed", "figure")
 
@@ -229,49 +220,3 @@ def bm_box_expectation(kappa: float, delta: float, j: int) -> float:
     counts[0] = 1.0
     cov_sum = float(np.sum(counts * (j - lags) * 2.0 * kappa * (delta - lags * dt)))
     return cov_sum / (j * j) / (2.0 * delta)
-
-
-@dataclass(frozen=True)
-class AnalyticDiffusivity:
-    """Closed-form diffusivity along the shear direction.
-
-    Invariant: ``value >= kappa`` (molecular diffusion is a lower bound).
-    """
-
-    value: float
-    flow: FlowSpec
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.value < self.kappa:
-            raise ParameterError(
-                f"analytic diffusivity {self.value} below molecular value {self.kappa}"
-            )
-
-
-def analytic_diffusivity(flow: FlowSpec, kappa: float,
-                         periodic_variant: str | None = None) -> AnalyticDiffusivity:
-    """Dispatch to the closed form matching ``flow``.
-
-    periodic_shear requires ``periodic_variant`` (see
-    :func:`k_periodic_shear`); the cellular flows have no closed form and
-    raise :class:`UnsupportedFlowError`.
-    """
-    if flow.kind == STEADY_SHEAR:
-        value = k_shear(kappa)
-    elif flow.kind == OU_SHEAR:
-        value = k_ou_shear(kappa, flow.alpha, flow.sigma)
-    elif flow.kind == PERIODIC_SHEAR:
-        if periodic_variant is None:
-            raise ParameterError(
-                "periodic_shear has two candidate closed forms; pass "
-                "periodic_variant='printed' or 'figure'"
-            )
-        value = k_periodic_shear(kappa, flow.omega, periodic_variant)
-    elif flow.kind in (TAYLOR_GREEN, CHILDRESS_SOWARD):
-        raise UnsupportedFlowError(
-            f"{flow.kind} has no closed-form diffusivity; use the spectral solver"
-        )
-    else:
-        raise UnsupportedFlowError(f"no analytic diffusivity for flow kind {flow.kind!r}")
-    return AnalyticDiffusivity(value=value, flow=flow, kappa=float(kappa))

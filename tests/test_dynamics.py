@@ -22,9 +22,7 @@ from eddykit import (
     ParameterError,
     SimConfig,
     Trajectory,
-    eval_velocity,
     ou_shear,
-    ou_step,
     periodic_shear,
     qv_expectation_ou_shear,
     qv_expectation_shear,
@@ -37,6 +35,7 @@ from eddykit import (
 )
 from eddykit import dynamics
 from eddykit.dynamics import SOURCE_BM, SOURCE_ETA0, SOURCE_OU
+from eddykit.fields import _taylor_green_uv
 
 TINY = 1e-300  # kappa small enough that the Brownian part is negligible
 
@@ -142,6 +141,17 @@ def test_long_stride_matches_sliced_fine_path(flow):
     assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(expected))), err.max()
 
 
+def _ou_step(eta, alpha, sigma, dt, gaussian):
+    """Exact one-step transition of d eta = -alpha eta dt + sqrt(2 sigma) d beta.
+
+    exp(-alpha dt) eta + sqrt((sigma/alpha)(1 - exp(-2 alpha dt))) g for a
+    standard normal g; the replays below fold the modulation with it.
+    """
+    decay = math.exp(-alpha * dt)
+    scale = math.sqrt(sigma / alpha * -math.expm1(-2.0 * alpha * dt))
+    return decay * eta + scale * gaussian
+
+
 def _replay_shear(flow, config):
     """Scalar left endpoint replay of realization 0, one step at a time.
 
@@ -167,7 +177,7 @@ def _replay_shear(flow, config):
         y += eta * math.sin(x / eps) * dt / eps + noise * g[k, 1]
         x += noise * g[k, 0]
         if flow.kind == "ou_shear":
-            eta = ou_step(eta, flow.alpha, flow.sigma, dt / eps ** 2, g_ou[k])
+            eta = _ou_step(eta, flow.alpha, flow.sigma, dt / eps ** 2, g_ou[k])
         done = k + 1
         if done >= n_burn and (done - n_burn) % config.store_stride == 0:
             path.append((x, y))
@@ -231,7 +241,7 @@ def test_rescaled_drift_and_clock():
 
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_ou_modulation_recursion_matches_scalar_replay(entry):
-    # replay the modulation driver stream and fold it with ou_step; the
+    # replay the modulation driver stream and fold it with _ou_step; the
     # kernel must consume the identical sequence
     alpha, sigma, dt, n, eta0 = 1.3, 0.4, 1e-3, 200, 0.6
     x0 = (0.8, 0.0)
@@ -242,7 +252,7 @@ def test_ou_modulation_recursion_matches_scalar_replay(entry):
     eta, drift = eta0, 0.0
     for k in range(n):
         drift += eta * math.sin(x0[0]) * dt
-        eta = ou_step(eta, alpha, sigma, dt, g[k])
+        eta = _ou_step(eta, alpha, sigma, dt, g[k])
     assert traj[-1, 1] == pytest.approx(x0[1] + drift, rel=1e-11)
 
 
@@ -262,7 +272,7 @@ def test_em_tracks_taylor_green_ode():
     x0 = (1.0, 0.5)
     dt, t_final = 1e-3, 1.0
     traj = simulate_em(taylor_green(), SimConfig(kappa=TINY, dt=dt, t_final=t_final, x0=x0))
-    sol = solve_ivp(lambda t, z: eval_velocity(taylor_green(), z), (0.0, t_final), x0,
+    sol = solve_ivp(lambda t, z: _taylor_green_uv(*z), (0.0, t_final), x0,
                     rtol=1e-10, atol=1e-12)
     err = np.abs(traj.positions[-1] - sol.y[:, -1]).max()
     assert err < 2e-3  # first order in dt
@@ -286,11 +296,12 @@ def test_x_channel_is_brownian(entry):
 
 
 def test_ou_step_preserves_stationary_law():
+    # validates the reference transition that the scalar replays fold with
     alpha, sigma, dt = 1.5, 0.7, 0.3
     rng = np.random.default_rng(101)
     n = 200000
     eta = math.sqrt(sigma / alpha) * rng.standard_normal(n)
-    eta_next = ou_step(eta, alpha, sigma, dt, rng.standard_normal(n))
+    eta_next = _ou_step(eta, alpha, sigma, dt, rng.standard_normal(n))
     var = sigma / alpha
     assert abs(eta_next.var(ddof=1) - var) < 5.0 * var * math.sqrt(2.0 / n)
     # exact transition: corr(eta(0), eta(dt)) = exp(-alpha dt)

@@ -12,24 +12,34 @@ import sympy as sp
 
 from eddykit import (
     FlowSpec,
-    ModulationState,
     ParameterError,
     childress_soward,
-    divergence,
-    eval_velocity,
     flow_label,
-    modulation,
     ou_shear,
     periodic_shear,
-    spatial_mean,
     steady_shear,
     stream_modes,
     taylor_green,
     velocity_modes,
 )
+from eddykit.fields import TAYLOR_GREEN, _childress_soward_uv, _taylor_green_uv
 
 RNG = np.random.default_rng(20240817)
 POINTS = RNG.uniform(-10.0, 10.0, size=(64, 2))
+
+
+def _velocity(flow, z):
+    """Spatial velocity at z = (x, y), leading axis of size 2.
+
+    The cellular flows use the kernels of the step loop; the shear family
+    shares the spatial factor (0, sin x), its modulation left out.
+    """
+    x, y = np.asarray(z, dtype=float)
+    if flow.is_shear:
+        return np.array([np.zeros_like(x), np.sin(x)])
+    if flow.kind == TAYLOR_GREEN:
+        return np.array(_taylor_green_uv(x, y))
+    return np.array(_childress_soward_uv(x, y, flow.lam))
 
 
 def _sympy_velocity(psi, x, y):
@@ -39,18 +49,10 @@ def _sympy_velocity(psi, x, y):
     return v1, v2
 
 
-def test_steady_shear_velocity():
-    x = np.linspace(0.0, 2.0 * np.pi, 17)
-    y = RNG.uniform(0.0, 2.0 * np.pi, size=17)
-    v = eval_velocity(steady_shear(), np.array([x, y]))
-    assert np.all(v[0] == 0.0)
-    np.testing.assert_allclose(v[1], np.sin(x), rtol=0.0, atol=0.0)
-
-
 def test_taylor_green_matches_sympy_oracle():
     x, y = sp.symbols("x y", real=True)
     v1, v2 = _sympy_velocity(sp.sin(x) * sp.sin(y), x, y)
-    v = eval_velocity(taylor_green(), POINTS.T)
+    v = _velocity(taylor_green(), POINTS.T)
     np.testing.assert_allclose(v[0], v1(POINTS[:, 0], POINTS[:, 1]), atol=1e-14)
     np.testing.assert_allclose(v[1], v2(POINTS[:, 0], POINTS[:, 1]), atol=1e-14)
 
@@ -60,32 +62,15 @@ def test_childress_soward_matches_sympy_oracle(lam):
     x, y = sp.symbols("x y", real=True)
     psi = sp.sin(x) * sp.sin(y) + lam * sp.cos(x) * sp.cos(y)
     v1, v2 = _sympy_velocity(psi, x, y)
-    v = eval_velocity(childress_soward(lam), POINTS.T)
+    v = _velocity(childress_soward(lam), POINTS.T)
     np.testing.assert_allclose(v[0], v1(POINTS[:, 0], POINTS[:, 1]), atol=1e-14)
     np.testing.assert_allclose(v[1], v2(POINTS[:, 0], POINTS[:, 1]), atol=1e-14)
 
 
 def test_childress_soward_lambda_zero_is_taylor_green():
-    v_cs = eval_velocity(childress_soward(0.0), POINTS.T)
-    v_tg = eval_velocity(taylor_green(), POINTS.T)
+    v_cs = _velocity(childress_soward(0.0), POINTS.T)
+    v_tg = _velocity(taylor_green(), POINTS.T)
     np.testing.assert_array_equal(v_cs, v_tg)
-
-
-def test_periodic_shear_modulation():
-    flow = periodic_shear(2.5)
-    for t in (0.0, 0.3, 1.7):
-        assert modulation(flow, t) == np.sin(2.5 * t)
-        v = eval_velocity(flow, (1.0, 0.0), time=t)
-        assert v[1] == np.sin(2.5 * t) * np.sin(1.0)
-    assert modulation(steady_shear(), 123.4) == 1.0
-
-
-def test_ou_shear_modulation_comes_from_state():
-    flow = ou_shear(1.0, 0.5)
-    v = eval_velocity(flow, (1.0, 2.0), state=ModulationState(eta=-0.7))
-    assert v[1] == pytest.approx(-0.7 * np.sin(1.0), rel=1e-15)
-    with pytest.raises(ParameterError):
-        modulation(flow, 0.0)
 
 
 ALL_FLOWS = [
@@ -99,9 +84,9 @@ ALL_FLOWS = [
 
 @pytest.mark.parametrize("flow", ALL_FLOWS, ids=lambda f: f.kind)
 def test_divergence_is_exactly_zero(flow):
-    state = ModulationState(eta=0.4)
-    for p in POINTS[:8]:
-        assert divergence(flow, p, time=0.37, state=state) == 0.0
+    # incompressibility in Fourier space, k . v_k = 0, exactly in floating point
+    for (k1, k2), vk in velocity_modes(flow).items():
+        assert k1 * vk[0] + k2 * vk[1] == 0.0
 
 
 @pytest.mark.parametrize("flow", ALL_FLOWS, ids=lambda f: f.kind)
@@ -109,22 +94,20 @@ def test_finite_difference_divergence_vanishes(flow):
     # independent check that the velocity itself is incompressible, not just
     # the hand written derivative expressions
     h = 1e-6
-    state = ModulationState(eta=0.9)
     for p in POINTS[:8]:
-        vxp = eval_velocity(flow, p + [h, 0.0], state=state)
-        vxm = eval_velocity(flow, p - [h, 0.0], state=state)
-        vyp = eval_velocity(flow, p + [0.0, h], state=state)
-        vym = eval_velocity(flow, p - [0.0, h], state=state)
+        vxp = _velocity(flow, p + [h, 0.0])
+        vxm = _velocity(flow, p - [h, 0.0])
+        vyp = _velocity(flow, p + [0.0, h])
+        vym = _velocity(flow, p - [0.0, h])
         div = (vxp[0] - vxm[0]) / (2 * h) + (vyp[1] - vym[1]) / (2 * h)
         assert abs(div) < 1e-9
 
 
 @pytest.mark.parametrize("flow", ALL_FLOWS, ids=lambda f: f.kind)
 def test_velocity_is_2pi_periodic(flow):
-    state = ModulationState(eta=0.9)
-    base = eval_velocity(flow, POINTS.T, state=state)
+    base = _velocity(flow, POINTS.T)
     for shift in ([2 * np.pi, 0.0], [0.0, 2 * np.pi], [-4 * np.pi, 2 * np.pi]):
-        shifted = eval_velocity(flow, (POINTS + shift).T, state=state)
+        shifted = _velocity(flow, (POINTS + shift).T)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -154,12 +137,13 @@ def test_velocity_modes_resum_to_velocity(flow):
         phase = np.exp(1j * (k1 * POINTS[:, 0] + k2 * POINTS[:, 1]))
         v += vk[:, None] * phase[None, :]
     assert np.max(np.abs(v.imag)) < 1e-14
-    np.testing.assert_allclose(v.real, eval_velocity(flow, POINTS.T), atol=1e-13)
+    np.testing.assert_allclose(v.real, _velocity(flow, POINTS.T), atol=1e-13)
 
 
 @pytest.mark.parametrize("flow", ALL_FLOWS, ids=lambda f: f.kind)
 def test_spatial_mean_is_zero(flow):
-    np.testing.assert_array_equal(spatial_mean(flow), np.zeros(2))
+    # the cell average is the k = 0 coefficient, which no catalog flow carries
+    assert (0, 0) not in velocity_modes(flow)
 
 
 def test_kind_flags():

@@ -203,6 +203,12 @@ def test_adjudication_structure():
         adjudicate_periodic_shear(deltas=(1.0,))
 
 
+@pytest.mark.parametrize("dt", ["0", "nan"])
+def test_cli_adjudicate_rejects_bad_dt(capsys, dt):
+    assert main(["oracle", "adjudicate", "--dt", dt]) == 2
+    assert "dt must be finite and positive" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -464,6 +470,40 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", nan_cfg, "--output",
                  str(tmp_path / "y.npz")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", ["-1", "nan"])
+def test_estimate_rejects_bad_theta(tmp_path, capsys, theta):
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    out = str(tmp_path / "traj.npz")
+    main(["simulate", "--config", config, "--output", out])
+    capsys.readouterr()
+    assert main(["estimate", "--input", out, "--delta", "0.1", "--theta", theta]) == 2
+    assert "theta must be finite and nonnegative" in capsys.readouterr().err
+    with pytest.raises(ParameterError, match="theta"):
+        estimate_tensor(simulate_em(FLOW, FAST), "qv", 0.1, float(theta))
+
+
+def test_cli_estimate_names_missing_array(tmp_path, capsys):
+    path = str(tmp_path / "partial.npz")
+    np.savez(path, dt_stored=0.02)
+    assert main(["estimate", "--input", path, "--delta", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "partial.npz" in err and "positions" in err
+
+
+@pytest.mark.parametrize("name", ["notes.txt", "empty.npz", "array.npy"])
+def test_cli_estimate_rejects_non_archive(tmp_path, capsys, name):
+    path = tmp_path / name
+    if name == "notes.txt":
+        path.write_text("positions, dt_stored\n")
+    elif name == "empty.npz":
+        path.write_bytes(b"")
+    else:
+        np.save(path, np.zeros((4, 2)))
+    assert main(["estimate", "--input", str(path), "--delta", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "not an .npz archive" in err
 
 
 def test_removed_integrator_choice_fails_loudly(tmp_path, capsys):

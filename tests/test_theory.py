@@ -13,22 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eddykit import (
-    AnalyticDiffusivity,
     ParameterError,
-    UnsupportedFlowError,
-    analytic_diffusivity,
     bm_box_expectation,
-    childress_soward,
     k_ou_shear,
     k_periodic_shear,
     k_shear,
-    ou_shear,
-    periodic_shear,
     qv_expectation_ou_shear,
     qv_expectation_shear,
-    steady_shear,
     subsample_bias_limit_shear,
-    taylor_green,
 )
 
 kappas = st.floats(1e-3, 1e2)
@@ -67,23 +59,6 @@ def test_k_periodic_shear_variants():
     assert k_periodic_shear(0.1, 1.0, "figure") == pytest.approx(0.12475247524752475, rel=1e-15)
     with pytest.raises(ParameterError):
         k_periodic_shear(0.1, 1.0, "both")
-
-
-def test_analytic_diffusivity_dispatch():
-    assert analytic_diffusivity(steady_shear(), 0.1).value == k_shear(0.1)
-    assert analytic_diffusivity(ou_shear(1.0, 0.1), 0.1).value == k_ou_shear(0.1, 1.0, 0.1)
-    got = analytic_diffusivity(periodic_shear(1.0), 0.1, periodic_variant="figure")
-    assert got.value == k_periodic_shear(0.1, 1.0, "figure")
-    with pytest.raises(ParameterError):
-        analytic_diffusivity(periodic_shear(1.0), 0.1)
-    for flow in (taylor_green(), childress_soward(0.5)):
-        with pytest.raises(UnsupportedFlowError):
-            analytic_diffusivity(flow, 0.1)
-
-
-def test_analytic_diffusivity_invariant():
-    with pytest.raises(ParameterError):
-        AnalyticDiffusivity(value=0.05, flow=steady_shear(), kappa=0.1)
 
 
 # ---------------------------------------------------------------------------
