@@ -52,10 +52,13 @@ def _print_tensor(entries) -> None:
     print(f"K22 = {entries[1, 1]:.12g}")
 
 
-def _open_out(path: str):
+def _write_report(report, path: str) -> None:
+    """Write a sweep report as CSV to ``path``, or to stdout for "-"."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        report.to_csv(sys.stdout)
+    else:
+        report.to_csv(path)
+        print(f"wrote {len(report.rows)} rows to {path}")
 
 
 def _cmd_simulate(args) -> int:
@@ -82,9 +85,9 @@ def _cmd_estimate(args) -> int:
     noise = noise_generator(args.noise_seed, 0, 0) if args.theta > 0.0 else None
     tensor = estimate_tensor(Trajectory(positions, dt_stored), args.estimator, args.delta,
                              args.theta, noise)
+    component = directional_component(tensor, args.direction)  # refuse a bad spec first
     _print_tensor(tensor.entries)
-    print(f"{args.direction} component = "
-          f"{directional_component(tensor, args.direction):.12g}")
+    print(f"{args.direction} component = {component:.12g}")
     return 0
 
 
@@ -95,14 +98,7 @@ def _cmd_sweep(args) -> int:
     report = delta_sweep(plan.flow, plan.sim, plan.estimator, plan.deltas,
                          plan.theta, plan.realizations, plan.direction,
                          plan.batch_size)
-    out, close = _open_out(args.output)
-    try:
-        report.to_csv(out)
-    finally:
-        if close:
-            out.close()
-    if close:
-        print(f"wrote {len(report.rows)} rows to {args.output}")
+    _write_report(report, args.output)
     return 0
 
 
@@ -114,14 +110,7 @@ def _cmd_rescaled(args) -> int:
                             plan.alpha_exponent, plan.realizations,
                             plan.sim.t_final, plan.estimator, plan.direction,
                             plan.theta, plan.sim.seed, plan.batch_size)
-    out, close = _open_out(args.output)
-    try:
-        report.to_csv(out)
-    finally:
-        if close:
-            out.close()
-    if close:
-        print(f"wrote {len(report.rows)} rows to {args.output}")
+    _write_report(report, args.output)
     return 0
 
 

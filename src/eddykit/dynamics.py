@@ -19,15 +19,19 @@ after the position step consumed the start-of-step value. For the shear
 family the drift does not act on x, so x is sampled exactly on the dt
 grid as a Brownian path and y is the left endpoint quadrature of
 (1/eps) eta(t/eps^2) sin(x/eps) along it plus its own Brownian part; that
-triangular structure lets the scheme run vectorised over time. The
-cellular flows (Taylor-Green, Childress-Soward) run as a step loop.
+triangular structure lets the scheme run vectorised over time.
 
-A shear block runs on one thread per CPU in the process's affinity mask,
-each on a contiguous share of the realizations, bitwise identical to one
-thread: the kernel's draws, cumulative sums and filters work row by row
-and release the interpreter lock on long rows. The cellular step loop
-stays on one thread, because each of its steps works on arrays only one
-realization wide and holds the lock, so threads would only slow it down.
+One block loop runs every flow: it draws the noise, runs the burn-in, stores
+every stride-th state and, after each chunk of at most 4096 steps,
+checks that the state is finite, naming the steps in which it went bad.
+Its advance kernel is time-vectorised for the shear family and a step
+loop for the cellular flows (Taylor-Green, Childress-Soward). A shear
+block runs on one thread per CPU in the process's affinity mask, each on
+a contiguous share of the realizations, bitwise identical to one thread:
+the kernel's draws, cumulative sums and filters work row by row and
+release the interpreter lock on long rows. A cellular block runs as one
+share: each step works on arrays one realization wide and holds the
+lock, so threads would only slow it down.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -37,6 +41,7 @@ realization r alone or inside any block yields bitwise identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -215,13 +220,13 @@ def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _raise_if_not_finite(x: np.ndarray, y: np.ndarray, step: int, first: int) -> None:
+def _raise_if_not_finite(x: np.ndarray, y: np.ndarray, first: int, start: int, end: int) -> None:
+    # the state at step start was finite; name the steps in which it went bad
     bad = ~(np.isfinite(x) & np.isfinite(y))
     if bad.any():
         i = int(np.argmax(bad))
-        raise IntegrationBlowupError(
-            step, f"non-finite state in realization {first + i} at step {step}"
-        )
+        where = f"at step {end}" if start == end else f"between steps {start} and {end}"
+        raise IntegrationBlowupError(end, f"non-finite state in realization {first + i} {where}")
 
 
 def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
@@ -238,84 +243,27 @@ def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
     return eta, gens
 
 
-def _em_block(flow: FlowSpec, config: SimConfig, first: int, count: int) -> np.ndarray:
-    """Euler-Maruyama step loop for the cellular flows."""
-    stride = config.store_stride
-    n_stored = config.n_stored
-    span = stride * (n_stored - 1)
-    burn = config.burn_steps
-    inv_eps = 1.0 / config.epsilon
-    drift_dt = config.dt * inv_eps
-    noise_scale = math.sqrt(2.0 * config.kappa * config.dt)
+def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | None,
+                  width: int):
+    """Path buffers and the chunk advance of the shear family, vectorised over time.
 
-    gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]
-    x = np.full(count, float(config.x0[0]))
-    y = np.full(count, float(config.x0[1]))
-
-    out = np.empty((count, n_stored, 2))
-    if burn == 0:
-        _raise_if_not_finite(x, y, 0, first)
-        out[:, 0, 0] = x
-        out[:, 0, 1] = y
-
-    g_bm = np.empty((count, _CHUNK, 2))
-    total = burn + span
-    step = 0
-    while step < total:
-        c = min(_CHUNK, total - step)
-        for i, g in enumerate(gens):
-            g_bm[i, :c] = g.standard_normal((c, 2))
-        for local in range(c):
-            if flow.kind == TAYLOR_GREEN:
-                v1, v2 = _taylor_green_uv(x * inv_eps, y * inv_eps)
-            else:
-                v1, v2 = _childress_soward_uv(x * inv_eps, y * inv_eps, flow.lam)
-            x = x + drift_dt * v1 + noise_scale * g_bm[:, local, 0]
-            y = y + drift_dt * v2 + noise_scale * g_bm[:, local, 1]
-            done = step + local + 1
-            if done >= burn and (done - burn) % stride == 0:
-                j = (done - burn) // stride
-                out[:, j, 0] = x
-                out[:, j, 1] = y
-                _raise_if_not_finite(x, y, done, first)
-        step += c
-    return out
-
-
-def _shear_block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
-                 ou: tuple | None, out: np.ndarray) -> None:
-    """The same scheme for the shear family, vectorised over time.
-
-    Integrates the realizations first, first+1, ... whose Brownian
-    generators are ``gens`` into ``out`` (one row each); ``ou`` holds the
-    OU modulation's initial eta vector and driver generators, None for
-    the other shear flows. x does not depend on y, so a chunk of x is one
-    cumulative sum of its Brownian increments; y then sums the left
-    endpoint drift along that path plus its own Brownian increments, and
-    the OU modulation runs as its AR(1) recursion through lfilter. Every
-    chunk reuses the buffers allocated here, and every operation works
-    row by row, so any partition of the rows gives bitwise identical output.
+    x does not depend on y, so a chunk of x is one cumulative sum of its
+    Brownian increments; y then sums the left endpoint drift along that
+    path plus its own Brownian increments, and the OU modulation runs as
+    its AR(1) recursion through lfilter (``ou`` holds its initial eta
+    vector and noise generators, None for the other shear flows). Every
+    operation works row by row, so any partition of the rows gives bitwise
+    identical output.
     """
-    stride = config.store_stride
-    span = stride * (config.n_stored - 1)
-    burn = config.burn_steps
     dt = config.dt
     inv_eps = 1.0 / config.epsilon
     drift_dt = dt * inv_eps
     clock_dt = dt / (config.epsilon * config.epsilon)
     noise_scale = math.sqrt(2.0 * config.kappa * dt)
     kind = flow.kind
-    count = len(gens)
-
-    # stored chunks hold whole strides; a stride longer than _CHUNK runs in
-    # _CHUNK-step pieces, so the buffers never outgrow _CHUNK columns
-    chunk = stride * (_CHUNK // stride) or _CHUNK
-    width = min(_CHUNK, max(burn, span))
-    g = np.empty((count, width, 2))        # Brownian draws of x and y
-    x_path = np.empty((count, width + 1))  # column 0 holds the previous x
-    inc = np.empty((count, width))         # y increments, then their partial sums
-    x_path[:, 0] = float(config.x0[0])
-    y = np.full(count, float(config.x0[1]))
+    count = g.shape[0]
+    x_path = np.empty((count, width + 1))
+    y_path = np.empty((count, width + 1))
     if kind == OU_SHEAR:
         eta0, gens_ou = ou
         ou_decay = math.exp(-flow.alpha * clock_dt)
@@ -325,61 +273,121 @@ def _shear_block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
         eta_path[:, 0] = eta0
 
     def advance(c: int, step0: int) -> None:
-        """Advance every row c steps from absolute step step0.
-
-        Leaves x and eta after the chunk in column 0 of their paths and
-        the partial sums of the y increments in inc[:, :c]; y itself is
-        not touched.
-        """
-        for i, gen in enumerate(gens):
-            gen.standard_normal((c, 2), out=g[i, :c])
         xs = x_path[:, 1:c + 1]
         np.cumsum(g[:, :c, 0], axis=1, out=xs)
         xs *= noise_scale
         xs += x_path[:, :1]
         # y increments, built in place on the left endpoint phases x/eps
-        left = inc[:, :c]
-        np.multiply(x_path[:, :c], inv_eps, out=left)
-        np.sin(left, out=left)
+        ys = y_path[:, 1:c + 1]
+        np.multiply(x_path[:, :c], inv_eps, out=ys)
+        np.sin(ys, out=ys)
         if kind == OU_SHEAR:
             for i, gen in enumerate(gens_ou):
                 gen.standard_normal(c, out=g_mod[i, :c])
             eta_path[:, 1:c + 1], _ = lfilter([ou_scale], [1.0, -ou_decay], g_mod[:, :c],
                                                axis=1, zi=ou_decay * eta_path[:, :1])
-            left *= eta_path[:, :c]
+            ys *= eta_path[:, :c]
             eta_path[:, 0] = eta_path[:, c]
         elif kind == PERIODIC_SHEAR:
-            left *= np.sin(flow.omega * ((step0 + np.arange(c)) * clock_dt))
-        left *= drift_dt
+            ys *= np.sin(flow.omega * ((step0 + np.arange(c)) * clock_dt))
+        ys *= drift_dt
         g_y = g[:, :c, 1]
         g_y *= noise_scale
-        left += g_y
-        np.cumsum(left, axis=1, out=left)
+        ys += g_y
+        np.cumsum(ys, axis=1, out=ys)
+        ys += y_path[:, :1]
+
+    return x_path, y_path, advance
+
+
+def _cellular_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: None,
+                     width: int):
+    """Path buffers and the chunk advance of the cellular flows: the step loop.
+
+    Each step writes the next state in place into time-major paths, whose
+    rows are contiguous; the chunk's draws are scaled once, before the loop.
+    """
+    inv_eps = 1.0 / config.epsilon
+    drift_dt = config.dt * inv_eps
+    noise_scale = math.sqrt(2.0 * config.kappa * config.dt)
+    if flow.kind == TAYLOR_GREEN:
+        velocity = _taylor_green_uv
+    else:
+        velocity = functools.partial(_childress_soward_uv, lam=flow.lam)
+    count = g.shape[0]
+    x_steps = np.empty((width + 1, count))
+    y_steps = np.empty((width + 1, count))
+    g_steps = g.transpose(1, 2, 0)  # step k's scaled draws are g_steps[k]
+
+    def advance(c: int, step0: int) -> None:
+        g[:, :c] *= noise_scale
+        for k in range(c):
+            x, y = x_steps[k], y_steps[k]
+            v1, v2 = velocity(x * inv_eps, y * inv_eps)
+            nxt = x_steps[k + 1]
+            np.multiply(v1, drift_dt, out=nxt)
+            nxt += x
+            nxt += g_steps[k, 0]
+            nxt = y_steps[k + 1]
+            np.multiply(v2, drift_dt, out=nxt)
+            nxt += y
+            nxt += g_steps[k, 1]
+
+    return x_steps.T, y_steps.T, advance
+
+
+def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
+           ou: tuple | None, out: np.ndarray) -> None:
+    """Integrate realizations first, first+1, ... into the rows of ``out``.
+
+    ``gens`` are their Brownian generators and ``ou`` the OU modulation's
+    initial eta vector and noise generators (None for the other flows).
+    The burn phase and then the stored phase run in chunks: the loop
+    draws a chunk's increments, the flow family's ``advance(c, step0)``
+    fills the chunk's x and y paths, whose column 0 holds the state before
+    it, and the loop stores every stride-th column and checks that the
+    state after the chunk is finite. Buffers are allocated once per share.
+    """
+    stride = config.store_stride
+    span = stride * (config.n_stored - 1)
+    burn = config.burn_steps
+    # stored chunks hold whole strides; a stride longer than _CHUNK runs in
+    # _CHUNK-step pieces, so the buffers never outgrow _CHUNK columns
+    chunk = stride * (_CHUNK // stride) or _CHUNK
+    width = min(_CHUNK, max(burn, span))
+    g = np.empty((len(gens), width, 2))  # Brownian draws of x and y
+    kernel = _shear_kernel if flow.is_shear else _cellular_kernel
+    x_path, y_path, advance = kernel(flow, config, g, ou, width)
+    x_path[:, 0] = float(config.x0[0])
+    y_path[:, 0] = float(config.x0[1])
+    _raise_if_not_finite(x_path[:, 0], y_path[:, 0], first, 0, 0)
+
+    def run_chunk(c: int, step0: int) -> None:
+        for i, gen in enumerate(gens):
+            gen.standard_normal((c, 2), out=g[i, :c])
+        advance(c, step0)
         x_path[:, 0] = x_path[:, c]
+        y_path[:, 0] = y_path[:, c]
+        _raise_if_not_finite(x_path[:, 0], y_path[:, 0], first, step0, step0 + c)
 
     # burn phase, nothing stored
     step = 0
     while step < burn:
         c = min(_CHUNK, burn - step)
-        advance(c, step)
-        y += inc[:, c - 1]
+        run_chunk(c, step)
         step += c
 
-    _raise_if_not_finite(x_path[:, 0], y, burn, first)
     out[:, 0, 0] = x_path[:, 0]
-    out[:, 0, 1] = y
-
+    out[:, 0, 1] = y_path[:, 0]
     done = 0
     j = 1
     while done < span:
         c = min(chunk, span - done)
-        advance(c, burn + done)
+        run_chunk(c, burn + done)
         k0 = (-done - 1) % stride  # first local step that ends a stored interval
         nj = len(range(k0, c, stride))
         out[:, j:j + nj, 0] = x_path[:, k0 + 1:c + 1:stride]
-        np.add(y[:, None], inc[:, k0:c:stride], out=out[:, j:j + nj, 1])
-        y += inc[:, c - 1]
-        _raise_if_not_finite(x_path[:, 0], y, burn + done + c, first)
+        out[:, j:j + nj, 1] = y_path[:, k0 + 1:c + 1:stride]
         done += c
         j += nj
 
@@ -401,9 +409,9 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
                       first_realization: int = 0) -> np.ndarray:
     """Simulate a block of realizations.
 
-    Returns an (n_realizations, n_stored, 2) array. The shear family runs
-    through the time-vectorised kernel, the cellular flows through the
-    step loop; both compute the scheme described in the module docstring.
+    Returns an (n_realizations, n_stored, 2) array. Every flow runs through
+    the one block loop, with the time-vectorised advance for the shear family
+    and the step loop for the cellular flows (see the module docstring).
     Realization r draws from substreams keyed by (config.seed,
     first_realization + r, source), so blocks compose: simulating [0, 200)
     in one call or in any partition yields bitwise identical rows.
@@ -411,15 +419,13 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     A shear block is split into contiguous row shares, one thread per CPU
     in the process's affinity mask (at most one per row), each writing
     its own rows of the output; the result is bitwise identical to one
-    thread. The cellular step loop runs on one thread, because it works
-    on arrays one realization wide per step and holds the interpreter
-    lock, so threads would only slow it down.
+    thread. A cellular block runs as one share: its step loop holds the
+    interpreter lock, so threads would only slow it down. A non-finite
+    state raises IntegrationBlowupError naming its realization and steps.
     """
     if n_realizations < 1:
         raise ParameterError("n_realizations must be at least 1")
     first, count = first_realization, n_realizations
-    if not flow.is_shear:
-        return _em_block(flow, config, first, count)
 
     # every stream is created here, in the calling thread; the shares only draw
     gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]
@@ -430,9 +436,9 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
 
     def run(rows: slice) -> None:
         ou = None if gens_ou is None else (eta[rows], gens_ou[rows])
-        _shear_block(flow, config, first + rows.start, gens[rows], ou, out[rows])
+        _block(flow, config, first + rows.start, gens[rows], ou, out[rows])
 
-    n_shares = min(_cpu_count(), count)
+    n_shares = min(_cpu_count(), count) if flow.is_shear else 1
     if n_shares == 1:
         run(slice(0, count))
         return out

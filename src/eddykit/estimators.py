@@ -109,6 +109,8 @@ def directional_component(tensor: DiffusivityTensor, direction: str) -> float:
             a, b = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParameterError(f"bad direction spec {direction!r}, expected xi:<a>,<b>") from None
+        if not (math.isfinite(a) and math.isfinite(b)) or a == b == 0.0:
+            raise ParameterError(f"direction {direction!r} must be a finite nonzero vector")
         return tensor.project((a, b))
     raise ParameterError(f"direction must be x, y or xi:<a>,<b>, got {direction!r}")
 

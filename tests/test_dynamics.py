@@ -1,9 +1,10 @@
 """Tests for the trajectory integration.
 
-The shear family runs through the time-vectorised kernel and the cellular
-flows through the step loop; a scalar replay pins the kernel to the scheme
-step by step. The deterministic checks exploit kappa -> 0: with a vanishing
-noise scale the position freezes (or follows the drift ODE), so every
+One block loop runs every flow; the shear family advances through the
+time-vectorised kernel and the cellular flows through the step loop, and
+a scalar replay pins each kernel to the scheme step by step. The
+deterministic checks exploit kappa -> 0: with a vanishing noise scale
+the position freezes (or follows the drift ODE), so every
 convention of the scheme (left endpoint velocity, modulation clock,
 rescaling, eta handling) becomes exactly predictable. Statistical checks
 use fixed seeds and z-score style bands of four to five standard errors.
@@ -22,6 +23,7 @@ from eddykit import (
     ParameterError,
     SimConfig,
     Trajectory,
+    childress_soward,
     ou_shear,
     periodic_shear,
     qv_expectation_ou_shear,
@@ -34,6 +36,7 @@ from eddykit import (
     taylor_green,
 )
 from eddykit import dynamics
+from eddykit.cli import main
 from eddykit.dynamics import SOURCE_BM, SOURCE_ETA0, SOURCE_OU
 from eddykit.fields import _taylor_green_uv
 
@@ -110,11 +113,12 @@ def test_store_stride_slices_the_fine_path(entry):
 
 def test_burn_in_em_matches_shifted_run_bitwise():
     # the step loop carries its state across the burn boundary unchanged
-    flow = taylor_green()
-    burned = simulate_ensemble(
-        flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.2, seed=5, store_stride=2, burn_in=0.05), 2)
-    full = simulate_ensemble(flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.25, seed=5), 2)
-    np.testing.assert_array_equal(burned, full[:, 50::2])
+    for flow in (taylor_green(), childress_soward(0.5)):
+        burned = simulate_ensemble(
+            flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.2, seed=5, store_stride=2,
+                            burn_in=0.05), 2)
+        full = simulate_ensemble(flow, SimConfig(kappa=0.2, dt=1e-3, t_final=0.25, seed=5), 2)
+        np.testing.assert_array_equal(burned, full[:, 50::2])
 
 
 def test_burn_in_exact_matches_shifted_run():
@@ -128,7 +132,8 @@ def test_burn_in_exact_matches_shifted_run():
         np.testing.assert_allclose(burned, full[:, 50::2], rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("flow", [steady_shear(), ou_shear(0.8, 0.2)], ids=lambda f: f.kind)
+@pytest.mark.parametrize("flow", [steady_shear(), ou_shear(0.8, 0.2), taylor_green()],
+                         ids=lambda f: f.kind)
 def test_long_stride_matches_sliced_fine_path(flow):
     # a stride above the draw chunk is integrated in chunk-sized pieces
     # carried across the stored interval; the stored rows are the fine path's
@@ -137,8 +142,11 @@ def test_long_stride_matches_sliced_fine_path(flow):
         flow, SimConfig(kappa=0.3, dt=1e-3, t_final=15.0, seed=13, store_stride=5000), 2)
     expected = fine[:, ::5000]
     assert coarse.shape == expected.shape == (2, 4, 2)
-    err = np.abs(coarse - expected)
-    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(expected))), err.max()
+    if flow.is_shear:
+        err = np.abs(coarse - expected)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(expected))), err.max()
+    else:
+        np.testing.assert_array_equal(coarse, expected)
 
 
 def _ou_step(eta, alpha, sigma, dt, gaussian):
@@ -195,6 +203,46 @@ def test_shear_kernel_matches_scalar_replay(flow, eps):
     replay = _replay_shear(flow, config)
     assert replay.shape == kernel.shape
     err = np.abs(kernel - replay)
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(replay))), err.max()
+
+
+def _replay_cellular(flow, config):
+    """Scalar Euler-Maruyama replay of realization 0, one step at a time.
+
+    The velocity comes from the stream function
+    psi = sin x sin y + lam cos x cos y (lam = 0 for Taylor-Green) as
+    (-d psi/dy, d psi/dx), evaluated at the start of each step.
+    """
+    eps = config.epsilon
+    dt, n_burn = config.dt, config.burn_steps
+    total = n_burn + config.store_stride * (config.n_stored - 1)
+    noise = math.sqrt(2.0 * config.kappa * dt)
+    g = stream_generator(config.seed, 0, SOURCE_BM).standard_normal((total, 2))
+    lam = flow.lam if flow.kind == "childress_soward" else 0.0
+    x, y = config.x0
+    path = [(x, y)] if n_burn == 0 else []
+    for k in range(total):
+        sx, cx = math.sin(x / eps), math.cos(x / eps)
+        sy, cy = math.sin(y / eps), math.cos(y / eps)
+        u = -sx * cy + lam * cx * sy
+        v = cx * sy - lam * sx * cy
+        x, y = x + u * dt / eps + noise * g[k, 0], y + v * dt / eps + noise * g[k, 1]
+        done = k + 1
+        if done >= n_burn and (done - n_burn) % config.store_stride == 0:
+            path.append((x, y))
+    return np.array(path)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+@pytest.mark.parametrize("flow", [taylor_green(), childress_soward(0.5)], ids=lambda f: f.kind)
+def test_cellular_loop_matches_scalar_replay(flow, eps):
+    # 5000 steps cross a draw chunk in both the burn and the stored phase
+    config = SimConfig(kappa=0.3, dt=1e-3, t_final=4.5, epsilon=eps, seed=31,
+                       store_stride=3, burn_in=0.5)
+    loop = simulate_ensemble(flow, config, 2)[0]
+    replay = _replay_cellular(flow, config)
+    assert replay.shape == loop.shape
+    err = np.abs(loop - replay)
     assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(replay))), err.max()
 
 
@@ -365,15 +413,15 @@ def _record_shares(monkeypatch, cpus):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    kernel = dynamics._shear_block
+    block = dynamics._block
 
-    def recording_kernel(flow, config, first, gens, ou, out):
+    def recording_block(flow, config, first, gens, ou, out):
         shares.append((first, len(gens)))
-        kernel(flow, config, first, gens, ou, out)
+        block(flow, config, first, gens, ou, out)
 
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(dynamics, "_shear_block", recording_kernel)
+    monkeypatch.setattr(dynamics, "_block", recording_block)
     return pools, shares
 
 
@@ -392,9 +440,10 @@ def test_share_count_is_bounded_by_cpus_and_rows(monkeypatch, cpus, rows):
 
 
 def test_cellular_block_starts_no_pool(monkeypatch):
+    # the step loop holds the interpreter lock: one share covers every row
     pools, shares = _record_shares(monkeypatch, 2)
     simulate_ensemble(taylor_green(), SimConfig(kappa=0.3, dt=1e-2, t_final=0.1), 4)
-    assert pools == [] and shares == []
+    assert pools == [] and shares == [(0, 4)]
 
 
 def test_row_shares_under_short_switch_interval(monkeypatch):
@@ -423,12 +472,12 @@ def test_blowup_with_threads_reports_the_first_realization(monkeypatch):
 
     # one thread would have stopped at the earliest step, ties going to the
     # lowest realization, whichever share finished first
-    def failing_kernel(flow, config, first, gens, ou, out):
+    def failing_block(flow, config, first, gens, ou, out):
         step = {7: 5, 8: 3, 9: 3}[first]
         raise IntegrationBlowupError(step, f"realization {first} at step {step}")
 
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(dynamics, "_shear_block", failing_kernel)
+    monkeypatch.setattr(dynamics, "_block", failing_block)
     with pytest.raises(IntegrationBlowupError, match="realization 8 at step 3"):
         simulate_ensemble(steady_shear(), config, 3, first_realization=7)
 
@@ -469,6 +518,24 @@ def test_blowup_reports_realization_and_step():
         simulate_ensemble(steady_shear(), config, 2, first_realization=7)
     with pytest.raises(IntegrationBlowupError, match="realization 0 at step 0"):
         simulate_em(taylor_green(), config)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
+def test_blowup_names_its_step_interval(tmp_path, capsys, flow):
+    # the noise scale sqrt(2 kappa dt) overflows to inf, so the state goes
+    # non-finite in the first step; the check after the chunk names it
+    config = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
+    with pytest.raises(IntegrationBlowupError,
+                       match="realization 0 between steps 0 and 10") as info:
+        simulate_ensemble(flow, config, 1)
+    assert info.value.step == 10
+    ini = tmp_path / "overflow.ini"
+    kind = "shear" if flow.is_shear else flow.kind
+    ini.write_text(f"[flow]\nkind = {kind}\n\n[simulation]\n"
+                   "kappa = 1e308\ndt = 1.0\nt_final = 10.0\n")
+    assert main(["simulate", "--config", str(ini), "--output", str(tmp_path / "x.npz")]) == 3
+    assert "between steps 0 and 10" in capsys.readouterr().err
 
 
 def test_simulate_ensemble_validation():

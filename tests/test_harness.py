@@ -32,6 +32,7 @@ from eddykit import (
     simulate_em,
     steady_shear,
 )
+from eddykit import harness
 from eddykit.cli import main
 from eddykit.dynamics import noise_generator
 from eddykit.harness import _CSV_COLUMNS, estimate_tensor
@@ -482,6 +483,21 @@ def test_estimate_rejects_bad_theta(tmp_path, capsys, theta):
     assert "theta must be finite and nonnegative" in capsys.readouterr().err
     with pytest.raises(ParameterError, match="theta"):
         estimate_tensor(simulate_em(FLOW, FAST), "qv", 0.1, float(theta))
+
+
+@pytest.mark.parametrize("spec", ["xi:nan,1", "xi:inf,1", "xi:0,0"])
+def test_degenerate_direction_is_refused(tmp_path, capsys, monkeypatch, spec):
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    out = str(tmp_path / "traj.npz")
+    main(["simulate", "--config", config, "--output", out])
+    capsys.readouterr()
+    assert main(["estimate", "--input", out, "--delta", "0.1", "--direction", spec]) == 2
+    captured = capsys.readouterr()
+    assert spec in captured.err and captured.out == ""
+    # the sweep refuses the spec before it simulates anything
+    monkeypatch.setattr(harness, "simulate_ensemble", None)
+    with pytest.raises(ParameterError, match=spec):
+        delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=8, direction=spec)
 
 
 def test_cli_estimate_names_missing_array(tmp_path, capsys):
