@@ -27,7 +27,8 @@ checks that the state is finite, naming the steps in which it went bad.
 Its advance kernel is time-vectorised for the shear family and a step
 loop for the cellular flows (Taylor-Green, Childress-Soward). A shear
 block runs on one thread per CPU in the process's affinity mask, each on
-a contiguous share of the realizations, bitwise identical to one thread:
+a contiguous share of the realizations (``_run_shares``, which the
+harness's estimator reduction uses too), bitwise identical to one thread:
 the kernel's draws, cumulative sums and filters work row by row and
 release the interpreter lock on long rows. A cellular block runs as one
 share: each step works on arrays one realization wide and holds the
@@ -336,6 +337,7 @@ def _cellular_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: None,
     return x_steps.T, y_steps.T, advance
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
            ou: tuple | None, out: np.ndarray) -> None:
     """Integrate realizations first, first+1, ... into the rows of ``out``.
@@ -347,6 +349,9 @@ def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
     fills the chunk's x and y paths, whose column 0 holds the state before
     it, and the loop stores every stride-th column and checks that the
     state after the chunk is finite. Buffers are allocated once per share.
+    A state going non-finite is reported by that check alone: numpy's
+    overflow and invalid-value warnings are off here, per thread, since the
+    error state is thread-local.
     """
     stride = config.store_stride
     span = stride * (config.n_stored - 1)
@@ -405,6 +410,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _run_shares(run, count: int, threads: bool = True) -> None:
+    """Call ``run(rows)`` on contiguous row shares that cover range(count) once.
+
+    With ``threads`` the rows split into one share per CPU in the process's
+    affinity mask (at most one per row), each run on a thread of its own;
+    otherwise one share covers every row. ``run`` writes only its own rows
+    of whatever it fills, so the result is bitwise identical to one thread.
+    An error is re-raised as one thread would have raised it: the earliest
+    ``step``, ties going to the lowest share; an error without a step
+    arose before any step.
+    """
+    n_shares = min(_cpu_count(), count) if threads else 1
+    if n_shares == 1:
+        run(slice(0, count))
+        return
+    bounds = [count * k // n_shares for k in range(n_shares + 1)]
+    with ThreadPoolExecutor(max_workers=n_shares) as pool:
+        futures = [pool.submit(run, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+    errors = [f.exception() for f in futures]
+    raised = [(getattr(e, "step", -1), k) for k, e in enumerate(errors) if e is not None]
+    if raised:
+        raise errors[min(raised)[1]]
+
+
 def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
                       first_realization: int = 0) -> np.ndarray:
     """Simulate a block of realizations.
@@ -416,12 +445,12 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     first_realization + r, source), so blocks compose: simulating [0, 200)
     in one call or in any partition yields bitwise identical rows.
 
-    A shear block is split into contiguous row shares, one thread per CPU
-    in the process's affinity mask (at most one per row), each writing
-    its own rows of the output; the result is bitwise identical to one
-    thread. A cellular block runs as one share: its step loop holds the
-    interpreter lock, so threads would only slow it down. A non-finite
-    state raises IntegrationBlowupError naming its realization and steps.
+    A shear block runs on the row shares of ``_run_shares``, one thread per
+    CPU, each writing its own rows of the output; the result is bitwise
+    identical to one thread. A cellular block runs as one share: its step
+    loop holds the interpreter lock, so threads would only slow it down. A
+    non-finite state raises IntegrationBlowupError naming its realization
+    and steps.
     """
     if n_realizations < 1:
         raise ParameterError("n_realizations must be at least 1")
@@ -438,19 +467,7 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
         ou = None if gens_ou is None else (eta[rows], gens_ou[rows])
         _block(flow, config, first + rows.start, gens[rows], ou, out[rows])
 
-    n_shares = min(_cpu_count(), count) if flow.is_shear else 1
-    if n_shares == 1:
-        run(slice(0, count))
-        return out
-    bounds = [count * k // n_shares for k in range(n_shares + 1)]
-    with ThreadPoolExecutor(max_workers=n_shares) as pool:
-        futures = [pool.submit(run, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
-    # raise what one thread would have: the earliest step, ties going to the
-    # lowest rows; any other error arose before the first step
-    errors = [f.exception() for f in futures]
-    raised = [(getattr(e, "step", -1), k) for k, e in enumerate(errors) if e is not None]
-    if raised:
-        raise errors[min(raised)[1]]
+    _run_shares(run, count, threads=flow.is_shear)
     return out
 
 

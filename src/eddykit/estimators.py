@@ -13,6 +13,11 @@ averages the J quadratic variations obtained on the delta-grids offset by
 0, 1, ..., J-1 fine steps. All three normalize by the number of increments
 actually summed, which makes J = 1 collapse onto the plain estimator
 bitwise.
+
+All three run through one row reduction, ``_reduce_row``, which the
+library functions here, ``harness.estimate_tensor`` and the sweeps call
+alike. Under observation noise box perturbs each bin mean once, with the
+law of the mean of J perturbed points, rather than every point.
 """
 
 from __future__ import annotations
@@ -156,14 +161,17 @@ def add_observation_noise(series: ObservationSeries, theta: float, rng) -> Obser
     if theta == 0.0:
         return series
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    noisy = series.positions + theta * gen.standard_normal(series.positions.shape)
+    noisy = _perturbed(series.positions, theta, gen, np.empty(series.positions.shape))
     return ObservationSeries(noisy, series.delta, math.hypot(series.theta, theta))
 
 
-def _qv_tensor(points: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
-    """Quadratic-variation matrix of one point sequence and its increment count."""
-    d = np.diff(points, axis=0)
-    n_inc = d.shape[0]
+def _qv_tensor(points: np.ndarray, delta: float, diffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Quadratic-variation matrix of one point sequence and its increment count.
+
+    The increments are written into the leading rows of ``diffs``.
+    """
+    n_inc = points.shape[0] - 1
+    d = np.subtract(points[1:], points[:-1], out=diffs[:n_inc])
     k00 = float(d[:, 0] @ d[:, 0])
     k01 = float(d[:, 0] @ d[:, 1])
     k11 = float(d[:, 1] @ d[:, 1])
@@ -171,9 +179,72 @@ def _qv_tensor(points: np.ndarray, delta: float) -> tuple[np.ndarray, int]:
     return np.array([[k00 * scale, k01 * scale], [k01 * scale, k11 * scale]]), n_inc
 
 
+def _row_buffers(n: int) -> np.ndarray:
+    """Work space of ``_reduce_row`` for rows of up to n points; one per thread."""
+    return np.empty((2, n, 2))
+
+
+def _perturbed(points: np.ndarray, scale: float, gen: np.random.Generator,
+               out: np.ndarray) -> np.ndarray:
+    """points + scale N(0, 1), drawn in row-major order, written into ``out``."""
+    gen.standard_normal(out.shape, out=out)
+    out *= scale
+    out += points
+    return out
+
+
+def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: float,
+                gen: np.random.Generator | None, work: np.ndarray) -> tuple[np.ndarray, int]:
+    """Entries and increment count of one estimate from one (n, 2) row of points.
+
+    qv observes every j-th point; box replaces each bin of j consecutive
+    points (the trailing partial bin is discarded) by its mean; shift
+    averages the qv of the j grids offset by 0, 1, ..., j-1 points, with
+    the fewest increments of any grid as its count. delta = j dt_stored.
+    With theta > 0, ``gen`` draws the observation noise: qv and shift add
+    theta N(0, 1) to every point they observe; box adds theta/sqrt(j) N(0, 1)
+    to every bin mean, the law of the mean of j points with theta noise
+    each, at one draw per bin coordinate. ``work`` is from ``_row_buffers``;
+    nothing else is allocated in proportion to the row.
+    """
+    points, diffs = work
+    n = row.shape[0]
+    if estimator == "qv":
+        if n < j + 1:
+            raise InsufficientDataError(
+                f"need at least {j + 1} stored points to observe every {j}-th, got {n}")
+        obs = row[::j]
+        if theta > 0.0:
+            obs = _perturbed(obs, theta, gen, points[:obs.shape[0]])
+        return _qv_tensor(obs, delta, diffs)
+    if estimator == "box":
+        n_bins = n // j
+        if n_bins < 2:
+            raise InsufficientDataError(f"need at least 2 full bins of {j} points, got {n} points")
+        means = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1, out=points[:n_bins])
+        if theta == 0.0:
+            return _qv_tensor(means, delta, diffs)
+        # the noisy means go to diffs, so their increments go to points
+        noisy = _perturbed(means, theta / math.sqrt(j), gen, diffs[:n_bins])
+        return _qv_tensor(noisy, delta, points)
+    if n < 2 * j:
+        raise InsufficientDataError(
+            f"need at least {2 * j} stored points for {j} shifted grids of 2 points, got {n}")
+    if theta > 0.0:
+        row = _perturbed(row, theta, gen, points[:n])
+    total = np.zeros((2, 2))
+    n_inc_min = None
+    for s in range(j):
+        entries, n_inc = _qv_tensor(row[s::j], delta, diffs)
+        total += entries
+        n_inc_min = n_inc if n_inc_min is None else min(n_inc_min, n_inc)
+    return total / j, n_inc_min
+
+
 def qv_estimate(series: ObservationSeries) -> DiffusivityTensor:
     """Quadratic-variation estimator (1/(2 N delta)) sum dx dx^T."""
-    entries, n_inc = _qv_tensor(series.positions, series.delta)
+    entries, n_inc = _reduce_row("qv", series.positions, 1, series.delta, 0.0, None,
+                                 _row_buffers(series.n_obs))
     return DiffusivityTensor(entries, "qv", delta=series.delta,
                              theta=series.theta, n_increments=n_inc)
 
@@ -187,13 +258,8 @@ def box_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
     the increment-count normalization.
     """
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    n_bins = traj.n_points // j
-    if n_bins < 2:
-        raise InsufficientDataError(
-            f"need at least 2 full bins of {j} points, got {traj.n_points} points"
-        )
-    means = traj.positions[: n_bins * j].reshape(n_bins, j, 2).mean(axis=1)
-    entries, n_inc = _qv_tensor(means, delta_c)
+    entries, n_inc = _reduce_row("box", traj.positions, j, delta_c, 0.0, None,
+                                 _row_buffers(traj.n_points))
     return DiffusivityTensor(entries, "box", flow=traj.flow, delta=delta_c,
                              theta=0.0, n_increments=n_inc)
 
@@ -206,16 +272,7 @@ def shift_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
     its own increment-count normalization.
     """
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    if traj.n_points < 2 * j:
-        raise InsufficientDataError(
-            f"need at least {2 * j} stored points for {j} shifted grids of 2 points, "
-            f"got {traj.n_points}"
-        )
-    total = np.zeros((2, 2))
-    n_inc_min = None
-    for s in range(j):
-        entries, n_inc = _qv_tensor(traj.positions[s::j], delta_c)
-        total += entries
-        n_inc_min = n_inc if n_inc_min is None else min(n_inc_min, n_inc)
-    return DiffusivityTensor(total / j, "shift", flow=traj.flow, delta=delta_c,
-                             theta=0.0, n_increments=n_inc_min)
+    entries, n_inc = _reduce_row("shift", traj.positions, j, delta_c, 0.0, None,
+                                 _row_buffers(traj.n_points))
+    return DiffusivityTensor(entries, "shift", flow=traj.flow, delta=delta_c,
+                             theta=0.0, n_increments=n_inc)

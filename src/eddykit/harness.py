@@ -7,6 +7,13 @@ the batch size never changes a digit. Within a sweep the trajectories are
 simulated once and re-subsampled at every delta, mirroring how a single
 observed dataset is analyzed at several sampling rates (this also gives
 the delta-to-delta comparison a common noise background).
+
+A sweep reduces each simulated block in place, on the same row shares as
+the simulation (``dynamics._run_shares``, one thread per CPU, for every
+flow), through the one row reduction of the estimators that
+``estimate_tensor`` and the library estimators call too; the thread count
+never changes a digit either. Noise streams and direction values are made
+in the calling thread; the shares only draw and reduce.
 """
 
 from __future__ import annotations
@@ -19,15 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, noise_generator, simulate_ensemble
+from .dynamics import SimConfig, Trajectory, _run_shares, noise_generator, simulate_ensemble
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .estimators import (
     DiffusivityTensor,
-    ObservationSeries,
+    _reduce_row,
     _resolve_multiple,
+    _row_buffers,
+    directional_component,
+)
+
+# unused here, but perfbench/tracing.py patches these names on this module
+from .estimators import (  # noqa: F401
+    ObservationSeries,
     add_observation_noise,
     box_estimate,
-    directional_component,
     qv_estimate,
     shift_estimate,
     subsample,
@@ -130,23 +143,24 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
                     noise: np.random.Generator | None = None) -> DiffusivityTensor:
     """One estimate from one trajectory, optionally under observation noise.
 
-    qv subsamples at delta and then adds the noise to the observations;
-    box and shift add the noise to every stored position and average over
-    delta. ``noise`` draws the N(0, theta^2) perturbations and is only
-    consulted when theta > 0.
+    The row reduction that ``delta_sweep`` runs on every realization: qv
+    adds the noise to the points it observes, shift to every stored point
+    and box to every bin mean, with the law of the mean of J noisy points.
+    ``noise`` draws the N(0, 1) perturbations and is only consulted when
+    theta > 0; a seed, or None for fresh entropy, makes a new generator.
     """
+    if estimator not in ESTIMATORS:
+        raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if not (math.isfinite(theta) and theta >= 0.0):
         raise ParameterError(f"theta must be finite and nonnegative, got {theta!r}")
-    if estimator == "qv":
-        series = subsample(traj, delta)
-        if theta > 0.0:
-            series = add_observation_noise(series, theta, noise)
-        return qv_estimate(series)
+    j, delta_c = _resolve_multiple(delta, traj.dt_stored)
+    gen = None
     if theta > 0.0:
-        base = ObservationSeries(traj.positions, traj.dt_stored)
-        noisy = add_observation_noise(base, theta, noise)
-        traj = Trajectory(noisy.positions, traj.dt_stored, traj.flow)
-    return box_estimate(traj, delta) if estimator == "box" else shift_estimate(traj, delta)
+        gen = noise if isinstance(noise, np.random.Generator) else np.random.default_rng(noise)
+    entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
+                                 _row_buffers(traj.n_points))
+    return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,
+                             theta=theta, n_increments=n_inc)
 
 
 def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
@@ -154,9 +168,15 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 direction: str = "y", batch_size: int = 64) -> SweepReport:
     """One record per delta, all deltas sharing the same M trajectories.
 
-    Observation noise is redrawn independently per (realization, delta)
-    from streams disjoint from the dynamics streams. Estimator statistics
-    use the sample standard deviation (ddof=1); stderr = std / sqrt(M).
+    Realizations run in blocks of ``batch_size``. Each block is reduced on
+    its simulation's row shares (one thread per CPU; each share allocates
+    its work buffers once), and realization r's value at the j-th delta is
+    bitwise ``directional_component(estimate_tensor(traj_r, estimator,
+    delta_j, theta, noise_generator(seed, r, j)), direction)``, whatever
+    the batch size and the thread count. Observation noise is thus drawn
+    independently per (realization, delta) from streams disjoint from the
+    dynamics streams. Estimator statistics use the sample standard
+    deviation (ddof=1); stderr = std / sqrt(M).
     """
     if estimator not in ESTIMATORS:
         raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -179,28 +199,37 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
             raise InsufficientDataError(
                 f"delta={d} needs {needed} stored points, run stores {config.n_stored}"
             )
-        resolved.append(d_c)
+        resolved.append((m, d_c))
 
     values = np.empty((len(resolved), n_realizations))
     first = 0
     while first < n_realizations:
         count = min(batch_size, n_realizations - first)
         block = simulate_ensemble(flow, config, count, first_realization=first)
+        noise = [[noise_generator(config.seed, first + i, j) if theta > 0.0 else None
+                  for j in range(len(resolved))] for i in range(count)]
+        entries = np.empty((count, len(resolved), 2, 2))
+
+        def reduce(rows: slice) -> None:
+            work = _row_buffers(config.n_stored)
+            for i in range(rows.start, rows.stop):
+                for j, (m, d_c) in enumerate(resolved):
+                    try:
+                        entries[i, j], _ = _reduce_row(estimator, block[i], m, d_c, theta,
+                                                       noise[i][j], work)
+                    except (InsufficientDataError, ParameterError) as exc:
+                        raise type(exc)(f"realization {first + i}: {exc}") from exc
+
+        _run_shares(reduce, count)
         for i in range(count):
-            r = first + i
-            traj = Trajectory(block[i], config.dt_stored, flow, config)
-            for j, d_c in enumerate(resolved):
-                noise = noise_generator(config.seed, r, j) if theta > 0.0 else None
-                try:
-                    tensor = estimate_tensor(traj, estimator, d_c, theta, noise)
-                    values[j, r] = directional_component(tensor, direction)
-                except (InsufficientDataError, ParameterError) as exc:
-                    raise type(exc)(f"realization {r}: {exc}") from exc
+            for j in range(len(resolved)):
+                tensor = DiffusivityTensor(entries[i, j], estimator)
+                values[j, first + i] = directional_component(tensor, direction)
         first += count
 
     rows = []
     label = flow_label(flow)
-    for j, d_c in enumerate(resolved):
+    for j, (_, d_c) in enumerate(resolved):
         mean = float(np.mean(values[j]))
         std = float(np.std(values[j], ddof=1))
         rows.append(EnsembleRecord(

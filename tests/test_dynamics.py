@@ -520,22 +520,28 @@ def test_blowup_reports_realization_and_step():
         simulate_em(taylor_green(), config)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
-def test_blowup_names_its_step_interval(tmp_path, capsys, flow):
+def test_blowup_names_its_step_interval(tmp_path, capsys, monkeypatch, flow):
     # the noise scale sqrt(2 kappa dt) overflows to inf, so the state goes
-    # non-finite in the first step; the check after the chunk names it
+    # non-finite in the first step; the check after the chunk names it, and
+    # no numpy warning escapes a share, on the calling thread or another
     config = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
     with pytest.raises(IntegrationBlowupError,
                        match="realization 0 between steps 0 and 10") as info:
         simulate_ensemble(flow, config, 1)
     assert info.value.step == 10
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    with pytest.raises(IntegrationBlowupError, match="realization 0 between steps 0 and 10"):
+        simulate_ensemble(flow, config, 2)
     ini = tmp_path / "overflow.ini"
     kind = "shear" if flow.is_shear else flow.kind
     ini.write_text(f"[flow]\nkind = {kind}\n\n[simulation]\n"
                    "kappa = 1e308\ndt = 1.0\nt_final = 10.0\n")
     assert main(["simulate", "--config", str(ini), "--output", str(tmp_path / "x.npz")]) == 3
-    assert "between steps 0 and 10" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "between steps 0 and 10" in err[0]
 
 
 def test_simulate_ensemble_validation():

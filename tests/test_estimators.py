@@ -27,6 +27,8 @@ from eddykit import (
     steady_shear,
     subsample,
 )
+from eddykit.dynamics import noise_generator
+from eddykit.harness import estimate_tensor
 
 
 def _bm_trajectory(rng, n_steps: int, kappa: float, dt: float) -> Trajectory:
@@ -228,6 +230,57 @@ def test_estimates_carry_metadata():
     s = shift_estimate(traj, 0.2)
     assert b.provenance == "box" and s.provenance == "shift"
     assert b.flow == s.flow == steady_shear()
+
+
+# ---------------------------------------------------------------------------
+# box averaging under observation noise: one draw per bin mean
+# ---------------------------------------------------------------------------
+
+
+class _CountingGenerator(np.random.Generator):
+    """Generator that counts the normals it draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.normals = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        self.normals += 1 if size is None else int(np.prod(size))
+        return super().standard_normal(size, dtype, out)
+
+
+def test_noisy_box_at_j_one_is_noisy_qv_bitwise():
+    traj = _bm_trajectory(np.random.default_rng(12), 400, 0.2, 0.01)
+    box = estimate_tensor(traj, "box", 0.01, 0.05, np.random.default_rng(5))
+    qv = estimate_tensor(traj, "qv", 0.01, 0.05, np.random.default_rng(5))
+    np.testing.assert_array_equal(box.entries, qv.entries)
+    noisy = add_observation_noise(subsample(traj, 0.01), 0.05, np.random.default_rng(5))
+    np.testing.assert_array_equal(box.entries, qv_estimate(noisy).entries)
+
+
+@pytest.mark.parametrize("n, j", [(401, 1), (401, 4), (401, 7), (1003, 10)])
+def test_noisy_box_draws_once_per_bin_coordinate(n, j):
+    traj = _bm_trajectory(np.random.default_rng(13), n - 1, 0.2, 0.01)
+    gen = _CountingGenerator(6)
+    estimate_tensor(traj, "box", j * 0.01, 0.05, gen)
+    assert gen.normals == 2 * (n // j)
+
+
+def test_noisy_box_on_a_zero_path_has_mean_theta_sq_over_j_delta():
+    # each bin mean carries N(0, theta^2 / J) per coordinate, so the box
+    # estimate of a path at rest has expectation theta^2 / (J delta) in x
+    # and y. Margin 3 standard errors and M = 400, fixed before the seed.
+    n, dt, j, theta, m = 201, 0.01, 4, 0.05, 400
+    still = Trajectory(np.zeros((n, 2)), dt)
+    values = np.array([
+        estimate_tensor(still, "box", j * dt, theta, noise_generator(0, r, 0)).entries
+        for r in range(m)
+    ])
+    expected = theta * theta / (j * j * dt)
+    for k in (0, 1):
+        diag = values[:, k, k]
+        stderr = diag.std(ddof=1) / math.sqrt(m)
+        assert abs(diag.mean() - expected) < 3.0 * stderr
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from eddykit import (
     ParameterError,
     SimConfig,
     SweepReport,
+    Trajectory,
     adjudicate_periodic_shear,
     delta_sweep,
+    directional_component,
     k_periodic_shear,
     parse_config,
     qv_expectation_shear,
@@ -30,12 +32,14 @@ from eddykit import (
     rescaled_study,
     run_ensemble,
     simulate_em,
+    simulate_ensemble,
     steady_shear,
+    taylor_green,
 )
-from eddykit import harness
+from eddykit import dynamics, harness
 from eddykit.cli import main
 from eddykit.dynamics import noise_generator
-from eddykit.harness import _CSV_COLUMNS, estimate_tensor
+from eddykit.harness import _CSV_COLUMNS, ESTIMATORS, estimate_tensor
 
 FLOW = steady_shear()
 FAST = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=1, store_stride=2)
@@ -116,6 +120,71 @@ def test_deltas_share_trajectories():
     pair_n = delta_sweep(FLOW, FAST, "qv", [0.1, 0.2], theta=0.1, n_realizations=8)
     single_n = delta_sweep(FLOW, FAST, "qv", [0.1], theta=0.1, n_realizations=8)
     assert pair_n.rows[0] == single_n.rows[0]
+
+
+def _csv(report) -> str:
+    out = io.StringIO()
+    report.to_csv(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estimator):
+    # the reduction runs on min(CPUs, rows) shares for every flow
+    config = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=3)
+    texts = set()
+    for cpus in (1, 3):
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda cpus=cpus: cpus)
+        for batch_size in (5, 64):
+            texts.add(_csv(delta_sweep(flow, config, estimator, [0.01, 0.05, 0.3],
+                                       theta=0.05, n_realizations=13,
+                                       direction="xi:1,2", batch_size=batch_size)))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("batch_size", [3, 10])
+def test_reduction_error_names_its_realization(monkeypatch, batch_size):
+    # realizations 4 and 8 fail in different shares; one thread meets 4 first
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
+    block = simulate_ensemble(FLOW, FAST, 10)
+    reduce_row = harness._reduce_row
+
+    def failing(estimator, row, *args):
+        if any(np.array_equal(row, block[r]) for r in (4, 8)):
+            raise ParameterError("bad row")
+        return reduce_row(estimator, row, *args)
+
+    monkeypatch.setattr(harness, "_reduce_row", failing)
+    with pytest.raises(ParameterError, match="^realization 4: bad row$"):
+        delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=10, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_sweep_values_are_estimate_tensor_bitwise(monkeypatch, estimator):
+    # library, CLI and sweep share one reduction: realization r's value at
+    # the j-th delta is the one estimate_tensor gives with stream (seed, r, j)
+    config = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=9)
+    deltas, theta, direction, m = [0.01, 0.04, 0.3], 0.05, "xi:1,2", 7
+    seen = []
+
+    def recording(tensor, spec):
+        value = directional_component(tensor, spec)
+        if tensor.provenance != "oracle":  # not the up-front direction probe
+            seen.append(value)
+        return value
+
+    monkeypatch.setattr(harness, "directional_component", recording)
+    delta_sweep(FLOW, config, estimator, deltas, theta, m, direction, batch_size=3)
+    block = simulate_ensemble(FLOW, config, m)
+    expected = [
+        directional_component(
+            estimate_tensor(Trajectory(block[r], config.dt_stored), estimator, d, theta,
+                            noise_generator(config.seed, r, j)),
+            direction)
+        for r in range(m) for j, d in enumerate(deltas)
+    ]
+    assert seen == expected
 
 
 def test_sweep_mean_tracks_oracle():
