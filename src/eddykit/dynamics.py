@@ -31,8 +31,9 @@ a contiguous share of the realizations (``_run_shares``, which the
 harness's estimator reduction uses too), bitwise identical to one thread:
 the kernel's draws, cumulative sums and filters work row by row and
 release the interpreter lock on long rows. A cellular block runs as one
-share: each step works on arrays one realization wide and holds the
-lock, so threads would only slow it down.
+share: each step advances one stacked (2, rows) state [x, y] with one
+sin and one cos call shared by both coordinates, and its few small numpy
+calls per step hold the lock, so threads would only slow it down.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -42,7 +43,6 @@ realization r alone or inside any block yields bitwise identical output.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -57,8 +57,8 @@ from .fields import (
     PERIODIC_SHEAR,
     TAYLOR_GREEN,
     FlowSpec,
-    _childress_soward_uv,
-    _taylor_green_uv,
+    _childress_soward_drift,
+    _taylor_green_drift,
 )
 
 # substream tags; (master seed, realization index, tag) identifies a stream
@@ -68,6 +68,7 @@ SOURCE_ETA0 = 2    # stationary initial draw for eta
 SOURCE_NOISE = 3   # observation noise, consumed by the harness
 
 _CHUNK = 4096
+_PIECE = 256  # steps of scaled draws the cellular loop copies at a time
 
 
 def stream_generator(seed: int, realization: int, source: int) -> np.random.Generator:
@@ -305,36 +306,42 @@ def _cellular_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: None,
                      width: int):
     """Path buffers and the chunk advance of the cellular flows: the step loop.
 
-    Each step writes the next state in place into time-major paths, whose
-    rows are contiguous; the chunk's draws are scaled once, before the loop.
+    The paths are one time-major (width+1, 2, rows) state, so step k's state
+    z = [x, y] is one contiguous (2, rows) array. Each step takes sin and
+    cos of the phase z/eps (z itself at eps = 1, since z * 1.0 == z) into
+    one trig buffer, writes the drift h v of ``fields`` into the next state
+    and adds z and the step's scaled draws. The draws are scaled and copied
+    transposed in pieces of at most _PIECE steps, so each step's are
+    contiguous while the copy stays small.
     """
     inv_eps = 1.0 / config.epsilon
     drift_dt = config.dt * inv_eps
     noise_scale = math.sqrt(2.0 * config.kappa * config.dt)
-    if flow.kind == TAYLOR_GREEN:
-        velocity = _taylor_green_uv
-    else:
-        velocity = functools.partial(_childress_soward_uv, lam=flow.lam)
     count = g.shape[0]
-    x_steps = np.empty((width + 1, count))
-    y_steps = np.empty((width + 1, count))
-    g_steps = g.transpose(1, 2, 0)  # step k's scaled draws are g_steps[k]
+    steps = np.empty((width + 1, 2, count))
+    trig = np.empty((2, 2, count))
+    sin_z, cos_z = trig
+    if flow.kind == TAYLOR_GREEN:
+        drift = _taylor_green_drift(drift_dt, trig)
+    else:
+        drift = _childress_soward_drift(flow.lam, drift_dt, trig)
+    rescaled = config.epsilon != 1.0
+    scaled = np.empty((2, count))
+    g_piece = np.empty((min(_PIECE, width), 2, count))
 
     def advance(c: int, step0: int) -> None:
-        g[:, :c] *= noise_scale
-        for k in range(c):
-            x, y = x_steps[k], y_steps[k]
-            v1, v2 = velocity(x * inv_eps, y * inv_eps)
-            nxt = x_steps[k + 1]
-            np.multiply(v1, drift_dt, out=nxt)
-            nxt += x
-            nxt += g_steps[k, 0]
-            nxt = y_steps[k + 1]
-            np.multiply(v2, drift_dt, out=nxt)
-            nxt += y
-            nxt += g_steps[k, 1]
+        for p in range(0, c, _PIECE):
+            n = min(_PIECE, c - p)
+            np.multiply(g[:, p:p + n].transpose(1, 2, 0), noise_scale, out=g_piece[:n])
+            for z, nxt, g_k in zip(steps[p:p + n], steps[p + 1:p + n + 1], g_piece):
+                phase = np.multiply(z, inv_eps, out=scaled) if rescaled else z
+                np.sin(phase, out=sin_z)
+                np.cos(phase, out=cos_z)
+                drift(nxt)
+                nxt += z
+                nxt += g_k
 
-    return x_steps.T, y_steps.T, advance
+    return steps[:, 0].T, steps[:, 1].T, advance
 
 
 @np.errstate(invalid="ignore", over="ignore")

@@ -128,24 +128,52 @@ def flow_label(flow: FlowSpec) -> str:
 # ---------------------------------------------------------------------------
 # velocity kernels
 #
-# The two cellular velocities, evaluated elementwise on plain ndarrays so the
-# Euler-Maruyama step loop advances a whole block of realizations at once.
-# The shear drift (0, eta(t) sin x) is inlined in the shear kernel instead.
+# The two cellular velocities in the stacked form of the Euler-Maruyama step
+# loop, which advances a whole block of realizations at once. A state z = [x, y]
+# is one (2, rows) array, and trig = [sin z, cos z] one (2, 2, rows) array that
+# the loop fills once per step. Each helper is built once per block, with the
+# signed factor [-h, h] and its views of trig, and returns drift(out), which
+# writes h v(z) into the (2, rows) array out; h = 1 gives v itself. The sign of
+# v1 rides on the factor, which is exact. The shear drift (0, eta(t) sin x) is
+# inlined in the shear kernel instead.
 # ---------------------------------------------------------------------------
 
 
-def _taylor_green_uv(x, y):
-    # psi = sin x sin y
-    return -np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)
+def _signed_factor(h: float, trig: np.ndarray) -> np.ndarray:
+    factor = np.empty_like(trig[0])
+    factor[0] = -h
+    factor[1] = h
+    return factor
 
 
-def _childress_soward_uv(x, y, lam):
-    # psi = sin x sin y + lam cos x cos y
-    sx, cx = np.sin(x), np.cos(x)
-    sy, cy = np.sin(y), np.cos(y)
-    v1 = -sx * cy + lam * cx * sy
-    v2 = cx * sy - lam * sx * cy
-    return v1, v2
+def _taylor_green_drift(h: float, trig: np.ndarray):
+    # psi = sin x sin y: h v = [-h, h] * [sin x cos y, sin y cos x]
+    factor = _signed_factor(h, trig)
+    sin_z, cos_yx = trig[0], trig[1, ::-1]
+
+    def drift(out: np.ndarray) -> None:
+        np.multiply(sin_z, cos_yx, out=out)
+        out *= factor
+
+    return drift
+
+
+def _childress_soward_drift(lam: float, h: float, trig: np.ndarray):
+    # psi = sin x sin y + lam cos x cos y: with P = [sx cy, cx sy] and
+    # Q = [(lam sx) cy, (lam cx) sy], h v = [-h, h] * (P - Q[::-1])
+    factor = _signed_factor(h, trig)
+    sx_cx, cy_sy = trig[:, 0], trig[::-1, 1]
+    q = np.empty_like(trig[0])
+    q_reversed = q[::-1]
+
+    def drift(out: np.ndarray) -> None:
+        np.multiply(sx_cx, cy_sy, out=out)
+        np.multiply(sx_cx, lam, out=q)
+        np.multiply(q, cy_sy, out=q)
+        out -= q_reversed
+        out *= factor
+
+    return drift
 
 
 # ---------------------------------------------------------------------------

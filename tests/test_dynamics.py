@@ -2,7 +2,8 @@
 
 One block loop runs every flow; the shear family advances through the
 time-vectorised kernel and the cellular flows through the step loop, and
-a scalar replay pins each kernel to the scheme step by step. The
+a scalar replay pins each kernel to the scheme step by step; the stacked
+cellular loop is also held bitwise to a two-array copy of itself. The
 deterministic checks exploit kappa -> 0: with a vanishing noise scale
 the position freezes (or follows the drift ODE), so every
 convention of the scheme (left endpoint velocity, modulation clock,
@@ -38,7 +39,6 @@ from eddykit import (
 from eddykit import dynamics
 from eddykit.cli import main
 from eddykit.dynamics import SOURCE_BM, SOURCE_ETA0, SOURCE_OU
-from eddykit.fields import _taylor_green_uv
 
 TINY = 1e-300  # kappa small enough that the Brownian part is negligible
 
@@ -246,6 +246,61 @@ def test_cellular_loop_matches_scalar_replay(flow, eps):
     assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(replay))), err.max()
 
 
+def _two_array_loop(flow, config, first, count):
+    """The cellular step loop on one array per coordinate, as the reference.
+
+    It advances realizations first, ..., first+count-1 with the velocity
+    written as (-sx cy + lam cx sy, cx sy - lam sx cy) and the same
+    operation order as the stacked loop: (v h + z) + scaled draw.
+    """
+    inv_eps = 1.0 / config.epsilon
+    drift_dt = config.dt * inv_eps
+    noise = math.sqrt(2.0 * config.kappa * config.dt)
+    stride, n_burn = config.store_stride, config.burn_steps
+    total = n_burn + stride * (config.n_stored - 1)
+    g = np.array([stream_generator(config.seed, first + i, SOURCE_BM).standard_normal((total, 2))
+                  for i in range(count)]) * noise
+
+    def velocity(x, y):
+        if flow.kind == "taylor_green":
+            return -np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)
+        sx, cx = np.sin(x), np.cos(x)
+        sy, cy = np.sin(y), np.cos(y)
+        return -sx * cy + flow.lam * cx * sy, cx * sy - flow.lam * sx * cy
+
+    x, y = np.full(count, float(config.x0[0])), np.full(count, float(config.x0[1]))
+    out = np.empty((count, config.n_stored, 2))
+    for k in range(-1, total):
+        if k >= 0:
+            v1, v2 = velocity(x * inv_eps, y * inv_eps)
+            x = v1 * drift_dt + x + g[:, k, 0]
+            y = v2 * drift_dt + y + g[:, k, 1]
+        done = k + 1 - n_burn
+        if done >= 0 and done % stride == 0:
+            out[:, done // stride, 0] = x
+            out[:, done // stride, 1] = y
+    return out
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.2])
+@pytest.mark.parametrize("flow", [taylor_green(), childress_soward(0.0), childress_soward(0.5),
+                                  childress_soward(1.0), childress_soward(0.3)],
+                         ids=["taylor_green", "cs0", "cs0.5", "cs1", "cs0.3"])
+def test_cellular_loop_is_bitwise_the_two_array_loop(flow, eps):
+    # products with lam = 0, 0.5 or 1 are exact, so only lam = 0.3 pins
+    # the association (lam cx) sy of the lam terms; a burn-in of 4100
+    # steps crosses a 4096-step draw chunk, and so does the stride 5000
+    dt = eps ** 2 / 50.0
+    for stride, n_stored, burn in ((1, 41, 0), (1, 41, 4100), (3, 21, 4100), (100, 4, 0),
+                                   (5000, 2, 0)):
+        config = SimConfig(kappa=0.3, dt=dt, t_final=stride * (n_stored - 1) * dt,
+                           epsilon=eps, x0=(0.4, -1.3), seed=17, store_stride=stride,
+                           burn_in=burn * dt)
+        assert config.n_stored == n_stored and config.burn_steps == burn
+        stacked = simulate_ensemble(flow, config, 5, first_realization=2)
+        np.testing.assert_array_equal(stacked, _two_array_loop(flow, config, 2, 5))
+
+
 # ---------------------------------------------------------------------------
 # deterministic drift limits
 # ---------------------------------------------------------------------------
@@ -320,8 +375,12 @@ def test_em_tracks_taylor_green_ode():
     x0 = (1.0, 0.5)
     dt, t_final = 1e-3, 1.0
     traj = simulate_em(taylor_green(), SimConfig(kappa=TINY, dt=dt, t_final=t_final, x0=x0))
-    sol = solve_ivp(lambda t, z: _taylor_green_uv(*z), (0.0, t_final), x0,
-                    rtol=1e-10, atol=1e-12)
+
+    def velocity(t, z):
+        x, y = z
+        return [-math.sin(x) * math.cos(y), math.cos(x) * math.sin(y)]
+
+    sol = solve_ivp(velocity, (0.0, t_final), x0, rtol=1e-10, atol=1e-12)
     err = np.abs(traj.positions[-1] - sol.y[:, -1]).max()
     assert err < 2e-3  # first order in dt
 

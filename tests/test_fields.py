@@ -22,7 +22,7 @@ from eddykit import (
     taylor_green,
     velocity_modes,
 )
-from eddykit.fields import TAYLOR_GREEN, _childress_soward_uv, _taylor_green_uv
+from eddykit.fields import TAYLOR_GREEN, _childress_soward_drift, _taylor_green_drift
 
 RNG = np.random.default_rng(20240817)
 POINTS = RNG.uniform(-10.0, 10.0, size=(64, 2))
@@ -31,15 +31,21 @@ POINTS = RNG.uniform(-10.0, 10.0, size=(64, 2))
 def _velocity(flow, z):
     """Spatial velocity at z = (x, y), leading axis of size 2.
 
-    The cellular flows use the kernels of the step loop; the shear family
-    shares the spatial factor (0, sin x), its modulation left out.
+    The cellular flows use the drift helpers of the step loop with h = 1,
+    which gives v exactly; the shear family shares the spatial factor
+    (0, sin x), its modulation left out.
     """
-    x, y = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
     if flow.is_shear:
-        return np.array([np.zeros_like(x), np.sin(x)])
+        return np.array([np.zeros_like(z[0]), np.sin(z[0])])
+    trig = np.array([np.sin(z), np.cos(z)])
     if flow.kind == TAYLOR_GREEN:
-        return np.array(_taylor_green_uv(x, y))
-    return np.array(_childress_soward_uv(x, y, flow.lam))
+        drift = _taylor_green_drift(1.0, trig)
+    else:
+        drift = _childress_soward_drift(flow.lam, 1.0, trig)
+    v = np.empty_like(z)
+    drift(v)
+    return v
 
 
 def _sympy_velocity(psi, x, y):

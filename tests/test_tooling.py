@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from eddykit import SimConfig, dynamics, harness, steady_shear
+from eddykit import SimConfig, dynamics, harness, steady_shear, taylor_green
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,3 +66,31 @@ def test_traced_share_sweep_is_exact(monkeypatch):
     # box draws one normal per bin coordinate: 2 floor(n / J) per estimate
     draws = m * sum(2 * (config.n_stored // k) for k in multiples)
     assert tracer.counts["estimators.noise_draws"] == draws
+
+
+def test_traced_cellular_sweep_is_exact(monkeypatch):
+    # the cellular step loop under the tracer: its streams are made in the
+    # calling thread, and every path-step draws one normal per coordinate
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    config = SimConfig(kappa=0.05, dt=0.01, t_final=5.0, seed=4, store_stride=10)
+    m = 6
+    args = (taylor_green(), config, "qv", [0.1, 0.5, 1.0], 0.0, m, "x", 4)
+    plain = harness.delta_sweep(*args)
+    tracer = tracing.Tracer()
+    enter, threads = tracer.enter, set()
+
+    def recording_enter(*frame):
+        threads.add(threading.get_ident())
+        return enter(*frame)
+
+    monkeypatch.setattr(tracer, "enter", recording_enter)
+    tracer.install()
+    try:
+        traced = harness.delta_sweep(*args)
+    finally:
+        tracer.uninstall()
+    assert traced.rows == plain.rows
+    assert threads == {threading.get_ident()}
+    assert tracer._stack == []
+    assert tracer.counts["dynamics.draws"] == 2 * m * config.n_steps
