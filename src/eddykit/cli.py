@@ -25,15 +25,9 @@ from .errors import (
     ParameterError,
     UnsupportedFlowError,
 )
-from .estimators import directional_component
-from .fields import FlowSpec, childress_soward, flow_label, steady_shear, taylor_green
-from .harness import (
-    adjudicate_periodic_shear,
-    delta_sweep,
-    estimate_tensor,
-    parse_config,
-    rescaled_study,
-)
+from .estimators import ESTIMATORS, directional_component, estimate_tensor
+from .fields import FLOW_PARAMS, TIME_INDEPENDENT, FlowSpec, flow_label
+from .harness import adjudicate_periodic_shear, delta_sweep, parse_config, rescaled_study
 from .homogenization import eddy_diffusivity_from_cell, solve_cell_problem, spectral_diffusivity
 from .theory import (
     bm_box_expectation,
@@ -114,21 +108,8 @@ def _cmd_rescaled(args) -> int:
     return 0
 
 
-def _flow_from_name(name: str, lam: float) -> FlowSpec:
-    if name == "shear":
-        return steady_shear()
-    if name == "taylor_green":
-        return taylor_green()
-    if name == "childress_soward":
-        return childress_soward(lam)
-    raise ConfigError(
-        f"diffusivity supports time-independent flows (shear, taylor_green, "
-        f"childress_soward), got {name!r}"
-    )
-
-
 def _cmd_diffusivity(args) -> int:
-    flow = _flow_from_name(args.flow, args.lam)
+    flow = FlowSpec(args.flow, **{key: getattr(args, key) for key in FLOW_PARAMS[args.flow]})
     if args.modes is not None:
         sol = solve_cell_problem(flow, args.kappa, args.modes)
         tensor = eddy_diffusivity_from_cell(sol)
@@ -192,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate a diffusivity tensor from a trajectory file")
     p.add_argument("--input", required=True, help=".npz produced by simulate")
-    p.add_argument("--estimator", default="qv", choices=["qv", "box", "shift"])
+    p.add_argument("--estimator", default="qv", choices=ESTIMATORS)
     p.add_argument("--delta", type=float, required=True, help="subsampling interval")
     p.add_argument("--theta", type=float, default=0.0, help="observation-noise strength")
     p.add_argument("--noise-seed", type=int, default=0)
@@ -210,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rescaled)
 
     p = sub.add_parser("diffusivity", help="spectral reference diffusivity")
-    p.add_argument("--flow", required=True,
-                   help="shear, taylor_green or childress_soward")
+    p.add_argument("--flow", required=True, choices=TIME_INDEPENDENT)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--lam", type=float, default=0.5,
                    help="childress_soward parameter (default 0.5)")
@@ -283,7 +263,8 @@ def main(argv=None) -> int:
             UnsupportedFlowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing input, an output path that is a directory, a full disk
         print(f"file error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationBlowupError, ConvergenceError) as exc:

@@ -71,10 +71,16 @@ _CHUNK = 4096
 _PIECE = 256  # steps of scaled draws the cellular loop copies at a time
 
 
+def _keyed_generator(*key: int) -> np.random.Generator:
+    key = tuple(int(k) for k in key)
+    if min(key) < 0:
+        raise ParameterError(f"seed and stream keys must be nonnegative, got {key}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 def stream_generator(seed: int, realization: int, source: int) -> np.random.Generator:
     """Independent generator for one (seed, realization, source) triple."""
-    ss = np.random.SeedSequence((int(seed), int(realization), int(source)))
-    return np.random.Generator(np.random.PCG64(ss))
+    return _keyed_generator(seed, realization, source)
 
 
 def noise_generator(seed: int, realization: int, index: int = 0) -> np.random.Generator:
@@ -83,8 +89,7 @@ def noise_generator(seed: int, realization: int, index: int = 0) -> np.random.Ge
     ``index`` separates repeated noise applications to the same realization
     (one per subsampling interval in a sweep, for instance).
     """
-    ss = np.random.SeedSequence((int(seed), int(realization), SOURCE_NOISE, int(index)))
-    return np.random.Generator(np.random.PCG64(ss))
+    return _keyed_generator(seed, realization, SOURCE_NOISE, index)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +143,8 @@ class SimConfig:
             raise ParameterError("t_final must be at least dt")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon!r}")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if int(self.store_stride) != self.store_stride or self.store_stride < 1:
             raise ParameterError(f"store_stride must be a positive integer, got {self.store_stride!r}")
         if not (math.isfinite(self.burn_in) and self.burn_in >= 0.0):

@@ -14,10 +14,15 @@ averages the J quadratic variations obtained on the delta-grids offset by
 actually summed, which makes J = 1 collapse onto the plain estimator
 bitwise.
 
-All three run through one row reduction, ``_reduce_row``, which the
-library functions here, ``harness.estimate_tensor`` and the sweeps call
-alike. Under observation noise box perturbs each bin mean once, with the
-law of the mean of J perturbed points, rather than every point.
+All three run through one row reduction, ``_reduce_row``, which
+``estimate_tensor``, the library estimators here and the harness sweeps
+call alike. Under observation noise box perturbs each bin mean once, with
+the law of the mean of J perturbed points, rather than every point.
+
+This module owns the estimation inputs: which estimators exist
+(``ESTIMATORS``) and how many stored points each needs, which noise level
+theta is valid and what a direction spec means. The harness and the CLI
+check their inputs here.
 """
 
 from __future__ import annotations
@@ -31,7 +36,21 @@ from .errors import CommensurabilityError, InsufficientDataError, ParameterError
 from .fields import FlowSpec
 from .dynamics import Trajectory
 
-PROVENANCES = ("qv", "box", "shift", "analytic", "spectral", "oracle")
+ESTIMATORS = ("qv", "box", "shift")
+PROVENANCES = ESTIMATORS + ("spectral", "oracle")
+
+
+def _points_needed(estimator: str, j: int) -> int:
+    """Fewest stored points one estimate at j stored steps per delta needs."""
+    if estimator not in ESTIMATORS:
+        raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    # qv needs one increment of j steps; box two full bins, shift two points per grid
+    return j + 1 if estimator == "qv" else 2 * j
+
+
+def _check_theta(theta: float) -> None:
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise ParameterError(f"theta must be finite and nonnegative, got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +70,7 @@ class ObservationSeries:
         object.__setattr__(self, "positions", pos)
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ParameterError(f"delta must be positive, got {self.delta!r}")
-        if not (math.isfinite(self.theta) and self.theta >= 0.0):
-            raise ParameterError(f"theta must be nonnegative, got {self.theta!r}")
+        _check_theta(self.theta)
 
     @property
     def n_obs(self) -> int:
@@ -96,16 +114,10 @@ class DiffusivityTensor:
         return float(v @ self.entries @ v)
 
 
-def directional_component(tensor: DiffusivityTensor, direction: str) -> float:
-    """Resolve a CLI/config direction spec against a tensor.
-
-    "x" and "y" give the diagonal entries; "xi:a,b" gives the projection
-    onto (a, b), unnormalized.
-    """
-    if direction == "x":
-        return float(tensor.entries[0, 0])
-    if direction == "y":
-        return float(tensor.entries[1, 1])
+def _parse_direction(direction: str) -> int | tuple[float, float]:
+    """Diagonal index of "x" or "y", or the vector (a, b) of "xi:a,b"."""
+    if direction in ("x", "y"):
+        return "xy".index(direction)
     if direction.startswith("xi:"):
         parts = direction[3:].split(",")
         if len(parts) != 2:
@@ -116,8 +128,20 @@ def directional_component(tensor: DiffusivityTensor, direction: str) -> float:
             raise ParameterError(f"bad direction spec {direction!r}, expected xi:<a>,<b>") from None
         if not (math.isfinite(a) and math.isfinite(b)) or a == b == 0.0:
             raise ParameterError(f"direction {direction!r} must be a finite nonzero vector")
-        return tensor.project((a, b))
+        return a, b
     raise ParameterError(f"direction must be x, y or xi:<a>,<b>, got {direction!r}")
+
+
+def directional_component(tensor: DiffusivityTensor, direction: str) -> float:
+    """Resolve a CLI/config direction spec against a tensor.
+
+    "x" and "y" give the diagonal entries; "xi:a,b" gives the projection
+    onto (a, b), unnormalized.
+    """
+    axis = _parse_direction(direction)
+    if isinstance(axis, int):
+        return float(tensor.entries[axis, axis])
+    return tensor.project(axis)
 
 
 def _resolve_multiple(delta: float, dt_stored: float) -> tuple[int, float]:
@@ -140,9 +164,10 @@ def subsample(traj: Trajectory, delta: float) -> ObservationSeries:
     drift from repeated delta arithmetic downstream.
     """
     m, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    if traj.n_points < m + 1:
+    needed = _points_needed("qv", m)
+    if traj.n_points < needed:
         raise InsufficientDataError(
-            f"need at least {m + 1} stored points to subsample at delta={delta!r}, "
+            f"need at least {needed} stored points to subsample at delta={delta!r}, "
             f"got {traj.n_points}"
         )
     return ObservationSeries(traj.positions[::m], delta_c)
@@ -156,8 +181,7 @@ def add_observation_noise(series: ObservationSeries, theta: float, rng) -> Obser
     callers who need reproducibility across batch layouts should pass a
     stream keyed per realization, as the harness does.
     """
-    if not (math.isfinite(theta) and theta >= 0.0):
-        raise ParameterError(f"theta must be nonnegative, got {theta!r}")
+    _check_theta(theta)
     if theta == 0.0:
         return series
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -209,27 +233,24 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
     """
     points, diffs = work
     n = row.shape[0]
+    needed = _points_needed(estimator, j)
+    if n < needed:
+        raise InsufficientDataError(
+            f"{estimator} at delta = {j} stored steps needs at least {needed} stored points, "
+            f"got {n}")
     if estimator == "qv":
-        if n < j + 1:
-            raise InsufficientDataError(
-                f"need at least {j + 1} stored points to observe every {j}-th, got {n}")
         obs = row[::j]
         if theta > 0.0:
             obs = _perturbed(obs, theta, gen, points[:obs.shape[0]])
         return _qv_tensor(obs, delta, diffs)
     if estimator == "box":
         n_bins = n // j
-        if n_bins < 2:
-            raise InsufficientDataError(f"need at least 2 full bins of {j} points, got {n} points")
         means = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1, out=points[:n_bins])
         if theta == 0.0:
             return _qv_tensor(means, delta, diffs)
         # the noisy means go to diffs, so their increments go to points
         noisy = _perturbed(means, theta / math.sqrt(j), gen, diffs[:n_bins])
         return _qv_tensor(noisy, delta, points)
-    if n < 2 * j:
-        raise InsufficientDataError(
-            f"need at least {2 * j} stored points for {j} shifted grids of 2 points, got {n}")
     if theta > 0.0:
         row = _perturbed(row, theta, gen, points[:n])
     total = np.zeros((2, 2))
@@ -249,6 +270,28 @@ def qv_estimate(series: ObservationSeries) -> DiffusivityTensor:
                              theta=series.theta, n_increments=n_inc)
 
 
+def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float = 0.0,
+                    noise: np.random.Generator | None = None) -> DiffusivityTensor:
+    """One estimate from one trajectory, optionally under observation noise.
+
+    The row reduction that ``harness.delta_sweep`` runs on every
+    realization: qv adds the noise to the points it observes, shift to every
+    stored point and box to every bin mean, with the law of the mean of J
+    noisy points. ``noise`` draws the N(0, 1) perturbations and is only
+    consulted when theta > 0; a seed, or None for fresh entropy, makes a new
+    generator.
+    """
+    _check_theta(theta)
+    j, delta_c = _resolve_multiple(delta, traj.dt_stored)
+    gen = None
+    if theta > 0.0:
+        gen = noise if isinstance(noise, np.random.Generator) else np.random.default_rng(noise)
+    entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
+                                 _row_buffers(traj.n_points))
+    return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,
+                             theta=theta, n_increments=n_inc)
+
+
 def box_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
     """Box-averaged estimator at subsampling interval delta = J dt_stored.
 
@@ -257,11 +300,7 @@ def box_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
     and the quadratic-variation formula is applied to the bin means with
     the increment-count normalization.
     """
-    j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    entries, n_inc = _reduce_row("box", traj.positions, j, delta_c, 0.0, None,
-                                 _row_buffers(traj.n_points))
-    return DiffusivityTensor(entries, "box", flow=traj.flow, delta=delta_c,
-                             theta=0.0, n_increments=n_inc)
+    return estimate_tensor(traj, "box", delta)
 
 
 def shift_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
@@ -271,8 +310,4 @@ def shift_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
     delta-grids starting at offsets 0, 1, ..., J-1 fine steps, each with
     its own increment-count normalization.
     """
-    j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    entries, n_inc = _reduce_row("shift", traj.positions, j, delta_c, 0.0, None,
-                                 _row_buffers(traj.n_points))
-    return DiffusivityTensor(entries, "shift", flow=traj.flow, delta=delta_c,
-                             theta=0.0, n_increments=n_inc)
+    return estimate_tensor(traj, "shift", delta)

@@ -34,7 +34,15 @@ OU_SHEAR = "ou_shear"
 TAYLOR_GREEN = "taylor_green"
 CHILDRESS_SOWARD = "childress_soward"
 
-FLOW_KINDS = (STEADY_SHEAR, PERIODIC_SHEAR, OU_SHEAR, TAYLOR_GREEN, CHILDRESS_SOWARD)
+# the parameters each kind takes; FlowSpec, config files and the CLI read them here
+FLOW_PARAMS = {
+    STEADY_SHEAR: (),
+    PERIODIC_SHEAR: ("omega",),
+    OU_SHEAR: ("alpha", "sigma"),
+    TAYLOR_GREEN: (),
+    CHILDRESS_SOWARD: ("lam",),
+}
+FLOW_KINDS = tuple(FLOW_PARAMS)
 SHEAR_FAMILY = (STEADY_SHEAR, PERIODIC_SHEAR, OU_SHEAR)
 TIME_INDEPENDENT = (STEADY_SHEAR, TAYLOR_GREEN, CHILDRESS_SOWARD)
 
@@ -64,26 +72,22 @@ class FlowSpec:
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FLOW_KINDS:
+        if self.kind not in FLOW_PARAMS:
             raise ParameterError(f"unknown flow kind {self.kind!r}; expected one of {FLOW_KINDS}")
+        for name, value in vars(self).items():
+            if name != "kind" and value is not None and name not in FLOW_PARAMS[self.kind]:
+                raise ParameterError(f"{name} is not a parameter of {self.kind}")
         if self.kind == PERIODIC_SHEAR:
             if self.omega is None or not np.isfinite(self.omega) or self.omega <= 0:
                 raise ParameterError("periodic_shear requires omega > 0")
-        elif self.omega is not None:
-            raise ParameterError(f"omega is not a parameter of {self.kind}")
         if self.kind == OU_SHEAR:
             if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
                 raise ParameterError("ou_shear requires alpha > 0")
             if self.sigma is None or not np.isfinite(self.sigma) or self.sigma < 0:
                 raise ParameterError("ou_shear requires sigma >= 0")
-        else:
-            if self.alpha is not None or self.sigma is not None:
-                raise ParameterError(f"alpha/sigma are not parameters of {self.kind}")
         if self.kind == CHILDRESS_SOWARD:
             if self.lam is None or not np.isfinite(self.lam) or not 0.0 <= self.lam <= 1.0:
                 raise ParameterError("childress_soward requires lam in [0, 1]")
-        elif self.lam is not None:
-            raise ParameterError(f"lam is not a parameter of {self.kind}")
 
     @property
     def is_shear(self) -> bool:

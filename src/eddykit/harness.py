@@ -11,9 +11,13 @@ the delta-to-delta comparison a common noise background).
 A sweep reduces each simulated block in place, on the same row shares as
 the simulation (``dynamics._run_shares``, one thread per CPU, for every
 flow), through the one row reduction of the estimators that
-``estimate_tensor`` and the library estimators call too; the thread count
-never changes a digit either. Noise streams and direction values are made
-in the calling thread; the shares only draw and reduce.
+``estimators.estimate_tensor`` and the library estimators call too; the
+thread count never changes a digit either. Noise streams and direction
+values are made in the calling thread; the shares only draw and reduce.
+
+The rules for valid inputs live with their owners: the flow kinds and their
+parameters in ``fields``, the estimators, theta and direction specs in
+``estimators``. This module and the CLI only call those checks.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, _run_shares, noise_generator, simulate_ensemble
+from .dynamics import SimConfig, _run_shares, noise_generator, simulate_ensemble
 from .errors import ConfigError, InsufficientDataError, ParameterError
 from .estimators import (
+    ESTIMATORS,
     DiffusivityTensor,
+    _check_theta,
+    _parse_direction,
+    _points_needed,
     _reduce_row,
     _resolve_multiple,
     _row_buffers,
@@ -37,6 +45,7 @@ from .estimators import (
 )
 
 # unused here, but perfbench/tracing.py patches these names on this module
+from .dynamics import Trajectory  # noqa: F401
 from .estimators import (  # noqa: F401
     ObservationSeries,
     add_observation_noise,
@@ -45,33 +54,11 @@ from .estimators import (  # noqa: F401
     shift_estimate,
     subsample,
 )
-from .fields import (
-    CHILDRESS_SOWARD,
-    OU_SHEAR,
-    PERIODIC_SHEAR,
-    STEADY_SHEAR,
-    TAYLOR_GREEN,
-    FlowSpec,
-    childress_soward,
-    flow_label,
-    ou_shear,
-    periodic_shear,
-    steady_shear,
-    taylor_green,
-)
+from .fields import FLOW_PARAMS, FlowSpec, flow_label, periodic_shear
 from .theory import k_periodic_shear
-
-ESTIMATORS = ("qv", "box", "shift")
 
 _CSV_COLUMNS = ("flow", "kappa", "epsilon", "theta", "delta", "estimator",
                 "direction", "mean", "std", "stderr", "M", "T", "dt", "seed")
-
-# direction validation probes a zero tensor so bad specs fail before any run
-_PROBE = DiffusivityTensor(np.zeros((2, 2)), "oracle")
-
-
-def _check_direction(direction: str) -> None:
-    directional_component(_PROBE, direction)
 
 
 @dataclass(frozen=True)
@@ -139,30 +126,6 @@ class SweepReport:
                 fh.write(text)
 
 
-def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float = 0.0,
-                    noise: np.random.Generator | None = None) -> DiffusivityTensor:
-    """One estimate from one trajectory, optionally under observation noise.
-
-    The row reduction that ``delta_sweep`` runs on every realization: qv
-    adds the noise to the points it observes, shift to every stored point
-    and box to every bin mean, with the law of the mean of J noisy points.
-    ``noise`` draws the N(0, 1) perturbations and is only consulted when
-    theta > 0; a seed, or None for fresh entropy, makes a new generator.
-    """
-    if estimator not in ESTIMATORS:
-        raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if not (math.isfinite(theta) and theta >= 0.0):
-        raise ParameterError(f"theta must be finite and nonnegative, got {theta!r}")
-    j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    gen = None
-    if theta > 0.0:
-        gen = noise if isinstance(noise, np.random.Generator) else np.random.default_rng(noise)
-    entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
-                                 _row_buffers(traj.n_points))
-    return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,
-                             theta=theta, n_increments=n_inc)
-
-
 def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 theta: float = 0.0, n_realizations: int = 1000,
                 direction: str = "y", batch_size: int = 64) -> SweepReport:
@@ -171,30 +134,27 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     Realizations run in blocks of ``batch_size``. Each block is reduced on
     its simulation's row shares (one thread per CPU; each share allocates
     its work buffers once), and realization r's value at the j-th delta is
-    bitwise ``directional_component(estimate_tensor(traj_r, estimator,
-    delta_j, theta, noise_generator(seed, r, j)), direction)``, whatever
-    the batch size and the thread count. Observation noise is thus drawn
-    independently per (realization, delta) from streams disjoint from the
-    dynamics streams. Estimator statistics use the sample standard
+    bitwise ``directional_component(estimators.estimate_tensor(traj_r,
+    estimator, delta_j, theta, noise_generator(seed, r, j)), direction)``,
+    whatever the batch size and the thread count. Observation noise is thus
+    drawn independently per (realization, delta) from streams disjoint from
+    the dynamics streams. Estimator statistics use the sample standard
     deviation (ddof=1); stderr = std / sqrt(M).
     """
-    if estimator not in ESTIMATORS:
-        raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ParameterError("deltas must be non-empty")
     if n_realizations < 2:
         raise ParameterError("n_realizations must be at least 2")
-    if not (math.isfinite(theta) and theta >= 0.0):
-        raise ParameterError(f"theta must be nonnegative, got {theta!r}")
+    _check_theta(theta)
     if batch_size < 1:
         raise ParameterError("batch_size must be positive")
-    _check_direction(direction)
+    _parse_direction(direction)
 
     resolved = []
     for d in deltas:
         m, d_c = _resolve_multiple(d, config.dt_stored)
-        needed = m + 1 if estimator == "qv" else 2 * m
+        needed = _points_needed(estimator, m)
         if config.n_stored < needed:
             raise InsufficientDataError(
                 f"delta={d} needs {needed} stored points, run stores {config.n_stored}"
@@ -404,36 +364,20 @@ class RunPlan:
     alpha_exponent: float = 1.0
 
 
-_FLOW_KEYS = {"kind", "omega", "alpha", "sigma", "lam"}
+_FLOW_KEYS = {"kind", *(key for keys in FLOW_PARAMS.values() for key in keys)}
 _SIM_KEYS = {"kappa", "dt", "t_final", "epsilon", "x0", "eta0", "seed",
              "store_stride", "burn_in"}
 _EST_KEYS = {"estimator", "delta", "theta", "direction"}
 _SWEEP_KEYS = {"realizations", "batch_size", "epsilons", "alpha_exponent"}
 
 
-_FLOW_PARAMS = {
-    STEADY_SHEAR: (),
-    PERIODIC_SHEAR: ("omega",),
-    OU_SHEAR: ("alpha", "sigma"),
-    TAYLOR_GREEN: (),
-    CHILDRESS_SOWARD: ("lam",),
-}
-_FLOW_BUILDERS = {
-    STEADY_SHEAR: steady_shear,
-    PERIODIC_SHEAR: periodic_shear,
-    OU_SHEAR: ou_shear,
-    TAYLOR_GREEN: taylor_green,
-    CHILDRESS_SOWARD: childress_soward,
-}
-
-
 def _build_flow(options: dict) -> FlowSpec:
     kind = options.pop("kind", None)
     if kind is None:
         raise ConfigError("[flow] must set kind")
-    if kind not in _FLOW_PARAMS:
+    if kind not in FLOW_PARAMS:
         raise ConfigError(f"unknown flow kind {kind!r}")
-    params = _FLOW_PARAMS[kind]
+    params = FLOW_PARAMS[kind]
     missing = [k for k in params if k not in options]
     if missing:
         raise ConfigError(f"flow kind {kind!r} requires keys {missing}")
@@ -441,11 +385,11 @@ def _build_flow(options: dict) -> FlowSpec:
     if extra:
         raise ConfigError(f"[flow] keys {extra} do not apply to kind {kind!r}")
     try:
-        args = [float(options[k]) for k in params]
+        values = {k: float(options[k]) for k in params}
     except ValueError as exc:
         raise ConfigError(f"bad [flow] value: {exc}") from None
     try:
-        return _FLOW_BUILDERS[kind](*args)
+        return FlowSpec(kind, **values)
     except ParameterError as exc:
         raise ConfigError(f"bad [flow] parameters: {exc}") from exc
 

@@ -633,6 +633,19 @@ def test_sim_config_validation():
     SimConfig(kappa=0.5, dt=0.1 ** 2 / 50, t_final=1.0, epsilon=0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: SimConfig(kappa=0.5, seed=-1),
+    lambda: SimConfig(kappa=0.5, seed=1.5),
+    lambda: stream_generator(-1, 0, 0),
+    lambda: dynamics.noise_generator(0, -2),
+    lambda: simulate_ensemble(steady_shear(), SimConfig(kappa=0.5, dt=0.01, t_final=0.1), 2,
+                              first_realization=-1),
+], ids=["config", "fractional-config", "stream", "noise", "first-realization"])
+def test_negative_seed_is_refused(call):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        call()
+
+
 def test_trajectory_validation():
     with pytest.raises(ParameterError):
         Trajectory(np.zeros((4, 3)), 0.1)

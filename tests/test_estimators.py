@@ -28,7 +28,7 @@ from eddykit import (
     subsample,
 )
 from eddykit.dynamics import noise_generator
-from eddykit.harness import estimate_tensor
+from eddykit.estimators import _reduce_row, _row_buffers, estimate_tensor
 
 
 def _bm_trajectory(rng, n_steps: int, kappa: float, dt: float) -> Trajectory:
@@ -310,3 +310,13 @@ def test_tensor_validation():
     with pytest.raises(ParameterError):
         k.project((1.0, 2.0, 3.0))
     assert k.project((3.0, 4.0)) == 25.0
+
+
+def test_unknown_estimator_and_provenance_are_refused():
+    traj = Trajectory(np.zeros((10, 2)), 0.1)
+    with pytest.raises(ParameterError, match="estimator must be"):
+        _reduce_row("median", traj.positions, 1, 0.1, 0.0, None, _row_buffers(10))
+    with pytest.raises(ParameterError, match="estimator must be"):
+        estimate_tensor(traj, "median", 0.1)
+    with pytest.raises(ParameterError, match="provenance"):
+        DiffusivityTensor(np.eye(2), "analytic")

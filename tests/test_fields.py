@@ -22,7 +22,13 @@ from eddykit import (
     taylor_green,
     velocity_modes,
 )
-from eddykit.fields import TAYLOR_GREEN, _childress_soward_drift, _taylor_green_drift
+from eddykit.fields import (
+    FLOW_KINDS,
+    FLOW_PARAMS,
+    TAYLOR_GREEN,
+    _childress_soward_drift,
+    _taylor_green_drift,
+)
 
 RNG = np.random.default_rng(20240817)
 POINTS = RNG.uniform(-10.0, 10.0, size=(64, 2))
@@ -186,3 +192,18 @@ def test_spec_validation():
         FlowSpec("taylor_green", lam=0.5)
     with pytest.raises(ParameterError):
         FlowSpec("periodic_shear", omega=1.0, alpha=1.0)
+
+
+def test_flow_params_build_the_catalog_flows():
+    # config files and the CLI build FlowSpec(kind, **params) from FLOW_PARAMS
+    builders = {"shear": steady_shear, "periodic_shear": periodic_shear,
+                "ou_shear": ou_shear, "taylor_green": taylor_green,
+                "childress_soward": childress_soward}
+    values = {"omega": 2.0, "alpha": 1.5, "sigma": 0.3, "lam": 0.3}
+    assert tuple(builders) == tuple(FLOW_PARAMS) == FLOW_KINDS
+    for kind, params in FLOW_PARAMS.items():
+        spec = FlowSpec(kind, **{p: values[p] for p in params})
+        assert spec == builders[kind](*(values[p] for p in params))
+        for other in set(values) - set(params):
+            with pytest.raises(ParameterError, match=f"{other} is not a parameter of {kind}"):
+                FlowSpec(kind, **{p: values[p] for p in params}, **{other: values[other]})

@@ -18,10 +18,12 @@ from eddykit import (
     ConfigError,
     EnsembleRecord,
     InsufficientDataError,
+    ObservationSeries,
     ParameterError,
     SimConfig,
     SweepReport,
     Trajectory,
+    add_observation_noise,
     adjudicate_periodic_shear,
     delta_sweep,
     directional_component,
@@ -39,7 +41,8 @@ from eddykit import (
 from eddykit import dynamics, harness
 from eddykit.cli import main
 from eddykit.dynamics import noise_generator
-from eddykit.harness import _CSV_COLUMNS, ESTIMATORS, estimate_tensor
+from eddykit.estimators import ESTIMATORS, estimate_tensor
+from eddykit.harness import _CSV_COLUMNS
 
 FLOW = steady_shear()
 FAST = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=1, store_stride=2)
@@ -460,7 +463,7 @@ def test_cli_sweep_csv(tmp_path, capsys):
     config = _write(tmp_path, "run.ini", text)
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", config, "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2 and rows[0]["estimator"] == "qv"
     capsys.readouterr()
     # stdout target
@@ -479,7 +482,7 @@ def test_cli_rescaled_csv(tmp_path):
     config = _write(tmp_path, "run.ini", text)
     out = tmp_path / "rescaled.csv"
     assert main(["rescaled", "--config", config, "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [float(r["epsilon"]) for r in rows] == [0.4, 1.0]
 
 
@@ -491,7 +494,7 @@ def test_cli_diffusivity(tmp_path, capsys):
     csv_path = tmp_path / "diff.csv"
     assert main(["diffusivity", "--flow", "taylor_green", "--kappa", "0.1",
                  "--csv", str(csv_path)]) == 0
-    row = list(csv.DictReader(csv_path.open()))[0]
+    row = list(csv.DictReader(csv_path.read_text().splitlines()))[0]
     assert float(row["k11"]) == pytest.approx(0.34166, rel=1e-3)
 
 
@@ -552,6 +555,56 @@ def test_estimate_rejects_bad_theta(tmp_path, capsys, theta):
     assert "theta must be finite and nonnegative" in capsys.readouterr().err
     with pytest.raises(ParameterError, match="theta"):
         estimate_tensor(simulate_em(FLOW, FAST), "qv", 0.1, float(theta))
+
+
+@pytest.mark.parametrize("theta", [-0.1, float("nan")])
+def test_theta_rule_has_one_message(theta):
+    series = ObservationSeries(np.zeros((6, 2)), 0.1)
+    calls = [
+        lambda: ObservationSeries(series.positions, 0.1, theta),
+        lambda: add_observation_noise(series, theta, 0),
+        lambda: estimate_tensor(Trajectory(series.positions, 0.1), "qv", 0.1, theta),
+        lambda: delta_sweep(FLOW, FAST, "qv", [0.1], theta, n_realizations=8),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="theta must be finite and nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "adjudicate"])
+def test_cli_negative_seed_is_an_input_error(tmp_path, capsys, command):
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    out = str(tmp_path / "traj.npz")
+    assert main(["simulate", "--config", config, "--output", out]) == 0
+    capsys.readouterr()
+    argv = {
+        "simulate": ["simulate", "--config",
+                     _write(tmp_path, "neg.ini", SIM_CONFIG.replace("seed = 3", "seed = -1")),
+                     "--output", str(tmp_path / "neg.npz")],
+        "estimate": ["estimate", "--input", out, "--delta", "0.1", "--theta", "0.1",
+                     "--noise-seed", "-3"],
+        "adjudicate": ["oracle", "adjudicate", "--realizations", "2", "--seed", "-1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "nonnegative" in err
+    if command == "simulate":
+        assert "bad [simulation] value" in err
+
+
+def test_cli_output_directory_is_a_file_error(tmp_path, capsys):
+    assert main(["diffusivity", "--flow", "shear", "--kappa", "0.5", "--modes", "8",
+                 "--csv", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(tmp_path) in err
+
+
+def test_cli_diffusivity_refuses_time_dependent_flow(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["diffusivity", "--flow", "periodic_shear", "--kappa", "0.1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "periodic_shear" in err
 
 
 @pytest.mark.parametrize("spec", ["xi:nan,1", "xi:inf,1", "xi:0,0"])
