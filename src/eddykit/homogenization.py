@@ -19,11 +19,22 @@ nonzero solution: the parity sublattice k1 + k2 even for the cellular
 flows, the line k2 = 0 for the shear. Every catalog stream function is
 even, so its coefficients are real, the velocity coefficients purely
 imaginary, and the system on the reachable set is real once chi = i x is
-substituted. It is solved directly by a sparse LU factorization; an
-explicit residual check enforces the 1e-10 relative residual contract.
-The zero mode is pinned to zero, which is consistent because
-incompressibility makes the advection row and column of the zero mode
-vanish identically.
+substituted. The zero mode is pinned to zero, which is consistent
+because incompressibility makes the advection row and column of the zero
+mode vanish identically.
+
+The advection part of the real system is skew-symmetric: the velocity
+is real and divergence free, so Im(vhat_-m) = -Im(vhat_m) and
+Im(vhat_m) . m = 0, and the weight coupling k to k - m is minus the one
+coupling k - m to k. Hence A + A^T is diagonal: 2 kappa |k|^2, and 2 at
+the pinned zero mode. The symmetric part of A is therefore
+positive definite, which makes every principal submatrix of A
+nonsingular, so A has an LU factorization in any symmetric ordering
+without row exchanges. The system is factored once by sparse LU with a
+minimum-degree ordering of A + A^T and diagonal pivots, which keeps the
+fill of that symmetric ordering. One step of iterative refinement
+follows every solve, and an explicit residual check on the refined
+solution enforces the 1e-10 relative residual contract.
 """
 
 from __future__ import annotations
@@ -190,16 +201,35 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
     return matrix, rhs, lattice
 
 
+def _truncation(name: str, value) -> int:
+    """A truncation M as an int >= 4; anything else raises ParameterError naming it.
+
+    The one rule for modes, initial_modes and max_modes: a float is taken
+    only when it is integral, so nan, inf and 4.5 are refused.
+    """
+    try:
+        integral = math.isfinite(value) and int(value) == value
+    except TypeError:
+        integral = False
+    if not integral or value < 4:
+        raise ParameterError(f"{name} must be an integer >= 4, got {value!r}")
+    return int(value)
+
+
 def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSolution:
     """Galerkin solution of the cell problem on |k1|, |k2| <= modes.
 
     Only the modes reachable from the flow's modes are unknowns, in real
     arithmetic; the rest of the lattice is exactly zero. The sparse system
-    is factorized directly and both components are solved from the same
-    factorization. The relative residual of each solve is computed
-    explicitly; a residual above 1e-10 raises ConvergenceError carrying
-    the measured value. A flow whose velocity coefficients are not purely
-    imaginary raises UnsupportedFlowError.
+    is factorized once by LU, ordered by minimum degree on A + A^T and
+    pivoted on the diagonal only; that is safe because the symmetric part
+    of A is positive definite (see the module docstring). Both components
+    are solved together from that factorization, followed by one step of
+    iterative refinement, which recovers the accuracy that partial
+    pivoting would give at small kappa. The relative residual of each
+    refined solve is computed explicitly; a residual above 1e-10 raises
+    ConvergenceError carrying the measured value. A flow whose velocity
+    coefficients are not purely imaginary raises UnsupportedFlowError.
     """
     if not flow.is_time_independent:
         raise UnsupportedFlowError(
@@ -207,21 +237,21 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
         )
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ParameterError(f"kappa must be positive, got {kappa!r}")
-    if int(modes) != modes or modes < 4:
-        raise ParameterError(f"modes must be an integer >= 4, got {modes!r}")
-    modes = int(modes)
+    modes = _truncation("modes", modes)
 
     matrix, rhs, lattice = _assemble(flow, kappa, modes)
-    lu = spla.splu(matrix)
+    lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    sol = lu.solve(rhs)
+    sol += lu.solve(rhs - matrix @ sol)
     side = 2 * modes + 1
     coef = np.zeros((2, side * side), dtype=complex)
     residual = 0.0
     for i in range(2):
-        sol = lu.solve(rhs[:, i])
-        err = np.linalg.norm(matrix @ sol - rhs[:, i])
+        err = np.linalg.norm(matrix @ sol[:, i] - rhs[:, i])
         scale = np.linalg.norm(rhs[:, i])
         residual = max(residual, float(err / scale) if scale > 0.0 else float(err))
-        coef[i, lattice] = 1j * sol
+        coef[i, lattice] = 1j * sol[:, i]
     if residual > 1e-10:
         raise ConvergenceError(
             f"cell-problem residual {residual:.3e} exceeds 1e-10 at modes={modes}",
@@ -267,14 +297,12 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
     boundary layers sharpen like kappa^(1/2), so small kappa legitimately
     needs large M, and the caller decides whether an unconverged K will do.
     """
-    if initial_modes < 4:
-        raise ParameterError("initial_modes must be at least 4")
-    if max_modes < initial_modes:
+    m_trunc = _truncation("initial_modes", initial_modes)
+    if _truncation("max_modes", max_modes) < m_trunc:
         raise ParameterError("max_modes must be at least initial_modes")
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ParameterError(f"rtol must be nonnegative, got {rtol!r}")
 
-    m_trunc = int(initial_modes)
     sol = solve_cell_problem(flow, kappa, m_trunc)
     tensor = eddy_diffusivity_from_cell(sol)
     history = [DoublingStep(m_trunc, math.nan, sol.residual)]
@@ -297,13 +325,18 @@ def fit_scaling_exponent(samples) -> ScalingFit:
     """Least-squares fit of K = c kappa^p from (kappa, K) pairs.
 
     Fits log K against log kappa and returns (p, c). Needs at least three
-    samples, all strictly positive in both coordinates.
+    samples, all finite and strictly positive in both coordinates, with
+    at least two distinct kappa.
     """
     pairs = [(float(k), float(v)) for k, v in samples]
     if len(pairs) < 3:
         raise ParameterError(f"need at least 3 samples, got {len(pairs)}")
-    if any(k <= 0.0 or v <= 0.0 for k, v in pairs):
-        raise ParameterError("all samples must be strictly positive")
+    for i, (k, v) in enumerate(pairs):
+        if not (0.0 < k < math.inf and 0.0 < v < math.inf):
+            raise ParameterError(
+                f"sample {i} (kappa={k!r}, K={v!r}) must be finite and strictly positive")
+    if len({k for k, _ in pairs}) < 2:
+        raise ParameterError("fewer than two distinct kappa were given")
     log_k = np.log([k for k, _ in pairs])
     log_v = np.log([v for _, v in pairs])
     slope, intercept = np.polyfit(log_k, log_v, 1)

@@ -19,6 +19,7 @@ from eddykit import (
     CellSolution,
     ConvergenceError,
     DoublingStep,
+    FlowSpec,
     ParameterError,
     ScalingFit,
     UnsupportedFlowError,
@@ -36,6 +37,7 @@ from eddykit import (
     taylor_green,
     velocity_modes,
 )
+from eddykit.fields import FLOW_PARAMS, TIME_INDEPENDENT
 
 SQ2 = math.sqrt(2.0)
 
@@ -152,6 +154,39 @@ def test_residual_is_recorded_and_small():
     assert 0.0 <= sol.residual <= 1e-10
 
 
+def test_small_kappa_residual_meets_the_contract():
+    # the diagonal-pivot factorization alone leaves about 8e-10 here;
+    # the refinement step brings it back under the contract
+    sol = solve_cell_problem(childress_soward(0.5), 1e-5, modes=64)
+    assert sol.residual <= 1e-10
+
+
+def test_refined_residual_above_contract_raises(monkeypatch):
+    # factoring 1.5 A leaves x/1.5 after the first solve and 8x/9 after the
+    # refinement step, so the refined residual is 1/9 in each component
+    real_splu = spla.splu
+    monkeypatch.setattr(homogenization.spla, "splu", lambda a, **kw: real_splu(1.5 * a, **kw))
+    with pytest.raises(ConvergenceError) as caught:
+        solve_cell_problem(taylor_green(), 0.1, modes=8)
+    assert caught.value.residual == pytest.approx(1.0 / 9.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", TIME_INDEPENDENT)
+@pytest.mark.parametrize("m", [8, 24])
+def test_symmetric_part_is_the_diagonal_diffusion(kind, m):
+    # diagonal pivots are safe only because A + A^T is positive definite
+    kappa = 0.1
+    flow = FlowSpec(kind, **{name: 0.5 for name in FLOW_PARAMS[kind]})
+    matrix, _, lattice = homogenization._assemble(flow, kappa, m)
+    sym = (matrix + matrix.T).tocoo()
+    off = sym.row != sym.col
+    assert np.all(sym.data[off] == 0.0)
+    k1, k2 = np.divmod(lattice, 2 * m + 1)
+    expected = 2.0 * kappa * ((k1 - m) ** 2 + (k2 - m) ** 2)
+    expected[(k1 == m) & (k2 == m)] = 2.0
+    np.testing.assert_array_equal(sym.diagonal(), expected)
+
+
 # ---------------------------------------------------------------------------
 # reachable real system against the full-lattice complex Galerkin system
 # ---------------------------------------------------------------------------
@@ -194,9 +229,9 @@ REACHABLE_IDS = [flow_label(flow) for flow, _ in REACHABLE_CASES]
 
 
 @pytest.mark.parametrize("flow, shape", REACHABLE_CASES, ids=REACHABLE_IDS)
-@pytest.mark.parametrize("m", [8, 24])
-def test_reachable_real_system_matches_full_lattice(flow, shape, m):
-    kappa = 0.1
+@pytest.mark.parametrize("m, kappa", [(8, 0.1), (24, 0.1), (8, 0.005), (24, 0.005)],
+                         ids=["8", "24", "8-kappa0.005", "24-kappa0.005"])
+def test_reachable_real_system_matches_full_lattice(flow, shape, m, kappa):
     sol = solve_cell_problem(flow, kappa, modes=m)
     ref = _full_lattice_coefficients(flow, kappa, m)
     scale = np.max(np.abs(ref))
@@ -284,8 +319,11 @@ def test_fit_scaling_exponent_exact_power_law():
 def test_fit_scaling_exponent_validation():
     with pytest.raises(ParameterError):
         fit_scaling_exponent([(0.1, 1.0), (0.2, 2.0)])
-    with pytest.raises(ParameterError):
-        fit_scaling_exponent([(0.1, 1.0), (0.2, 2.0), (0.3, -1.0)])
+    for bad in ((0.3, -1.0), (0.3, math.nan), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ParameterError, match=r"sample 2 \(kappa="):
+            fit_scaling_exponent([(0.1, 1.0), (0.2, 2.0), bad])
+    with pytest.raises(ParameterError, match="fewer than two distinct kappa"):
+        fit_scaling_exponent([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +350,14 @@ def test_solver_validation():
         spectral_diffusivity(taylor_green(), 0.1, initial_modes=16, max_modes=8)
     with pytest.raises(ParameterError):
         spectral_diffusivity(taylor_green(), 0.1, rtol=-1e-6)
+
+
+@pytest.mark.parametrize("value", [4.5, math.nan, math.inf, 3])
+@pytest.mark.parametrize("name", ["modes", "initial_modes", "max_modes"])
+def test_truncation_must_be_an_integer_of_at_least_4(name, value):
+    solve = solve_cell_problem if name == "modes" else spectral_diffusivity
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 4"):
+        solve(taylor_green(), 0.1, **{name: value})
 
 
 def test_cell_solution_accessors():
