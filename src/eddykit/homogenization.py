@@ -18,23 +18,36 @@ block reachable from the right-hand side (and the zero mode) carries a
 nonzero solution: the parity sublattice k1 + k2 even for the cellular
 flows, the line k2 = 0 for the shear. Every catalog stream function is
 even, so its coefficients are real, the velocity coefficients purely
-imaginary, and the system on the reachable set is real once chi = i x is
-substituted. The zero mode is pinned to zero, which is consistent
-because incompressibility makes the advection row and column of the zero
-mode vanish identically.
+imaginary, and the system A x = b on the reachable set is real once
+chi = i x is substituted.
 
-The advection part of the real system is skew-symmetric: the velocity
-is real and divergence free, so Im(vhat_-m) = -Im(vhat_m) and
-Im(vhat_m) . m = 0, and the weight coupling k to k - m is minus the one
-coupling k - m to k. Hence A + A^T is diagonal: 2 kappa |k|^2, and 2 at
-the pinned zero mode. The symmetric part of A is therefore
-positive definite, which makes every principal submatrix of A
-nonsingular, so A has an LU factorization in any symmetric ordering
-without row exchanges. The system is factored once by sparse LU with a
-minimum-degree ordering of A + A^T and diagonal pivots, which keeps the
-fill of that symmetric ordering. One step of iterative refinement
-follows every solve, and an explicit residual check on the refined
-solution enforces the 1e-10 relative residual contract.
+That real system commutes with the reflection k -> -k, and its
+right-hand side b = -Im vhat is odd, so its solution is odd: x_-k = -x_k
+and x_0 = 0. The solver therefore keeps only the half
+H = {k reachable : k1 > 0, or k1 = 0 and k2 > 0} as unknowns and folds
+every coupling onto it: a source k' = k - m enters column k' with its
+weight when k' is in H, column -k' with the opposite weight when -k' is
+in H, and drops out when k' = 0. The zero mode is not an unknown, so
+nothing needs pinning; its row of A vanishes identically, because
+incompressibility gives Im(vhat_m) . m = 0, and the condition <chi> = 0
+is x_0 = 0 itself. The folded matrix is B = P^T A P / 2 for the odd
+embedding P of H into the reachable set, and the solution is written
+back as i y on H and -i y on -H, which makes the corrector exactly
+conjugate symmetric.
+
+The advection part of A is skew-symmetric: the velocity is real and
+divergence free, so Im(vhat_-m) = -Im(vhat_m) and Im(vhat_m) . m = 0,
+and the weight coupling k to k - m is minus the one coupling k - m to k.
+Hence A + A^T = diag(2 kappa |k|^2), and so is B + B^T on H, where
+every |k| is at least 1. The symmetric part of B is therefore positive
+definite, which makes every principal submatrix of B nonsingular, so B
+has an LU factorization in any symmetric ordering without row exchanges.
+The system is factored once by sparse LU with a minimum-degree ordering
+of B + B^T and diagonal pivots, which keeps the fill of that symmetric
+ordering. One step of iterative refinement follows every solve, and an
+explicit residual check on the refined solution enforces the 1e-10
+relative residual contract. The full system's residual and b are odd
+and its row 0 is zero, so the relative residual on H equals the full one.
 """
 
 from __future__ import annotations
@@ -70,8 +83,10 @@ class CellSolution:
     """Truncated Fourier solution of the cell problem.
 
     ``coefficients[i, k1 + modes, k2 + modes]`` is the coefficient of
-    exp(i (k1 x + k2 y)) in chi^{i+1}. Only the modes reachable from the
-    flow's modes are solved for; every other entry is exactly zero.
+    exp(i (k1 x + k2 y)) in chi^{i+1}. The modes reachable from the flow's
+    modes are solved on their half H (see the module docstring) and
+    mirrored to -H, so coefficient(-k) is exactly conj(coefficient(k));
+    the zero mode and every mode off the reachable set are exactly zero.
 
     ``history`` and ``converged`` are filled in by spectral_diffusivity:
     one DoublingStep per truncation tried, and whether the last doubling
@@ -147,12 +162,15 @@ def _reachable(shifts, m_trunc: int) -> np.ndarray:
 
 
 def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
-    """Real sparse Galerkin system on the reachable modes.
+    """Real sparse Galerkin system on the half H of the reachable modes.
 
-    Returns the CSC matrix, the (n, 2) right-hand side -Im vhat and the
-    flat lattice indices of the unknowns. The full complex system is
-    A chi = -vhat with chi = i x; a velocity coefficient with a real part
-    would make it genuinely complex and is refused.
+    H holds the reachable k with k1 > 0, or k1 = 0 and k2 > 0. Returns the
+    CSC matrix, the (n, 2) right-hand side -Im vhat and the flat lattice
+    indices of H. The full complex system is A chi = -vhat with chi = i x;
+    its odd solution x_-k = -x_k, x_0 = 0 folds a source k' = k - m onto
+    +column k' when k' is in H, -column -k' when -k' is in H, and nothing
+    when k' = 0. A velocity coefficient with a real part would make the
+    system genuinely complex and is refused.
     """
     vm = velocity_modes(flow)
     for mode, vhat in vm.items():
@@ -162,10 +180,18 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
                 f"{vhat.real.tolist()}; the cell solver needs an even stream function"
             )
     side = 2 * m_trunc + 1
-    lattice = np.flatnonzero(_reachable(list(vm), m_trunc))
+    ks = np.arange(-m_trunc, m_trunc + 1)
+    upper = (ks[:, None] > 0) | ((ks[:, None] == 0) & (ks[None, :] > 0))
+    lattice = np.flatnonzero(_reachable(list(vm), m_trunc) & upper)
     n = lattice.size
+    # column and sign of each source mode: +1 on H, -1 on -H, whose flat
+    # index is side^2 - 1 minus that of its mirror in H
+    mirror = side * side - 1 - lattice
     position = np.full(side * side, -1)
-    position[lattice] = np.arange(n)
+    position[lattice] = position[mirror] = np.arange(n)
+    sign = np.zeros(side * side)
+    sign[lattice] = 1.0
+    sign[mirror] = -1.0
     k1, k2 = np.divmod(lattice, side)
     k1 -= m_trunc
     k2 -= m_trunc
@@ -179,16 +205,13 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
         w = vhat.imag
         s1 = k1 - mode[0]
         s2 = k2 - mode[1]
-        ok = (np.abs(s1) <= m_trunc) & (np.abs(s2) <= m_trunc)
+        # x_0 = 0, so a source at the zero mode is dropped
+        ok = (np.abs(s1) <= m_trunc) & (np.abs(s2) <= m_trunc) & ((s1 != 0) | (s2 != 0))
         src1, src2 = s1[ok], s2[ok]
+        src = (src1 + m_trunc) * side + (src2 + m_trunc)
         rows.append(np.flatnonzero(ok))
-        cols.append(position[(src1 + m_trunc) * side + (src2 + m_trunc)])
-        vals.append(w[0] * src1 + w[1] * src2)
-
-    zero = position[m_trunc * side + m_trunc]
-    rows.append(np.array([zero]))
-    cols.append(np.array([zero]))
-    vals.append(np.array([1.0]))  # pins <chi> = 0; diag there is kappa*0
+        cols.append(position[src])
+        vals.append(sign[src] * (w[0] * src1 + w[1] * src2))
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -197,7 +220,9 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
 
     rhs = np.zeros((n, 2))
     for mode, vhat in vm.items():
-        rhs[position[(mode[0] + m_trunc) * side + (mode[1] + m_trunc)]] = -vhat.imag
+        flat = (mode[0] + m_trunc) * side + (mode[1] + m_trunc)
+        if sign[flat] > 0.0:
+            rhs[position[flat]] = -vhat.imag
     return matrix, rhs, lattice
 
 
@@ -219,11 +244,13 @@ def _truncation(name: str, value) -> int:
 def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSolution:
     """Galerkin solution of the cell problem on |k1|, |k2| <= modes.
 
-    Only the modes reachable from the flow's modes are unknowns, in real
-    arithmetic; the rest of the lattice is exactly zero. The sparse system
-    is factorized once by LU, ordered by minimum degree on A + A^T and
+    The unknowns are the half H of the modes reachable from the flow's
+    modes, (|reachable| - 1) / 2 of them, in real arithmetic; the solution
+    y is written as i y on H and -i y on -H, and the rest of the lattice,
+    the zero mode included, is exactly zero. The sparse system is
+    factorized once by LU, ordered by minimum degree on B + B^T and
     pivoted on the diagonal only; that is safe because the symmetric part
-    of A is positive definite (see the module docstring). Both components
+    of B is positive definite (see the module docstring). Both components
     are solved together from that factorization, followed by one step of
     iterative refinement, which recovers the accuracy that partial
     pivoting would give at small kappa. The relative residual of each
@@ -252,6 +279,7 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
         scale = np.linalg.norm(rhs[:, i])
         residual = max(residual, float(err / scale) if scale > 0.0 else float(err))
         coef[i, lattice] = 1j * sol[:, i]
+        coef[i, side * side - 1 - lattice] = -1j * sol[:, i]
     if residual > 1e-10:
         raise ConvergenceError(
             f"cell-problem residual {residual:.3e} exceeds 1e-10 at modes={modes}",
@@ -290,15 +318,18 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
 
     Doubling stops once the maximum entrywise change between consecutive
     truncations drops below rtol relative to the tensor scale, or at
-    max_modes. The returned CellSolution records every truncation tried
-    in ``history`` as DoublingStep(modes, change, residual) and sets
-    ``converged`` to whether the tolerance was met. At the cap the result
-    is returned with ``converged=False`` rather than raised: the corrector
+    max_modes. Each step goes to min(2 M, max_modes), so a cap that is not
+    initial_modes times a power of two is still tried. The returned
+    CellSolution records every truncation tried in ``history`` as
+    DoublingStep(modes, change, residual) and sets ``converged`` to
+    whether the tolerance was met. A cap reached without meeting it
+    returns with ``converged=False`` rather than raising: the corrector
     boundary layers sharpen like kappa^(1/2), so small kappa legitimately
     needs large M, and the caller decides whether an unconverged K will do.
     """
     m_trunc = _truncation("initial_modes", initial_modes)
-    if _truncation("max_modes", max_modes) < m_trunc:
+    max_modes = _truncation("max_modes", max_modes)
+    if max_modes < m_trunc:
         raise ParameterError("max_modes must be at least initial_modes")
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ParameterError(f"rtol must be nonnegative, got {rtol!r}")
@@ -307,8 +338,8 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
     tensor = eddy_diffusivity_from_cell(sol)
     history = [DoublingStep(m_trunc, math.nan, sol.residual)]
     converged = False
-    while 2 * m_trunc <= max_modes:
-        m_trunc *= 2
+    while m_trunc < max_modes:
+        m_trunc = min(2 * m_trunc, max_modes)
         sol_next = solve_cell_problem(flow, kappa, m_trunc)
         tensor_next = eddy_diffusivity_from_cell(sol_next)
         change = np.max(np.abs(tensor_next.entries - tensor.entries))

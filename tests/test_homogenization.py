@@ -142,11 +142,13 @@ def test_molecular_lower_bound(flow):
 
 
 def test_conjugate_symmetry_of_corrector():
-    sol = solve_cell_problem(taylor_green(), 0.1, modes=16)
-    for comp in (0, 1):
-        coef = sol.coefficients[comp]
-        flipped = np.flip(np.flip(coef, axis=0), axis=1)
-        np.testing.assert_allclose(flipped, np.conj(coef), atol=1e-12)
+    # the solve writes 1j*y on H and -1j*y on -H, so the symmetry is exact
+    for flow in (taylor_green(), childress_soward(0.5), steady_shear()):
+        sol = solve_cell_problem(flow, 0.1, modes=16)
+        for comp in (0, 1):
+            coef = sol.coefficients[comp]
+            flipped = np.flip(np.flip(coef, axis=0), axis=1)
+            np.testing.assert_array_equal(flipped, np.conj(coef))
 
 
 def test_residual_is_recorded_and_small():
@@ -174,7 +176,8 @@ def test_refined_residual_above_contract_raises(monkeypatch):
 @pytest.mark.parametrize("kind", TIME_INDEPENDENT)
 @pytest.mark.parametrize("m", [8, 24])
 def test_symmetric_part_is_the_diagonal_diffusion(kind, m):
-    # diagonal pivots are safe only because A + A^T is positive definite
+    # diagonal pivots are safe only because B + B^T is positive definite;
+    # the zero mode is not in H, so every diagonal entry is 2 kappa |k|^2 > 0
     kappa = 0.1
     flow = FlowSpec(kind, **{name: 0.5 for name in FLOW_PARAMS[kind]})
     matrix, _, lattice = homogenization._assemble(flow, kappa, m)
@@ -183,8 +186,8 @@ def test_symmetric_part_is_the_diagonal_diffusion(kind, m):
     assert np.all(sym.data[off] == 0.0)
     k1, k2 = np.divmod(lattice, 2 * m + 1)
     expected = 2.0 * kappa * ((k1 - m) ** 2 + (k2 - m) ** 2)
-    expected[(k1 == m) & (k2 == m)] = 2.0
     np.testing.assert_array_equal(sym.diagonal(), expected)
+    assert np.all(expected > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +241,47 @@ def test_reachable_real_system_matches_full_lattice(flow, shape, m, kappa):
     np.testing.assert_allclose(sol.coefficients, ref, rtol=0.0, atol=1e-12 * scale)
 
 
+def _reachable_and_half(shape, m):
+    """The reachable set of a REACHABLE_CASES shape and its half H."""
+    ks = np.arange(-m, m + 1)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    reachable = k2 == 0 if shape == "line" else (k1 + k2) % 2 == 0
+    return reachable, reachable & ((k1 > 0) | ((k1 == 0) & (k2 > 0)))
+
+
 @pytest.mark.parametrize("flow, shape", REACHABLE_CASES, ids=REACHABLE_IDS)
 @pytest.mark.parametrize("m", [8, 24])
 def test_reachable_set_size_and_zero_off_set(flow, shape, m):
     side = 2 * m + 1
     matrix, rhs, lattice = homogenization._assemble(flow, 0.1, m)
-    ks = np.arange(-m, m + 1)
-    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-    if shape == "line":
-        expected = k2 == 0
-        assert matrix.shape == (side, side)
-    else:
-        expected = (k1 + k2) % 2 == 0
-        assert matrix.shape == ((side * side + 1) // 2,) * 2
-    np.testing.assert_array_equal(np.sort(lattice), np.flatnonzero(expected))
+    expected, half = _reachable_and_half(shape, m)
+    size = side if shape == "line" else (side * side + 1) // 2
+    assert np.count_nonzero(expected) == size
+    assert matrix.shape == ((size - 1) // 2,) * 2
+    np.testing.assert_array_equal(np.sort(lattice), np.flatnonzero(half))
     assert matrix.dtype == np.float64 and rhs.dtype == np.float64
 
     sol = solve_cell_problem(flow, 0.1, modes=m)
     off = sol.coefficients[:, ~expected]
     assert np.all(off == 0.0)
+
+
+@pytest.mark.parametrize("flow, shape", REACHABLE_CASES, ids=REACHABLE_IDS)
+def test_factorization_sees_only_the_half_set(flow, shape, monkeypatch):
+    # guards against a silent return to the full reachable system
+    m = 16
+    seen = []
+    real_splu = spla.splu
+
+    def recording_splu(a, **kw):
+        seen.append(a.shape)
+        return real_splu(a, **kw)
+
+    monkeypatch.setattr(homogenization.spla, "splu", recording_splu)
+    solve_cell_problem(flow, 0.1, modes=m)
+    reachable, _ = _reachable_and_half(shape, m)
+    n = (np.count_nonzero(reachable) - 1) // 2
+    assert seen == [(n, n)]
 
 
 def test_velocity_with_real_part_is_refused(monkeypatch):
@@ -306,6 +331,15 @@ def test_spectral_diffusivity_flags_cap_as_unconverged():
     assert sol.converged is False
     assert [step.modes for step in sol.history] == [4, 8]
     assert sol.history[1].change >= 0.0
+
+
+def test_spectral_diffusivity_tries_a_cap_off_the_doubling_ladder():
+    # 100 is not 16 * 2^k, and must still be the last truncation tried
+    _, sol = spectral_diffusivity(taylor_green(), 0.5, rtol=0.0,
+                                  initial_modes=16, max_modes=100)
+    assert sol.modes == 100
+    assert [step.modes for step in sol.history] == [16, 32, 64, 100]
+    assert sol.converged is False
 
 
 def test_fit_scaling_exponent_exact_power_law():
