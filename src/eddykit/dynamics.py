@@ -181,7 +181,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled 2-D path plus the metadata that produced it."""
+    """Uniformly sampled 2-D path plus the metadata that produced it.
+
+    ``positions`` is stored C-ordered (no copy for C-ordered input), so the
+    estimators see the same layout whatever array the caller passed.
+    """
 
     positions: np.ndarray  # (n, 2), row i is the position at time i * dt_stored
     dt_stored: float
@@ -189,7 +193,7 @@ class Trajectory:
     config: SimConfig | None = None
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.ascontiguousarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ParameterError("positions must be an (n, 2) array with n >= 1")
         object.__setattr__(self, "positions", pos)

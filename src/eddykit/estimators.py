@@ -17,7 +17,10 @@ bitwise.
 All three run through one row reduction, ``_reduce_row``, which
 ``estimate_tensor``, the library estimators here and the harness sweeps
 call alike. Under observation noise box perturbs each bin mean once, with
-the law of the mean of J perturbed points, rather than every point.
+the law of the mean of J perturbed points, rather than every point. Box
+sums each bin sequentially, bitwise equal to ``np.mean`` along the bin
+axis. ``Trajectory`` stores C-ordered positions, so an estimate never
+depends on the memory layout of the caller's array.
 
 This module owns the estimation inputs: which estimators exist
 (``ESTIMATORS``) and how many stored points each needs, which noise level
@@ -37,7 +40,7 @@ from .fields import FlowSpec
 from .dynamics import Trajectory
 
 ESTIMATORS = ("qv", "box", "shift")
-PROVENANCES = ESTIMATORS + ("spectral", "oracle")
+PROVENANCES = ESTIMATORS + ("spectral",)
 
 
 def _points_needed(estimator: str, j: int) -> int:
@@ -222,7 +225,9 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
     """Entries and increment count of one estimate from one (n, 2) row of points.
 
     qv observes every j-th point; box replaces each bin of j consecutive
-    points (the trailing partial bin is discarded) by its mean; shift
+    points (the trailing partial bin is discarded) by its mean, summed
+    sequentially within the bin and divided by j, which is bitwise equal
+    to ``np.mean`` along the bin axis; shift
     averages the qv of the j grids offset by 0, 1, ..., j-1 points, with
     the fewest increments of any grid as its count. delta = j dt_stored.
     With theta > 0, ``gen`` draws the observation noise: qv and shift add
@@ -245,7 +250,9 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
         return _qv_tensor(obs, delta, diffs)
     if estimator == "box":
         n_bins = n // j
-        means = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1, out=points[:n_bins])
+        # sequential sum within each bin: the bits of np.mean along axis 1
+        means = np.einsum("bjc->bc", row[:n_bins * j].reshape(n_bins, j, 2), out=points[:n_bins])
+        means /= j
         if theta == 0.0:
             return _qv_tensor(means, delta, diffs)
         # the noisy means go to diffs, so their increments go to points
@@ -298,7 +305,8 @@ def box_estimate(traj: Trajectory, delta: float) -> DiffusivityTensor:
     The stored points are grouped into consecutive bins of J points (the
     trailing partial bin is discarded), each bin is replaced by its mean,
     and the quadratic-variation formula is applied to the bin means with
-    the increment-count normalization.
+    the increment-count normalization. Each mean is summed sequentially
+    within its bin, bitwise equal to ``np.mean`` along the bin axis.
     """
     return estimate_tensor(traj, "box", delta)
 

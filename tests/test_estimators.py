@@ -28,7 +28,7 @@ from eddykit import (
     subsample,
 )
 from eddykit.dynamics import noise_generator
-from eddykit.estimators import _reduce_row, _row_buffers, estimate_tensor
+from eddykit.estimators import _qv_tensor, _reduce_row, _row_buffers, estimate_tensor
 
 
 def _bm_trajectory(rng, n_steps: int, kappa: float, dt: float) -> Trajectory:
@@ -232,6 +232,44 @@ def test_estimates_carry_metadata():
     assert b.flow == s.flow == steady_shear()
 
 
+@pytest.mark.parametrize("j", [1, 10, 100])
+@pytest.mark.parametrize("estimator", ["qv", "box", "shift"])
+def test_estimate_does_not_depend_on_memory_layout(estimator, j):
+    # a Fortran-ordered copy of the path gives the same bits as the C-ordered one
+    traj = _bm_trajectory(np.random.default_rng(11), 20000, 0.5, 0.01)
+    fortran = np.asfortranarray(traj.positions)
+    assert not fortran.flags.c_contiguous
+    c_est = estimate_tensor(traj, estimator, j * 0.01)
+    f_est = estimate_tensor(Trajectory(fortran, 0.01), estimator, j * 0.01)
+    assert f_est.entries.tobytes() == c_est.entries.tobytes()
+    assert f_est.n_increments == c_est.n_increments
+
+
+_BIN_SIZES = [*range(1, 20), 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 500, 1000, 4096]
+
+
+def _box_reference(row, j, delta):
+    n_bins = row.shape[0] // j
+    means = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1)
+    return _qv_tensor(means, delta, np.empty_like(means))
+
+
+@pytest.mark.parametrize("n", [17, 1001, 100001, 250000])
+def test_box_bin_means_are_np_mean_bitwise(n):
+    # the bin means are summed in np.mean's order, so box keeps its bits
+    # exactly; most of these sizes leave a trailing partial bin
+    row = _bm_trajectory(np.random.default_rng(n), n - 1, 0.5, 0.01).positions + 100.0
+    work = _row_buffers(n)
+    partial = 0
+    for j in [jj for jj in _BIN_SIZES + [n // 2] if 2 * jj <= n]:
+        entries, n_inc = _reduce_row("box", row, j, j * 0.01, 0.0, None, work)
+        ref_entries, ref_n_inc = _box_reference(row, j, j * 0.01)
+        assert entries.tobytes() == ref_entries.tobytes(), j
+        assert n_inc == ref_n_inc
+        partial += n % j != 0
+    assert partial > 0
+
+
 # ---------------------------------------------------------------------------
 # box averaging under observation noise: one draw per bin mean
 # ---------------------------------------------------------------------------
@@ -289,7 +327,7 @@ def test_noisy_box_on_a_zero_path_has_mean_theta_sq_over_j_delta():
 
 
 def test_directional_component():
-    k = DiffusivityTensor(np.array([[2.0, 0.5], [0.5, 3.0]]), "oracle")
+    k = DiffusivityTensor(np.array([[2.0, 0.5], [0.5, 3.0]]), "spectral")
     assert directional_component(k, "x") == 2.0
     assert directional_component(k, "y") == 3.0
     assert directional_component(k, "xi:1,1") == pytest.approx(2.0 + 3.0 + 2 * 0.5)
@@ -306,7 +344,7 @@ def test_tensor_validation():
         DiffusivityTensor(np.eye(3), "qv")
     with pytest.raises(ParameterError):
         DiffusivityTensor(np.eye(2), "guesswork")
-    k = DiffusivityTensor(np.eye(2), "oracle")
+    k = DiffusivityTensor(np.eye(2), "spectral")
     with pytest.raises(ParameterError):
         k.project((1.0, 2.0, 3.0))
     assert k.project((3.0, 4.0)) == 25.0
@@ -318,5 +356,6 @@ def test_unknown_estimator_and_provenance_are_refused():
         _reduce_row("median", traj.positions, 1, 0.1, 0.0, None, _row_buffers(10))
     with pytest.raises(ParameterError, match="estimator must be"):
         estimate_tensor(traj, "median", 0.1)
-    with pytest.raises(ParameterError, match="provenance"):
-        DiffusivityTensor(np.eye(2), "analytic")
+    for stale in ("analytic", "oracle"):
+        with pytest.raises(ParameterError, match="provenance"):
+            DiffusivityTensor(np.eye(2), stale)

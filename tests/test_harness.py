@@ -173,8 +173,7 @@ def test_sweep_values_are_estimate_tensor_bitwise(monkeypatch, estimator):
 
     def recording(tensor, spec):
         value = directional_component(tensor, spec)
-        if tensor.provenance != "oracle":  # not the up-front direction probe
-            seen.append(value)
+        seen.append(value)
         return value
 
     monkeypatch.setattr(harness, "directional_component", recording)
