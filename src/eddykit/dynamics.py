@@ -19,7 +19,9 @@ after the position step consumed the start-of-step value. For the shear
 family the drift does not act on x, so x is sampled exactly on the dt
 grid as a Brownian path and y is the left endpoint quadrature of
 (1/eps) eta(t/eps^2) sin(x/eps) along it plus its own Brownian part; that
-triangular structure lets the scheme run vectorised over time.
+triangular structure lets the scheme run vectorised over time, the OU
+recursion included: one in-place banded triangular solve per chunk,
+bitwise the scalar recursion (see ``_shear_kernel``).
 
 One block loop runs every flow: it draws the noise, runs the burn-in, stores
 every stride-th state and, after each chunk of at most 4096 steps,
@@ -29,11 +31,12 @@ loop for the cellular flows (Taylor-Green, Childress-Soward). A shear
 block runs on one thread per CPU in the process's affinity mask, each on
 a contiguous share of the realizations (``_run_shares``, which the
 harness's estimator reduction uses too), bitwise identical to one thread:
-the kernel's draws, cumulative sums and filters work row by row and
-release the interpreter lock on long rows. A cellular block runs as one
-share: each step advances one stacked (2, rows) state [x, y] with one
-sin and one cos call shared by both coordinates, and its few small numpy
-calls per step hold the lock, so threads would only slow it down.
+the kernel's draws, cumulative sums and the OU modulation's banded solve
+work row by row and release the interpreter lock on long rows. A
+cellular block runs as one share: each step advances one stacked
+(2, rows) state [x, y] with one sin and one cos call shared by both
+coordinates, and its few small numpy calls per step hold the lock, so
+threads would only slow it down.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -43,13 +46,14 @@ realization r alone or inside any block yields bitwise identical output.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import cython_lapack
 
 from .errors import IntegrationBlowupError, ParameterError
 from .fields import (
@@ -161,6 +165,8 @@ class SimConfig:
             raise ParameterError(f"eta0 must be finite, got {self.eta0!r}")
         if len(self.x0) != 2:
             raise ParameterError("x0 must have two components")
+        if not all(math.isfinite(float(c)) for c in self.x0):
+            raise ParameterError(f"x0 must be finite, got {self.x0!r}")
 
     @property
     def n_steps(self) -> int:
@@ -233,13 +239,47 @@ def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _cython_lapack(name: str, n_args: int):
+    """ctypes handle of a scipy.linalg.cython_lapack routine; every argument is a pointer.
+
+    The wrappers of scipy.linalg.lapack hold the interpreter lock for the
+    whole call, which serialises the row shares; a ctypes call releases it.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
+    return routine(pointer_of(capsule, name_of(capsule)))
+
+
+_DTBTRS = _cython_lapack("dtbtrs", 11)
+
+
+def _ou_solve(band: np.ndarray, eta: np.ndarray) -> None:
+    """Solve U^T x = b in place for every row b of the C-ordered (rows, c) ``eta``.
+
+    U is unit upper bidiagonal with superdiagonal band[0, 1:c], in LAPACK
+    band storage (a Fortran-ordered (2, >= c) array); eta.T is the Fortran
+    (c, rows) right-hand side of LAPACK's dtbtrs, so nothing is copied.
+    """
+    rows, c = eta.shape
+    n, kd, nrhs, ldab = (ctypes.byref(ctypes.c_int(v)) for v in (c, 1, rows, 2))
+    info = ctypes.c_int()
+    _DTBTRS(b"U", b"T", b"U", n, kd, nrhs, band.ctypes.data, ldab, eta.ctypes.data, n,
+            ctypes.byref(info))
+    if info.value != 0:
+        raise RuntimeError(f"banded OU solve failed: dtbtrs info={info.value}")
+
+
 def _raise_if_not_finite(x: np.ndarray, y: np.ndarray, first: int, start: int, end: int) -> None:
     # the state at step start was finite; name the steps in which it went bad
     bad = ~(np.isfinite(x) & np.isfinite(y))
     if bad.any():
         i = int(np.argmax(bad))
-        where = f"at step {end}" if start == end else f"between steps {start} and {end}"
-        raise IntegrationBlowupError(end, f"non-finite state in realization {first + i} {where}")
+        raise IntegrationBlowupError(
+            end, f"non-finite state in realization {first + i} between steps {start} and {end}")
 
 
 def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
@@ -262,9 +302,16 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
 
     x does not depend on y, so a chunk of x is one cumulative sum of its
     Brownian increments; y then sums the left endpoint drift along that
-    path plus its own Brownian increments, and the OU modulation runs as
-    its AR(1) recursion through lfilter (``ou`` holds its initial eta
-    vector and noise generators, None for the other shear flows). Every
+    path plus its own Brownian increments (``ou`` holds the OU modulation's
+    initial eta vector and noise generators, None for the other shear
+    flows). The modulation's exact AR(1) step eta_n = d eta_{n-1} + s xi_n
+    runs over a chunk as one unit bidiagonal solve U^T eta = b, where U has
+    superdiagonal -d and b = s xi plus d eta_prev in step 0: LAPACK's
+    banded triangular solver dtbtrs (``_ou_solve``), in place on the draws,
+    without the interpreter lock. The transposed upper form takes each step as
+    round(round(s xi_n) + round(d eta_{n-1})), the two roundings of the
+    scalar step, so it is bitwise the scalar fold; the lower untransposed
+    form runs an axpy that may fuse the multiply and the add. Every
     operation works row by row, so any partition of the rows gives bitwise
     identical output.
     """
@@ -281,9 +328,11 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
         eta0, gens_ou = ou
         ou_decay = math.exp(-flow.alpha * clock_dt)
         ou_scale = math.sqrt(flow.sigma / flow.alpha * -math.expm1(-2.0 * flow.alpha * clock_dt))
-        g_mod = np.empty((count, width))
-        eta_path = np.empty((count, width + 1))  # column 0 holds the previous eta
-        eta_path[:, 0] = eta0
+        g_mod = np.empty(count * width)  # each chunk's (count, c) view is C-ordered
+        band = np.empty((2, width), order="F")  # U: unit diagonal, superdiagonal -decay
+        band[0] = -ou_decay
+        band[1] = 1.0
+        eta_prev = np.array(eta0, dtype=float)
 
     def advance(c: int, step0: int) -> None:
         xs = x_path[:, 1:c + 1]
@@ -295,12 +344,15 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
         np.multiply(x_path[:, :c], inv_eps, out=ys)
         np.sin(ys, out=ys)
         if kind == OU_SHEAR:
+            eta = g_mod[:count * c].reshape(count, c)
             for i, gen in enumerate(gens_ou):
-                gen.standard_normal(c, out=g_mod[i, :c])
-            eta_path[:, 1:c + 1], _ = lfilter([ou_scale], [1.0, -ou_decay], g_mod[:, :c],
-                                               axis=1, zi=ou_decay * eta_path[:, :1])
-            ys *= eta_path[:, :c]
-            eta_path[:, 0] = eta_path[:, c]
+                gen.standard_normal(c, out=eta[i])
+            eta *= ou_scale
+            eta[:, 0] += ou_decay * eta_prev
+            _ou_solve(band, eta)
+            ys[:, 0] *= eta_prev
+            ys[:, 1:] *= eta[:, :c - 1]
+            eta_prev[:] = eta[:, c - 1]
         elif kind == PERIODIC_SHEAR:
             ys *= np.sin(flow.omega * ((step0 + np.arange(c)) * clock_dt))
         ys *= drift_dt
@@ -383,7 +435,6 @@ def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
     x_path, y_path, advance = kernel(flow, config, g, ou, width)
     x_path[:, 0] = float(config.x0[0])
     y_path[:, 0] = float(config.x0[1])
-    _raise_if_not_finite(x_path[:, 0], y_path[:, 0], first, 0, 0)
 
     def run_chunk(c: int, step0: int) -> None:
         for i, gen in enumerate(gens):

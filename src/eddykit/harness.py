@@ -446,17 +446,12 @@ def parse_config(source) -> RunPlan:
             if key in sim_raw:
                 kwargs[key] = cast(sim_raw.pop(key))
         if "x0" in sim_raw:
-            x0 = _floats(sim_raw.pop("x0"))
-            if len(x0) != 2:
-                raise ConfigError("x0 must have two components")
-            kwargs["x0"] = x0
+            kwargs["x0"] = _floats(sim_raw.pop("x0"))
         if "eta0" in sim_raw:
             raw = sim_raw.pop("eta0")
             kwargs["eta0"] = raw if raw == "stationary" else float(raw)
         sim = SimConfig(**kwargs)
-    except (ValueError, ParameterError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:  # ParameterError included
         raise ConfigError(f"bad [simulation] value: {exc}") from exc
 
     est_raw = dict(parser["estimation"]) if parser.has_section("estimation") else {}

@@ -3,7 +3,8 @@
 One block loop runs every flow; the shear family advances through the
 time-vectorised kernel and the cellular flows through the step loop, and
 a scalar replay pins each kernel to the scheme step by step; the stacked
-cellular loop is also held bitwise to a two-array copy of itself. The
+cellular loop is also held bitwise to a two-array copy of itself, and the
+OU modulation's banded solve bitwise to the scalar fold. The
 deterministic checks exploit kappa -> 0: with a vanishing noise scale
 the position freezes (or follows the drift ODE), so every
 convention of the scheme (left endpoint velocity, modulation clock,
@@ -359,6 +360,46 @@ def test_ou_modulation_recursion_matches_scalar_replay(entry):
     assert traj[-1, 1] == pytest.approx(x0[1] + drift, rel=1e-11)
 
 
+@pytest.mark.parametrize("alpha, sigma, dt, eps", [
+    (1.3, 0.4, 1e-3, 1.0),
+    (2.0, 0.0, 1e-2, 1.0),   # sigma = 0: the pure relaxation
+    (40.0, 2.0, 1.0, 1.0),   # large alpha dt: decay e^-40
+    (0.8, 0.3, 1e-3, 0.5),
+], ids=["base", "sigma0", "large-alpha-dt", "eps0.5"])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_ou_recursion_is_the_scalar_fold_bitwise(alpha, sigma, dt, eps, rows):
+    # zero Brownian draws and x0 = eps pi/2 make sin(x/eps) = 1 with x fixed,
+    # so each y increment is the left endpoint eta times dt/eps; chunks of
+    # 7, 1, 7 and 3 steps on a 7-column buffer carry eta across calls
+    flow = ou_shear(alpha, sigma)
+    config = SimConfig(kappa=0.5, dt=dt, t_final=18 * dt, epsilon=eps, seed=5)
+    chunks, width = [7, 1, 7, 3], 7
+    eta0 = np.linspace(-0.9, 0.6, rows)
+    gens = [stream_generator(5, r, SOURCE_OU) for r in range(rows)]
+    g = np.zeros((rows, width, 2))
+    x_path, y_path, advance = dynamics._shear_kernel(flow, config, g, (eta0, gens), width)
+    x_path[:, 0] = eps * math.pi / 2.0
+    y_path[:, 0] = 0.0
+    xi = np.stack([stream_generator(5, r, SOURCE_OU).standard_normal(sum(chunks))
+                   for r in range(rows)])
+    eta = eta0.copy()
+    y = np.zeros(rows)
+    step = 0
+    for c in chunks:
+        left = np.empty((rows, c))  # the eta each step starts from
+        for k in range(c):
+            left[:, k] = eta
+            eta = _ou_step(eta, alpha, sigma, dt / eps ** 2, xi[:, step + k])
+        advance(c, step)
+        assert np.all(x_path[:, 1:c + 1] == x_path[:, :1])
+        expected = np.cumsum(left * (dt / eps), axis=1) + y[:, None]
+        assert np.array_equal(y_path[:, 1:c + 1], expected)
+        x_path[:, 0] = x_path[:, c]
+        y_path[:, 0] = y_path[:, c]
+        y = expected[:, -1]
+        step += c
+
+
 def test_fixed_eta0_with_zero_sigma_decays_deterministically():
     # sigma = 0 leaves the pure relaxation d eta = -alpha eta dt, so the
     # left endpoint sum is a geometric series in exp(-alpha dt)
@@ -523,11 +564,14 @@ def test_row_shares_under_short_switch_interval(monkeypatch):
 
 
 def test_blowup_with_threads_reports_the_first_realization(monkeypatch):
+    # both shares blow up in the first chunk (the noise scale overflows);
+    # the tie goes to the lowest share
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
-    config = SimConfig(kappa=0.5, dt=0.01, t_final=0.1, x0=(float("nan"), 0.0))
-    with pytest.raises(IntegrationBlowupError, match="realization 7 at step 0") as info:
+    config = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
+    with pytest.raises(IntegrationBlowupError,
+                       match="realization 7 between steps 0 and 10") as info:
         simulate_ensemble(steady_shear(), config, 2, first_realization=7)
-    assert info.value.step == 0
+    assert info.value.step == 10
 
     # one thread would have stopped at the earliest step, ties going to the
     # lowest realization, whichever share finished first
@@ -569,13 +613,14 @@ def test_simulated_shapes_and_times():
 
 
 def test_blowup_reports_realization_and_step():
-    config = SimConfig(kappa=0.5, dt=0.01, t_final=0.1, x0=(float("nan"), 0.0))
-    with pytest.raises(IntegrationBlowupError, match="realization 0 at step 0") as info:
+    config = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
+    with pytest.raises(IntegrationBlowupError,
+                       match="realization 0 between steps 0 and 10") as info:
         simulate_em(steady_shear(), config)
-    assert info.value.step == 0
-    with pytest.raises(IntegrationBlowupError, match="realization 7"):
+    assert info.value.step == 10
+    with pytest.raises(IntegrationBlowupError, match="realization 7 "):
         simulate_ensemble(steady_shear(), config, 2, first_realization=7)
-    with pytest.raises(IntegrationBlowupError, match="realization 0 at step 0"):
+    with pytest.raises(IntegrationBlowupError, match="realization 0 between steps 0 and 10"):
         simulate_em(taylor_green(), config)
 
 
@@ -631,6 +676,16 @@ def test_sim_config_validation():
     # the step constraint applies only to rescaled runs
     SimConfig(kappa=0.5, dt=0.1, t_final=1.0, epsilon=1.0)
     SimConfig(kappa=0.5, dt=0.1 ** 2 / 50, t_final=1.0, epsilon=0.1)
+
+
+@pytest.mark.parametrize("x0", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
+def test_non_finite_x0_is_bad_input(tmp_path, capsys, x0):
+    with pytest.raises(ParameterError, match="x0 must be finite"):
+        SimConfig(kappa=0.5, x0=x0)
+    ini = tmp_path / "x0.ini"
+    ini.write_text(f"[flow]\nkind = shear\n\n[simulation]\nkappa = 0.5\nx0 = {x0[0]}, {x0[1]}\n")
+    assert main(["simulate", "--config", str(ini), "--output", str(tmp_path / "x.npz")]) == 2
+    assert "x0 must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("call", [

@@ -540,8 +540,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
     nan_cfg = _write(tmp_path, "nan.ini", SIM_CONFIG + "x0 = nan 0.0\n")
     assert main(["simulate", "--config", nan_cfg, "--output",
-                 str(tmp_path / "y.npz")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+                 str(tmp_path / "y.npz")]) == 2
+    assert "x0 must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("theta", ["-1", "nan"])

@@ -1,5 +1,9 @@
-"""The benchmark's tracer patches eddykit names from outside the package.
+"""Tooling around the package: its import footprint and the benchmark's tracer.
 
+Importing eddykit must load no scipy subpackage beyond the two it uses,
+since each heavy one adds its import time to every CLI call.
+
+The benchmark's tracer patches eddykit names from outside the package.
 A name it patches that the package no longer defines would break every
 traced benchmark run, so this pins each one: it exists, it is replaced
 while the tracer is installed, and it is restored afterwards. A traced
@@ -8,6 +12,9 @@ sweep must also give the untraced values and exact counters.
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -16,6 +23,19 @@ import pytest
 from eddykit import SimConfig, dynamics, harness, steady_shear, taylor_green
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_only_the_scipy_subpackages_it_uses():
+    # scipy.signal alone once cost over a second of every start-up
+    code = ("import sys, eddykit, eddykit.cli\n"
+            "print(*sorted(n for n, m in sys.modules.items() if n.count('.') == 1\n"
+            "              and n.startswith('scipy.') and not n.startswith('scipy._')\n"
+            "              and hasattr(m, '__path__')))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["scipy.linalg", "scipy.sparse"]
 
 
 def test_tracer_patches_existing_names_and_restores_them(monkeypatch):
