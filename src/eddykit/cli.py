@@ -11,6 +11,7 @@ tensors and ``oracle`` exposes the closed forms. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -38,6 +39,18 @@ from .theory import (
     qv_expectation_shear,
     subsample_bias_limit_shear,
 )
+
+# each closed-form oracle subcommand: its theory function and help text; the
+# subcommand's flags are the function's parameters, typed by their annotations
+_ORACLES = {
+    "k-shear": (k_shear, "kappa + 1/(2 kappa)"),
+    "k-periodic-shear": (k_periodic_shear, "modulated-shear candidates"),
+    "k-ou-shear": (k_ou_shear, "kappa + sigma/(2 (kappa+alpha) alpha)"),
+    "shear-qv": (qv_expectation_shear, "E[qv 22-entry] for the steady shear"),
+    "ou-qv": (qv_expectation_ou_shear, "stationary E[qv 22-entry] for the OU shear"),
+    "bias-limit": (subsample_bias_limit_shear, "small-kappa qv bias limit"),
+    "bm-box": (bm_box_expectation, "exact discrete-BM box-estimator mean"),
+}
 
 
 def _print_tensor(entries) -> None:
@@ -131,21 +144,11 @@ def _cmd_diffusivity(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.oracle == "k-shear":
-        print(f"{k_shear(args.kappa):.17g}")
-    elif args.oracle == "k-periodic-shear":
-        print(f"{k_periodic_shear(args.kappa, args.omega, args.variant):.17g}")
-    elif args.oracle == "k-ou-shear":
-        print(f"{k_ou_shear(args.kappa, args.alpha, args.sigma):.17g}")
-    elif args.oracle == "shear-qv":
-        print(f"{qv_expectation_shear(args.kappa, args.n, args.delta):.17g}")
-    elif args.oracle == "ou-qv":
-        print(f"{qv_expectation_ou_shear(args.kappa, args.alpha, args.sigma, args.delta):.17g}")
-    elif args.oracle == "bias-limit":
-        print(f"{subsample_bias_limit_shear(args.n):.17g}")
-    elif args.oracle == "bm-box":
-        print(f"{bm_box_expectation(args.kappa, args.delta, args.j):.17g}")
-    elif args.oracle == "adjudicate":
+    if args.oracle in _ORACLES:
+        oracle = _ORACLES[args.oracle][0]
+        params = inspect.signature(oracle).parameters
+        print(f"{oracle(**{name: getattr(args, name) for name in params}):.17g}")
+    else:
         verdict = adjudicate_periodic_shear(
             args.kappa, args.omega, args.realizations, args.t_final,
             args.dt, seed=args.seed)
@@ -205,37 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="closed-form reference values")
     osub = p.add_subparsers(dest="oracle", required=True)
 
-    q = osub.add_parser("k-shear", help="kappa + 1/(2 kappa)")
-    q.add_argument("--kappa", type=float, required=True)
-
-    q = osub.add_parser("k-periodic-shear", help="modulated-shear candidates")
-    q.add_argument("--kappa", type=float, required=True)
-    q.add_argument("--omega", type=float, required=True)
-    q.add_argument("--variant", required=True, choices=["printed", "figure"])
-
-    q = osub.add_parser("k-ou-shear", help="kappa + sigma/(2 (kappa+alpha) alpha)")
-    q.add_argument("--kappa", type=float, required=True)
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--sigma", type=float, required=True)
-
-    q = osub.add_parser("shear-qv", help="E[qv 22-entry] for the steady shear")
-    q.add_argument("--kappa", type=float, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--delta", type=float, required=True)
-
-    q = osub.add_parser("ou-qv", help="stationary E[qv 22-entry] for the OU shear")
-    q.add_argument("--kappa", type=float, required=True)
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--sigma", type=float, required=True)
-    q.add_argument("--delta", type=float, required=True)
-
-    q = osub.add_parser("bias-limit", help="small-kappa qv bias limit")
-    q.add_argument("--n", type=int, required=True)
-
-    q = osub.add_parser("bm-box", help="exact discrete-BM box-estimator mean")
-    q.add_argument("--kappa", type=float, required=True)
-    q.add_argument("--delta", type=float, required=True)
-    q.add_argument("--j", type=int, required=True)
+    for name, (oracle, text) in _ORACLES.items():
+        q = osub.add_parser(name, help=text)
+        for param in inspect.signature(oracle, eval_str=True).parameters.values():
+            q.add_argument(f"--{param.name}", type=param.annotation, required=True)
 
     q = osub.add_parser("adjudicate", help="periodic-shear empirical adjudication")
     q.add_argument("--kappa", type=float, default=0.1)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cython_lapack
 
-from .errors import IntegrationBlowupError, ParameterError
+from .errors import IntegrationBlowupError, ParameterError, integer, nonnegative, positive
 from .fields import (
     OU_SHEAR,
     PERIODIC_SHEAR,
@@ -80,6 +80,11 @@ def _keyed_generator(*key: int) -> np.random.Generator:
     if min(key) < 0:
         raise ParameterError(f"seed and stream keys must be nonnegative, got {key}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def as_generator(rng) -> np.random.Generator:
+    """rng itself if it is a numpy Generator, else numpy.random.default_rng(rng)."""
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 def stream_generator(seed: int, realization: int, source: int) -> np.random.Generator:
@@ -139,20 +144,14 @@ class SimConfig:
     burn_in: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ParameterError(f"kappa must be positive, got {self.kappa!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ParameterError(f"dt must be positive, got {self.dt!r}")
+        positive("kappa", self.kappa)
+        positive("dt", self.dt)
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ParameterError("t_final must be at least dt")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if int(self.store_stride) != self.store_stride or self.store_stride < 1:
-            raise ParameterError(f"store_stride must be a positive integer, got {self.store_stride!r}")
-        if not (math.isfinite(self.burn_in) and self.burn_in >= 0.0):
-            raise ParameterError(f"burn_in must be nonnegative, got {self.burn_in!r}")
+        positive("epsilon", self.epsilon)
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
+        object.__setattr__(self, "store_stride", integer("store_stride", self.store_stride, 1))
+        nonnegative("burn_in", self.burn_in)
         if self.epsilon < 1.0 and self.dt > self.epsilon ** 2 / 50.0 * (1.0 + 1e-12):
             raise ParameterError(
                 f"rescaled run with epsilon={self.epsilon} requires dt <= epsilon^2/50 "
@@ -202,9 +201,11 @@ class Trajectory:
         pos = np.ascontiguousarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ParameterError("positions must be an (n, 2) array with n >= 1")
+        if not np.isfinite(pos).all():
+            row = int(np.argmax(~np.isfinite(pos).all(axis=1)))
+            raise ParameterError(f"positions must be finite, row {row} is {pos[row].tolist()}")
         object.__setattr__(self, "positions", pos)
-        if not (math.isfinite(self.dt_stored) and self.dt_stored > 0.0):
-            raise ParameterError(f"dt_stored must be positive, got {self.dt_stored!r}")
+        positive("dt_stored", self.dt_stored)
         if self.config is not None and pos.shape[0] != self.config.n_stored:
             raise ParameterError(
                 f"expected {self.config.n_stored} stored positions, got {pos.shape[0]}"
@@ -226,12 +227,9 @@ class Trajectory:
 
 def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
     """One draw from the stationary law N(0, sigma/alpha) of the OU modulation."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ParameterError(f"sigma must be nonnegative, got {sigma!r}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return math.sqrt(sigma / alpha) * float(gen.standard_normal())
+    alpha = positive("alpha", alpha)
+    sigma = nonnegative("sigma", sigma)
+    return math.sqrt(sigma / alpha) * float(as_generator(rng).standard_normal())
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +519,7 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     non-finite state raises IntegrationBlowupError naming its realization
     and steps.
     """
-    if n_realizations < 1:
-        raise ParameterError("n_realizations must be at least 1")
-    first, count = first_realization, n_realizations
+    first, count = first_realization, integer("n_realizations", n_realizations, 1)
 
     # every stream is created here, in the calling thread; the shares only draw
     gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]

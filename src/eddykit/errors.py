@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric domain checks.
+
+``positive``, ``nonnegative`` and ``integer`` are the one rule for a finite
+positive number, a finite nonnegative number and an integer with a lower
+bound; every module checks its numeric parameters with them, so a value
+outside its domain raises ParameterError with the same wording everywhere.
+"""
 
 from __future__ import annotations
+
+import math
 
 
 class ParameterError(ValueError):
@@ -37,3 +45,44 @@ class ConvergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration file or command line argument set is invalid."""
+
+
+def _number(value) -> float:
+    """float(value), or nan when value is not a number; None and strings are not."""
+    if isinstance(value, str):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def positive(name: str, value) -> float:
+    """value as a float if it is a finite number > 0, else ParameterError naming it."""
+    number = _number(value)
+    if not 0.0 < number < math.inf:
+        raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
+def nonnegative(name: str, value) -> float:
+    """value as a float if it is a finite number >= 0, else ParameterError naming it."""
+    number = _number(value)
+    if not 0.0 <= number < math.inf:
+        raise ParameterError(f"{name} must be finite and nonnegative, got {value!r}")
+    return number
+
+
+def integer(name: str, value, minimum: int) -> int:
+    """value as an int if it is an integer >= minimum, else ParameterError naming it.
+
+    A float is taken only when it is integral, so nan, inf and 4.5 are refused.
+    """
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):  # None, a string, nan, inf
+        integral = False
+    if not integral or value < minimum:
+        bound = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ParameterError(f"{name} must be {bound}, got {value!r}")
+    return int(value)

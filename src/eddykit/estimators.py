@@ -23,9 +23,9 @@ axis. ``Trajectory`` stores C-ordered positions, so an estimate never
 depends on the memory layout of the caller's array.
 
 This module owns the estimation inputs: which estimators exist
-(``ESTIMATORS``) and how many stored points each needs, which noise level
-theta is valid and what a direction spec means. The harness and the CLI
-check their inputs here.
+(``ESTIMATORS``) and how many stored points each needs and what a
+direction spec means. The harness and the CLI check their inputs here;
+theta and delta, like every numeric domain, are checked by ``errors``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommensurabilityError, InsufficientDataError, ParameterError
+from .errors import (
+    CommensurabilityError,
+    InsufficientDataError,
+    ParameterError,
+    nonnegative,
+    positive,
+)
 from .fields import FlowSpec
-from .dynamics import Trajectory
+from .dynamics import Trajectory, as_generator
 
 ESTIMATORS = ("qv", "box", "shift")
 PROVENANCES = ESTIMATORS + ("spectral",)
@@ -49,11 +55,6 @@ def _points_needed(estimator: str, j: int) -> int:
         raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     # qv needs one increment of j steps; box two full bins, shift two points per grid
     return j + 1 if estimator == "qv" else 2 * j
-
-
-def _check_theta(theta: float) -> None:
-    if not (math.isfinite(theta) and theta >= 0.0):
-        raise ParameterError(f"theta must be finite and nonnegative, got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,8 @@ class ObservationSeries:
         if pos.shape[0] < 2:
             raise InsufficientDataError("an observation series needs at least 2 points")
         object.__setattr__(self, "positions", pos)
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ParameterError(f"delta must be positive, got {self.delta!r}")
-        _check_theta(self.theta)
+        positive("delta", self.delta)
+        nonnegative("theta", self.theta)
 
     @property
     def n_obs(self) -> int:
@@ -149,8 +149,7 @@ def directional_component(tensor: DiffusivityTensor, direction: str) -> float:
 
 def _resolve_multiple(delta: float, dt_stored: float) -> tuple[int, float]:
     """(m, canonical delta = m * dt_stored) or CommensurabilityError."""
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ParameterError(f"delta must be positive, got {delta!r}")
+    positive("delta", delta)
     m = int(round(delta / dt_stored))
     if m < 1 or not math.isclose(m * dt_stored, delta, rel_tol=1e-9, abs_tol=0.0):
         raise CommensurabilityError(
@@ -184,11 +183,11 @@ def add_observation_noise(series: ObservationSeries, theta: float, rng) -> Obser
     callers who need reproducibility across batch layouts should pass a
     stream keyed per realization, as the harness does.
     """
-    _check_theta(theta)
+    nonnegative("theta", theta)
     if theta == 0.0:
         return series
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    noisy = _perturbed(series.positions, theta, gen, np.empty(series.positions.shape))
+    noisy = _perturbed(series.positions, theta, as_generator(rng),
+                       np.empty(series.positions.shape))
     return ObservationSeries(noisy, series.delta, math.hypot(series.theta, theta))
 
 
@@ -288,11 +287,9 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
     consulted when theta > 0; a seed, or None for fresh entropy, makes a new
     generator.
     """
-    _check_theta(theta)
+    nonnegative("theta", theta)
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    gen = None
-    if theta > 0.0:
-        gen = noise if isinstance(noise, np.random.Generator) else np.random.default_rng(noise)
+    gen = as_generator(noise) if theta > 0.0 else None
     entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
                                  _row_buffers(traj.n_points))
     return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, nonnegative, positive
 
 # canonical kind tags, also used in config files and on the command line
 STEADY_SHEAR = "shear"
@@ -78,16 +78,12 @@ class FlowSpec:
             if name != "kind" and value is not None and name not in FLOW_PARAMS[self.kind]:
                 raise ParameterError(f"{name} is not a parameter of {self.kind}")
         if self.kind == PERIODIC_SHEAR:
-            if self.omega is None or not np.isfinite(self.omega) or self.omega <= 0:
-                raise ParameterError("periodic_shear requires omega > 0")
+            positive("omega", self.omega)
         if self.kind == OU_SHEAR:
-            if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
-                raise ParameterError("ou_shear requires alpha > 0")
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma < 0:
-                raise ParameterError("ou_shear requires sigma >= 0")
-        if self.kind == CHILDRESS_SOWARD:
-            if self.lam is None or not np.isfinite(self.lam) or not 0.0 <= self.lam <= 1.0:
-                raise ParameterError("childress_soward requires lam in [0, 1]")
+            positive("alpha", self.alpha)
+            nonnegative("sigma", self.sigma)
+        if self.kind == CHILDRESS_SOWARD and nonnegative("lam", self.lam) > 1.0:
+            raise ParameterError(f"lam must lie in [0, 1], got {self.lam!r}")
 
     @property
     def is_shear(self) -> bool:

@@ -16,8 +16,9 @@ thread count never changes a digit either. Noise streams and direction
 values are made in the calling thread; the shares only draw and reduce.
 
 The rules for valid inputs live with their owners: the flow kinds and their
-parameters in ``fields``, the estimators, theta and direction specs in
-``estimators``. This module and the CLI only call those checks.
+parameters in ``fields``, the estimators and direction specs in
+``estimators``, numeric domains (theta, counts, steps) in ``errors``. This
+module and the CLI only call those checks.
 """
 
 from __future__ import annotations
@@ -31,11 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimConfig, _run_shares, noise_generator, simulate_ensemble
-from .errors import ConfigError, InsufficientDataError, ParameterError
+from .errors import (
+    ConfigError,
+    InsufficientDataError,
+    ParameterError,
+    integer,
+    nonnegative,
+    positive,
+)
 from .estimators import (
     ESTIMATORS,
     DiffusivityTensor,
-    _check_theta,
     _parse_direction,
     _points_needed,
     _reduce_row,
@@ -144,11 +151,9 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ParameterError("deltas must be non-empty")
-    if n_realizations < 2:
-        raise ParameterError("n_realizations must be at least 2")
-    _check_theta(theta)
-    if batch_size < 1:
-        raise ParameterError("batch_size must be positive")
+    n_realizations = integer("n_realizations", n_realizations, 2)
+    nonnegative("theta", theta)
+    batch_size = integer("batch_size", batch_size, 1)
     _parse_direction(direction)
 
     resolved = []
@@ -286,8 +291,7 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     the means at the two largest deltas and checks which candidate lies
     within 25% of it. The returned report spells out the comparison.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"dt must be finite and positive, got {dt!r}")
+    positive("dt", dt)
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 2:
         raise ParameterError("need at least 2 deltas to form a plateau estimate")
@@ -364,11 +368,26 @@ class RunPlan:
     alpha_exponent: float = 1.0
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    parts = [p for chunk in text.split(",") for p in chunk.split()]
+    return tuple(float(p) for p in parts)
+
+
+def _eta0(text: str) -> float | str:
+    return text if text == "stationary" else float(text)
+
+
+# the INI schema: each [simulation] key is the SimConfig field of its name,
+# read with its cast; each [estimation] and [sweep] key maps to its RunPlan
+# field and cast. A key left out keeps the dataclass default.
 _FLOW_KEYS = {"kind", *(key for keys in FLOW_PARAMS.values() for key in keys)}
-_SIM_KEYS = {"kappa", "dt", "t_final", "epsilon", "x0", "eta0", "seed",
-             "store_stride", "burn_in"}
-_EST_KEYS = {"estimator", "delta", "theta", "direction"}
-_SWEEP_KEYS = {"realizations", "batch_size", "epsilons", "alpha_exponent"}
+_SIM_KEYS = {"kappa": float, "dt": float, "t_final": float, "epsilon": float,
+             "x0": _floats, "eta0": _eta0, "seed": int, "store_stride": int,
+             "burn_in": float}
+_EST_KEYS = {"estimator": ("estimator", str), "delta": ("deltas", _floats),
+             "theta": ("theta", float), "direction": ("direction", str)}
+_SWEEP_KEYS = {"realizations": ("realizations", int), "batch_size": ("batch_size", int),
+               "epsilons": ("epsilons", _floats), "alpha_exponent": ("alpha_exponent", float)}
 
 
 def _build_flow(options: dict) -> FlowSpec:
@@ -392,11 +411,6 @@ def _build_flow(options: dict) -> FlowSpec:
         return FlowSpec(kind, **values)
     except ParameterError as exc:
         raise ConfigError(f"bad [flow] parameters: {exc}") from exc
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return tuple(float(p) for p in parts)
 
 
 def parse_config(source) -> RunPlan:
@@ -426,7 +440,7 @@ def parse_config(source) -> RunPlan:
     for section in parser.sections():
         if section not in known:
             raise ConfigError(f"unknown section [{section}]")
-        extra = set(parser[section]) - known[section]
+        extra = set(parser[section]).difference(known[section])
         if extra:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(extra)}")
     if not parser.has_section("flow"):
@@ -436,41 +450,24 @@ def parse_config(source) -> RunPlan:
 
     flow = _build_flow(dict(parser["flow"]))
 
-    sim_raw = dict(parser["simulation"])
+    sim_raw = parser["simulation"]
     if "kappa" not in sim_raw:
         raise ConfigError("[simulation] must set kappa")
     try:
-        kwargs = {"kappa": float(sim_raw.pop("kappa"))}
-        for key, cast in (("dt", float), ("t_final", float), ("epsilon", float),
-                          ("seed", int), ("store_stride", int), ("burn_in", float)):
-            if key in sim_raw:
-                kwargs[key] = cast(sim_raw.pop(key))
-        if "x0" in sim_raw:
-            kwargs["x0"] = _floats(sim_raw.pop("x0"))
-        if "eta0" in sim_raw:
-            raw = sim_raw.pop("eta0")
-            kwargs["eta0"] = raw if raw == "stationary" else float(raw)
-        sim = SimConfig(**kwargs)
+        sim = SimConfig(**{key: _SIM_KEYS[key](text) for key, text in sim_raw.items()})
     except ValueError as exc:  # ParameterError included
         raise ConfigError(f"bad [simulation] value: {exc}") from exc
 
-    est_raw = dict(parser["estimation"]) if parser.has_section("estimation") else {}
-    sweep_raw = dict(parser["sweep"]) if parser.has_section("sweep") else {}
+    fields = {}
     try:
-        plan = RunPlan(
-            flow=flow,
-            sim=sim,
-            estimator=est_raw.get("estimator", "qv"),
-            deltas=_floats(est_raw["delta"]) if "delta" in est_raw else (),
-            theta=float(est_raw.get("theta", 0.0)),
-            direction=est_raw.get("direction", "y"),
-            realizations=int(sweep_raw.get("realizations", 1000)),
-            batch_size=int(sweep_raw.get("batch_size", 64)),
-            epsilons=_floats(sweep_raw["epsilons"]) if "epsilons" in sweep_raw else (),
-            alpha_exponent=float(sweep_raw.get("alpha_exponent", 1.0)),
-        )
+        for section, schema in (("estimation", _EST_KEYS), ("sweep", _SWEEP_KEYS)):
+            if parser.has_section(section):
+                for key, text in parser[section].items():
+                    field, cast = schema[key]
+                    fields[field] = cast(text)
     except ValueError as exc:
         raise ConfigError(f"bad estimation/sweep value: {exc}") from exc
+    plan = RunPlan(flow=flow, sim=sim, **fields)
     if plan.estimator not in ESTIMATORS:
         raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {plan.estimator!r}")
     return plan

@@ -60,7 +60,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, ParameterError, UnsupportedFlowError
+from .errors import (
+    ConvergenceError,
+    ParameterError,
+    UnsupportedFlowError,
+    integer,
+    nonnegative,
+    positive,
+)
 from .estimators import DiffusivityTensor
 from .fields import FlowSpec, velocity_modes
 
@@ -226,21 +233,6 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
     return matrix, rhs, lattice
 
 
-def _truncation(name: str, value) -> int:
-    """A truncation M as an int >= 4; anything else raises ParameterError naming it.
-
-    The one rule for modes, initial_modes and max_modes: a float is taken
-    only when it is integral, so nan, inf and 4.5 are refused.
-    """
-    try:
-        integral = math.isfinite(value) and int(value) == value
-    except TypeError:
-        integral = False
-    if not integral or value < 4:
-        raise ParameterError(f"{name} must be an integer >= 4, got {value!r}")
-    return int(value)
-
-
 def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSolution:
     """Galerkin solution of the cell problem on |k1|, |k2| <= modes.
 
@@ -262,9 +254,8 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
         raise UnsupportedFlowError(
             f"the cell problem is solved for time-independent flows only, got {flow.kind}"
         )
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ParameterError(f"kappa must be positive, got {kappa!r}")
-    modes = _truncation("modes", modes)
+    positive("kappa", kappa)
+    modes = integer("modes", modes, 4)
 
     matrix, rhs, lattice = _assemble(flow, kappa, modes)
     lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -327,12 +318,11 @@ def spectral_diffusivity(flow: FlowSpec, kappa: float, rtol: float = 1e-6,
     boundary layers sharpen like kappa^(1/2), so small kappa legitimately
     needs large M, and the caller decides whether an unconverged K will do.
     """
-    m_trunc = _truncation("initial_modes", initial_modes)
-    max_modes = _truncation("max_modes", max_modes)
+    m_trunc = integer("initial_modes", initial_modes, 4)
+    max_modes = integer("max_modes", max_modes, 4)
     if max_modes < m_trunc:
         raise ParameterError("max_modes must be at least initial_modes")
-    if not (math.isfinite(rtol) and rtol >= 0.0):
-        raise ParameterError(f"rtol must be nonnegative, got {rtol!r}")
+    nonnegative("rtol", rtol)
 
     sol = solve_cell_problem(flow, kappa, m_trunc)
     tensor = eddy_diffusivity_from_cell(sol)

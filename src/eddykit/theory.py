@@ -36,21 +36,14 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer, nonnegative, positive
 
 PERIODIC_SHEAR_VARIANTS = ("printed", "figure")
 
 
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
 def k_shear(kappa: float) -> float:
     """Effective diffusivity kappa + 1/(2 kappa) of the steady shear flow."""
-    kappa = _require_positive("kappa", kappa)
+    kappa = positive("kappa", kappa)
     return kappa + 1.0 / (2.0 * kappa)
 
 
@@ -70,8 +63,8 @@ def k_periodic_shear(kappa: float, omega: float, variant: str) -> float:
         consistent with an independent Green-Kubo derivation and with the
         Monte Carlo adjudication.
     """
-    kappa = _require_positive("kappa", kappa)
-    omega = _require_positive("omega", omega)
+    kappa = positive("kappa", kappa)
+    omega = positive("omega", omega)
     if variant == "printed":
         return kappa + 1.0 / (4.0 * (omega + kappa * kappa))
     if variant == "figure":
@@ -81,11 +74,9 @@ def k_periodic_shear(kappa: float, omega: float, variant: str) -> float:
 
 def k_ou_shear(kappa: float, alpha: float, sigma: float) -> float:
     """Effective diffusivity kappa + sigma/(2 (kappa + alpha) alpha) of the OU shear."""
-    kappa = _require_positive("kappa", kappa)
-    alpha = _require_positive("alpha", alpha)
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma!r}")
+    kappa = positive("kappa", kappa)
+    alpha = positive("alpha", alpha)
+    sigma = nonnegative("sigma", sigma)
     return kappa + sigma / (2.0 * (kappa + alpha) * alpha)
 
 
@@ -116,11 +107,9 @@ def qv_expectation_shear(kappa: float, n: int, delta: float) -> float:
 
     Limits: delta -> 0 gives kappa, delta -> infinity (N fixed) gives K.
     """
-    kappa = _require_positive("kappa", kappa)
-    delta = _require_positive("delta", delta)
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    kappa = positive("kappa", kappa)
+    delta = positive("delta", delta)
+    n = integer("n", n, 1)
     u = kappa * delta
     t_total = n * delta
     k_eff = kappa + 1.0 / (2.0 * kappa)
@@ -159,12 +148,10 @@ def qv_expectation_ou_shear(kappa: float, alpha: float, sigma: float,
     qv_expectation_shear this drops the finite-horizon boundary terms, so
     it describes the T >> delta, T >> 1/kappa regime.
     """
-    kappa = _require_positive("kappa", kappa)
-    alpha = _require_positive("alpha", alpha)
-    delta = _require_positive("delta", delta)
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma!r}")
+    kappa = positive("kappa", kappa)
+    alpha = positive("alpha", alpha)
+    delta = positive("delta", delta)
+    sigma = nonnegative("sigma", sigma)
     gamma = alpha + kappa
     w = gamma * delta
     if w < 1e-6:
@@ -182,9 +169,7 @@ def subsample_bias_limit_shear(n: int) -> float:
     delta = kappa^{-2-eps}, eps > 0, the rescaled bias of the quadratic
     variation estimator tends to -1/2 - 1/(8 N), independently of eps.
     """
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    n = integer("n", n, 1)
     return -0.5 - 1.0 / (8.0 * n)
 
 
@@ -209,11 +194,9 @@ def bm_box_expectation(kappa: float, delta: float, j: int) -> float:
     By Brownian self-similarity the value is invariant under rescaling
     delta at fixed J.
     """
-    kappa = _require_positive("kappa", kappa)
-    delta = _require_positive("delta", delta)
-    j = int(j)
-    if j < 1:
-        raise ParameterError(f"j must be at least 1, got {j}")
+    kappa = positive("kappa", kappa)
+    delta = positive("delta", delta)
+    j = integer("j", j, 1)
     dt = delta / j
     lags = np.arange(j, dtype=float)
     counts = np.full(j, 2.0)

@@ -112,6 +112,16 @@ def test_store_stride_slices_the_fine_path(entry):
     np.testing.assert_array_equal(coarse, fine[:, ::5])
 
 
+@pytest.mark.parametrize("flow", [steady_shear(), ou_shear(0.8, 0.2), taylor_green()],
+                         ids=lambda f: f.kind)
+def test_integral_float_stride_simulates_like_the_int(flow):
+    config = SimConfig(kappa=0.1, dt=1e-3, t_final=0.01, seed=4, store_stride=2.0)
+    assert type(config.store_stride) is int and type(config.seed) is int
+    twin = SimConfig(kappa=0.1, dt=1e-3, t_final=0.01, seed=4, store_stride=2)
+    np.testing.assert_array_equal(simulate_em(flow, config).positions,
+                                  simulate_em(flow, twin).positions)
+
+
 def test_burn_in_em_matches_shifted_run_bitwise():
     # the step loop carries its state across the burn boundary unchanged
     for flow in (taylor_green(), childress_soward(0.5)):
@@ -709,3 +719,12 @@ def test_trajectory_validation():
     config = SimConfig(kappa=0.5, dt=0.01, t_final=0.1)
     with pytest.raises(ParameterError):
         Trajectory(np.zeros((5, 2)), 0.01, steady_shear(), config)  # expects 11 rows
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_are_refused(bad):
+    positions = np.zeros((6, 2))
+    positions[3, 1] = bad
+    positions[5, 0] = bad
+    with pytest.raises(ParameterError, match=r"^positions must be finite, row 3 is "):
+        Trajectory(positions, 0.1)

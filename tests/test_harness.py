@@ -522,6 +522,16 @@ def test_cli_oracles(capsys):
     assert main(["oracle", "k-periodic-shear", "--kappa", "0.1", "--omega", "1.0",
                  "--variant", "figure"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(0.12475247524752475, rel=1e-12)
+    assert main(["oracle", "k-ou-shear", "--kappa", "0.1", "--alpha", "1.0",
+                 "--sigma", "0.1"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(0.14545454545454545, rel=1e-12)
+
+
+def test_cli_oracle_refuses_bad_variant(capsys):
+    assert main(["oracle", "k-periodic-shear", "--kappa", "0.1", "--omega", "1.0",
+                 "--variant", "table"]) == 2
+    err = capsys.readouterr().err
+    assert "variant" in err and "'table'" in err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -627,6 +637,24 @@ def test_cli_estimate_names_missing_array(tmp_path, capsys):
     assert main(["estimate", "--input", path, "--delta", "0.1"]) == 2
     err = capsys.readouterr().err
     assert "partial.npz" in err and "positions" in err
+
+
+def test_cli_estimate_refuses_non_finite_positions(tmp_path, capsys):
+    path = str(tmp_path / "nan.npz")
+    positions = np.zeros((11, 2))
+    positions[7, 0] = np.nan
+    np.savez(path, positions=positions, dt_stored=0.1)
+    assert main(["estimate", "--input", path, "--delta", "0.2", "--estimator", "box"]) == 2
+    captured = capsys.readouterr()
+    assert "positions must be finite, row 7" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("option, value", [("n_realizations", 3.5), ("batch_size", 2.5)])
+def test_sweep_refuses_fractional_counts(monkeypatch, option, value):
+    # refused before anything is simulated
+    monkeypatch.setattr(harness, "simulate_ensemble", None)
+    with pytest.raises(ParameterError, match=f"^{option} must be an integer >= "):
+        delta_sweep(FLOW, FAST, "qv", [0.1], **{"n_realizations": 8, option: value})
 
 
 @pytest.mark.parametrize("name", ["notes.txt", "empty.npz", "array.npy"])

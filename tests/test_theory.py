@@ -204,3 +204,13 @@ def test_bm_box_validation():
         bm_box_expectation(0.1, 0.0, 2)
     with pytest.raises(ParameterError):
         bm_box_expectation(0.1, 1.0, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: qv_expectation_shear(0.1, 2.5, 1.0), "n"),
+    (lambda: bm_box_expectation(0.1, 1.0, 2.5), "j"),
+    (lambda: subsample_bias_limit_shear(1.9), "n"),
+], ids=["shear-qv", "bm-box", "bias-limit"])
+def test_fractional_counts_are_refused(call, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 1"):
+        call()
