@@ -76,9 +76,9 @@ _PIECE = 256  # steps of scaled draws the cellular loop copies at a time
 
 
 def _keyed_generator(*key: int) -> np.random.Generator:
-    key = tuple(int(k) for k in key)
-    if min(key) < 0:
-        raise ParameterError(f"seed and stream keys must be nonnegative, got {key}")
+    # every key is a nonnegative integer; an integral float keys the same stream
+    names = ("seed", "realization", "source", "index")
+    key = tuple(integer(name, k, 0) for name, k in zip(names, key))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
@@ -519,7 +519,8 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     non-finite state raises IntegrationBlowupError naming its realization
     and steps.
     """
-    first, count = first_realization, integer("n_realizations", n_realizations, 1)
+    first = integer("first_realization", first_realization, 0)
+    count = integer("n_realizations", n_realizations, 1)
 
     # every stream is created here, in the calling thread; the shares only draw
     gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]

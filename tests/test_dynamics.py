@@ -711,6 +711,35 @@ def test_negative_seed_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: dynamics.noise_generator(1.5, 0), "seed"),
+    (lambda: stream_generator(0, 2.5, SOURCE_BM), "realization"),
+    (lambda: stream_generator(0, 0, 0.5), "source"),
+    (lambda: dynamics.noise_generator(0, 0, index=1.5), "index"),
+    (lambda: dynamics.noise_generator(0, math.nan), "realization"),
+    (lambda: simulate_ensemble(steady_shear(), SimConfig(kappa=0.5, dt=0.01, t_final=0.05), 2,
+                               first_realization=0.5), "first_realization"),
+], ids=["seed", "realization", "source", "index", "nan", "first-realization"])
+def test_fractional_stream_key_is_refused(call, name):
+    # a fractional key used to be truncated to the stream of its integer part
+    with pytest.raises(ParameterError, match=f"^{name} must be a nonnegative integer"):
+        call()
+
+
+def test_integral_stream_keys_give_the_same_streams():
+    draws = dynamics.noise_generator(7, 3, 2).standard_normal(64)
+    for key in ((7.0, 3.0, 2.0), (np.int64(7), np.int32(3), np.uint8(2))):
+        np.testing.assert_array_equal(dynamics.noise_generator(*key).standard_normal(64), draws)
+    np.testing.assert_array_equal(stream_generator(7.0, 3.0, float(SOURCE_BM)).standard_normal(8),
+                                  stream_generator(7, 3, SOURCE_BM).standard_normal(8))
+    config = SimConfig(kappa=0.5, dt=0.01, t_final=0.05, seed=4)
+    rows = simulate_ensemble(steady_shear(), config, 2, first_realization=3)
+    np.testing.assert_array_equal(
+        simulate_ensemble(steady_shear(), config, 2, first_realization=3.0), rows)
+    np.testing.assert_array_equal(
+        simulate_ensemble(steady_shear(), config, 2, first_realization=np.int64(3)), rows)
+
+
 def test_trajectory_validation():
     with pytest.raises(ParameterError):
         Trajectory(np.zeros((4, 3)), 0.1)

@@ -37,6 +37,7 @@ from eddykit import (
     taylor_green,
     velocity_modes,
 )
+from eddykit import fields
 from eddykit.fields import FLOW_PARAMS, TIME_INDEPENDENT
 
 SQ2 = math.sqrt(2.0)
@@ -176,18 +177,21 @@ def test_refined_residual_above_contract_raises(monkeypatch):
 @pytest.mark.parametrize("kind", TIME_INDEPENDENT)
 @pytest.mark.parametrize("m", [8, 24])
 def test_symmetric_part_is_the_diagonal_diffusion(kind, m):
-    # diagonal pivots are safe only because B + B^T is positive definite;
-    # the zero mode is not in H, so every diagonal entry is 2 kappa |k|^2 > 0
+    # diagonal pivots are safe only because every block's B + B^T is positive
+    # definite; the zero mode is in no block, so every diagonal entry is
+    # 2 w kappa |k|^2 > 0, with w in {1, 2} the orbit size over 2
     kappa = 0.1
     flow = FlowSpec(kind, **{name: 0.5 for name in FLOW_PARAMS[kind]})
-    matrix, _, lattice = homogenization._assemble(flow, kappa, m)
-    sym = (matrix + matrix.T).tocoo()
-    off = sym.row != sym.col
-    assert np.all(sym.data[off] == 0.0)
-    k1, k2 = np.divmod(lattice, 2 * m + 1)
-    expected = 2.0 * kappa * ((k1 - m) ** 2 + (k2 - m) ** 2)
-    np.testing.assert_array_equal(sym.diagonal(), expected)
-    assert np.all(expected > 0.0)
+    blocks, _, _ = homogenization._assemble(flow, kappa, m)
+    for block in blocks:
+        sym = (block.matrix + block.matrix.T).tocoo()
+        off = sym.row != sym.col
+        assert np.all(sym.data[off] == 0.0)
+        k1, k2 = np.divmod(block.lattice, 2 * m + 1)
+        expected = 2.0 * kappa * ((k1 - m) ** 2 + (k2 - m) ** 2) * block.weight
+        np.testing.assert_array_equal(sym.diagonal(), expected)
+        assert np.all(expected > 0.0)
+        assert set(block.weight.tolist()) <= {1.0, 2.0}
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def test_symmetric_part_is_the_diagonal_diffusion(kind, m):
 # ---------------------------------------------------------------------------
 
 
-def _full_lattice_coefficients(flow, kappa, m):
+def _full_lattice_system(flow, kappa, m):
     """Reference: the complex Galerkin system on every |k1|, |k2| <= m."""
     side = 2 * m + 1
     n = side * side
@@ -218,6 +222,12 @@ def _full_lattice_coefficients(flow, kappa, m):
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n), dtype=complex).tocsc()
+    return matrix, rhs
+
+
+def _full_lattice_coefficients(flow, kappa, m):
+    matrix, rhs = _full_lattice_system(flow, kappa, m)
+    side = 2 * m + 1
     lu = spla.splu(matrix)
     return np.stack([lu.solve(rhs[:, i]).reshape(side, side) for i in range(2)])
 
@@ -253,22 +263,53 @@ def _reachable_and_half(shape, m):
 @pytest.mark.parametrize("m", [8, 24])
 def test_reachable_set_size_and_zero_off_set(flow, shape, m):
     side = 2 * m + 1
-    matrix, rhs, lattice = homogenization._assemble(flow, 0.1, m)
+    blocks, swap, _ = homogenization._assemble(flow, 0.1, m)
     expected, half = _reachable_and_half(shape, m)
     size = side if shape == "line" else (side * side + 1) // 2
     assert np.count_nonzero(expected) == size
-    assert matrix.shape == ((size - 1) // 2,) * 2
-    np.testing.assert_array_equal(np.sort(lattice), np.flatnonzero(half))
-    assert matrix.dtype == np.float64 and rhs.dtype == np.float64
+    # the blocks solve on orbits of H; without G the one block is H itself,
+    # and the two G blocks together cover every nonzero reachable mode
+    n_half = (size - 1) // 2
+    if swap is None:
+        assert len(blocks) == 1 and blocks[0].matrix.shape == (n_half, n_half)
+        np.testing.assert_array_equal(blocks[0].lattice, np.flatnonzero(half))
+    else:
+        assert all(block.matrix.shape == (n_half // 2, n_half // 2) for block in blocks)
+    covered = np.zeros(side * side, dtype=bool)
+    for block in blocks:
+        assert np.all(half.ravel()[block.lattice])
+        # the embedding lives on the reachable set and is odd under k -> -k
+        np.testing.assert_array_equal(block.points, np.flatnonzero(expected))
+        coef = np.zeros(side * side)
+        coef[block.points] = block.coef
+        np.testing.assert_array_equal(coef[::-1], -coef)
+        covered |= coef != 0.0
+        assert block.matrix.dtype == np.float64 and block.rhs.dtype == np.float64
+    if len(blocks) == 1 + (swap is not None):
+        nonzero = expected.ravel().copy()
+        nonzero[side * side // 2] = False
+        np.testing.assert_array_equal(covered, nonzero)
 
     sol = solve_cell_problem(flow, 0.1, modes=m)
     off = sol.coefficients[:, ~expected]
     assert np.all(off == 0.0)
 
 
-@pytest.mark.parametrize("flow, shape", REACHABLE_CASES, ids=REACHABLE_IDS)
-def test_factorization_sees_only_the_half_set(flow, shape, monkeypatch):
-    # guards against a silent return to the full reachable system
+# (flow, shape, has G, has R)
+SYMMETRY_CASES = [
+    (steady_shear(), "line", False, False),
+    (taylor_green(), "parity", True, True),
+    (childress_soward(0.0), "parity", True, True),
+    (childress_soward(0.5), "parity", True, False),
+    (childress_soward(1.0), "parity", True, False),
+]
+SYMMETRY_IDS = [flow_label(case[0]) for case in SYMMETRY_CASES]
+
+
+@pytest.mark.parametrize("flow, shape, swap, mirror", SYMMETRY_CASES, ids=SYMMETRY_IDS)
+def test_factorization_sees_only_the_half_set(flow, shape, swap, mirror, monkeypatch):
+    # guards against a silent return to the whole H, or to the reachable set:
+    # H whole without G, else one (|H|/2)^2 factorization per G block solved
     m = 16
     seen = []
     real_splu = spla.splu
@@ -281,7 +322,125 @@ def test_factorization_sees_only_the_half_set(flow, shape, monkeypatch):
     solve_cell_problem(flow, 0.1, modes=m)
     reachable, _ = _reachable_and_half(shape, m)
     n = (np.count_nonzero(reachable) - 1) // 2
-    assert seen == [(n, n)]
+    if not swap:
+        assert seen == [(n, n)]
+    else:
+        assert n % 2 == 0
+        assert seen == [(n // 2, n // 2)] * (1 if mirror else 2)
+
+
+# ---------------------------------------------------------------------------
+# symmetry blocks
+# ---------------------------------------------------------------------------
+
+
+def test_symmetry_cases_cover_every_time_independent_kind():
+    assert {case[0].kind for case in SYMMETRY_CASES} == set(TIME_INDEPENDENT)
+
+
+@pytest.mark.parametrize("flow, shape, swap, mirror", SYMMETRY_CASES, ids=SYMMETRY_IDS)
+def test_symmetries_are_read_from_the_stream_modes(flow, shape, swap, mirror):
+    assert homogenization._symmetries(homogenization.stream_modes(flow)) == (swap, mirror)
+
+
+def _dense(t, size):
+    # T x for every unit vector x: the columns of T
+    return t.apply(np.eye(size)).T
+
+
+def test_lattice_maps_act_as_documented():
+    # (T_N f)_(a,b) = f_(-a,-b), (T_G f)_(a,b) = (-1)^b f_(b,a), (T_R f)_(a,b) = f_(-a,b)
+    m = 5
+    side = 2 * m + 1
+    grid = np.random.default_rng(3).standard_normal((side, side))
+    parity = (-1.0) ** np.arange(-m, m + 1)
+    for t, expected in ((homogenization._N, grid[::-1, ::-1]),
+                        (homogenization._G, parity[None, :] * grid.T),
+                        (homogenization._R, grid[::-1, :])):
+        np.testing.assert_array_equal(t.apply(grid.ravel()).reshape(side, side), expected)
+
+
+@pytest.mark.parametrize("flow, shape, swap, mirror", SYMMETRY_CASES, ids=SYMMETRY_IDS)
+def test_detected_maps_commute_with_the_h_matrix(flow, shape, swap, mirror):
+    # B = P^T A P / 2 on H for the odd embedding P, from the independent
+    # full-lattice operator; each detected map, folded onto H the same way,
+    # must commute with it exactly. On the parity set a map that is not
+    # detected must not; the shear's line carries no advection at all.
+    m = 8
+    side = 2 * m + 1
+    matrix, _ = _full_lattice_system(flow, 0.1, m)
+    full = matrix.toarray()
+    assert np.all(full.imag == 0.0)
+    _, half = _reachable_and_half(shape, m)
+    h = np.flatnonzero(half)
+    embed = np.zeros((side * side, h.size))
+    embed[h, np.arange(h.size)] = 1.0
+    embed[side * side - 1 - h, np.arange(h.size)] = -1.0
+    b = embed.T @ full.real @ embed / 2.0
+    for t, detected in ((homogenization._G, swap), (homogenization._R, mirror)):
+        s = embed.T @ _dense(t, side * side) @ embed / 2.0
+        if detected:
+            assert np.all(np.count_nonzero(s, axis=1) == 1)
+            np.testing.assert_array_equal(s @ b, b @ s)
+        elif shape == "parity":
+            assert not np.array_equal(s @ b, b @ s)
+
+
+def test_even_flow_without_swap_runs_as_one_block(monkeypatch):
+    # Taylor-Green plus cos 2x is even but has neither G nor R, so it must
+    # go through the same loop as one block with both right-hand sides
+    def with_cosine(flow):
+        modes = {(1, 1): -0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): -0.25}
+        return {**modes, (2, 0): 0.2, (-2, 0): 0.2}
+
+    monkeypatch.setattr(fields, "stream_modes", with_cosine)
+    monkeypatch.setattr(homogenization, "stream_modes", with_cosine)
+    assert homogenization._symmetries(with_cosine(None)) == (False, False)
+    seen = []
+    real_splu = spla.splu
+
+    def recording_splu(a, **kw):
+        seen.append(a.shape)
+        return real_splu(a, **kw)
+
+    monkeypatch.setattr(homogenization.spla, "splu", recording_splu)
+    for m, kappa in ((8, 0.1), (24, 0.005)):
+        seen.clear()
+        sol = solve_cell_problem(taylor_green(), kappa, modes=m)
+        reachable, _ = _reachable_and_half("parity", m)
+        n = (np.count_nonzero(reachable) - 1) // 2
+        assert seen == [(n, n)]
+        ref = _full_lattice_coefficients(taylor_green(), kappa, m)
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(sol.coefficients, ref, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green(), childress_soward(0.5)],
+                         ids=flow_label)
+def test_reported_residual_is_the_full_lattice_one(flow, monkeypatch):
+    # factoring A (I + c E) for a diagonal E that differs between blocks
+    # leaves a refined residual of order c^2 that differs between them too;
+    # the reported residual must be the full operator's on the coefficients
+    real_splu = spla.splu
+    calls = []
+
+    def perturbed_splu(a, **kw):
+        calls.append(a.shape)
+        c = 3e-6 * len(calls) ** 2
+        return real_splu((a @ sp.diags(1.0 + c * np.linspace(1.0, 2.0, a.shape[0]))).tocsc(),
+                         **kw)
+
+    monkeypatch.setattr(homogenization.spla, "splu", perturbed_splu)
+    m, kappa = 12, 0.1
+    sol = solve_cell_problem(flow, kappa, modes=m)
+    matrix, rhs = _full_lattice_system(flow, kappa, m)
+    full = 0.0
+    for i in range(2):
+        err = np.linalg.norm(matrix @ sol.coefficients[i].ravel() - rhs[:, i])
+        scale = np.linalg.norm(rhs[:, i])
+        full = max(full, err / scale if scale > 0.0 else err)
+    assert 1e-13 < full < 1e-10
+    assert sol.residual == pytest.approx(full, rel=1e-5, abs=0.0)
 
 
 def test_velocity_with_real_part_is_refused(monkeypatch):
