@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import Trajectory, noise_generator, simulate_em
+from .dynamics import SimConfig, Trajectory, noise_generator, simulate_em
 from .errors import (
     CommensurabilityError,
     ConfigError,
@@ -113,6 +113,15 @@ def _cmd_rescaled(args) -> int:
     plan = parse_config(args.config)
     if not plan.epsilons:
         raise ConfigError("[sweep] must set epsilons for the rescaled command")
+    # rescaled_study derives dt, store_stride and epsilon for each epsilon and
+    # runs from SimConfig's default x0, eta0 and burn_in, so other values there
+    # would be dropped
+    start = SimConfig(plan.sim.kappa)
+    dropped = [key for key in ("x0", "eta0", "burn_in")
+               if getattr(plan.sim, key) != getattr(start, key)]
+    if dropped:
+        raise ConfigError(f"rescaled runs start at the default x0, eta0 and burn_in; "
+                          f"remove [simulation] keys {dropped}")
     report = rescaled_study(plan.flow, plan.sim.kappa, plan.epsilons,
                             plan.alpha_exponent, plan.realizations,
                             plan.sim.t_final, plan.estimator, plan.direction,
@@ -127,7 +136,8 @@ def _cmd_diffusivity(args) -> int:
         sol = solve_cell_problem(flow, args.kappa, args.modes)
         tensor = eddy_diffusivity_from_cell(sol)
     else:
-        tensor, sol = spectral_diffusivity(flow, args.kappa, rtol=args.rtol)
+        rtol = {"rtol": args.rtol} if "rtol" in args else {}
+        tensor, sol = spectral_diffusivity(flow, args.kappa, **rtol)
     _print_tensor(tensor.entries)
     print(f"modes = {sol.modes}")
     print(f"residual = {sol.residual:.3e}")
@@ -144,20 +154,19 @@ def _cmd_diffusivity(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    oracle = _ORACLES[args.oracle][0] if args.oracle in _ORACLES else adjudicate_periodic_shear
+    params = inspect.signature(oracle).parameters
+    # a flag left out is absent from args, so the parameter keeps its default
+    result = oracle(**{name: value for name, value in vars(args).items() if name in params})
     if args.oracle in _ORACLES:
-        oracle = _ORACLES[args.oracle][0]
-        params = inspect.signature(oracle).parameters
-        print(f"{oracle(**{name: getattr(args, name) for name in params}):.17g}")
-    else:
-        verdict = adjudicate_periodic_shear(
-            args.kappa, args.omega, args.realizations, args.t_final,
-            args.dt, seed=args.seed)
-        print(verdict.report)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(verdict.report + "\n")
-        if args.csv:
-            verdict.sweep.to_csv(args.csv)
+        print(f"{result:.17g}")
+        return 0
+    print(result.report)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(result.report + "\n")
+    if args.csv:
+        result.sweep.to_csv(args.csv)
     return 0
 
 
@@ -200,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="childress_soward parameter (default 0.5)")
     p.add_argument("--modes", type=int, default=None,
                    help="fixed truncation M; omit for adaptive doubling")
-    p.add_argument("--rtol", type=float, default=1e-6,
-                   help="adaptive-doubling relative tolerance")
+    p.add_argument("--rtol", type=float, default=argparse.SUPPRESS,
+                   help="adaptive-doubling relative tolerance (default: the library's)")
     p.add_argument("--csv", default=None, help="also write a machine-readable row")
     p.set_defaults(func=_cmd_diffusivity)
 
@@ -213,13 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
         for param in inspect.signature(oracle, eval_str=True).parameters.values():
             q.add_argument(f"--{param.name}", type=param.annotation, required=True)
 
-    q = osub.add_parser("adjudicate", help="periodic-shear empirical adjudication")
-    q.add_argument("--kappa", type=float, default=0.1)
-    q.add_argument("--omega", type=float, default=1.0)
-    q.add_argument("--realizations", type=int, default=200)
-    q.add_argument("--t-final", type=float, default=1000.0)
-    q.add_argument("--dt", type=float, default=1e-3)
-    q.add_argument("--seed", type=int, default=0)
+    # no defaults here: a flag left out takes adjudicate_periodic_shear's
+    q = osub.add_parser("adjudicate", help="periodic-shear empirical adjudication",
+                        argument_default=argparse.SUPPRESS)
+    q.add_argument("--kappa", type=float)
+    q.add_argument("--omega", type=float)
+    q.add_argument("--realizations", type=int, dest="n_realizations")
+    q.add_argument("--t-final", type=float)
+    q.add_argument("--dt", type=float)
+    q.add_argument("--seed", type=int)
     q.add_argument("--output", default=None, help="write the text report here")
     q.add_argument("--csv", default=None, help="write the underlying sweep CSV here")
 

@@ -49,12 +49,16 @@ ESTIMATORS = ("qv", "box", "shift")
 PROVENANCES = ESTIMATORS + ("spectral",)
 
 
-def _points_needed(estimator: str, j: int) -> int:
-    """Fewest stored points one estimate at j stored steps per delta needs."""
+def _check_points(estimator: str, delta: float, j: int, n: int) -> None:
+    """Refuse n stored points too few for one estimate at delta = j stored steps."""
     if estimator not in ESTIMATORS:
         raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     # qv needs one increment of j steps; box two full bins, shift two points per grid
-    return j + 1 if estimator == "qv" else 2 * j
+    needed = j + 1 if estimator == "qv" else 2 * j
+    if n < needed:
+        raise InsufficientDataError(
+            f"{estimator} at delta={delta:g} ({j} stored steps) needs at least {needed} "
+            f"stored points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,7 @@ def subsample(traj: Trajectory, delta: float) -> ObservationSeries:
     drift from repeated delta arithmetic downstream.
     """
     m, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    needed = _points_needed("qv", m)
-    if traj.n_points < needed:
-        raise InsufficientDataError(
-            f"need at least {needed} stored points to subsample at delta={delta!r}, "
-            f"got {traj.n_points}"
-        )
+    _check_points("qv", delta_c, m, traj.n_points)
     return ObservationSeries(traj.positions[::m], delta_c)
 
 
@@ -237,11 +236,7 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
     """
     points, diffs = work
     n = row.shape[0]
-    needed = _points_needed(estimator, j)
-    if n < needed:
-        raise InsufficientDataError(
-            f"{estimator} at delta = {j} stored steps needs at least {needed} stored points, "
-            f"got {n}")
+    _check_points(estimator, delta, j, n)
     if estimator == "qv":
         obs = row[::j]
         if theta > 0.0:

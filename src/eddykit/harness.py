@@ -16,9 +16,10 @@ thread count never changes a digit either. Noise streams and direction
 values are made in the calling thread; the shares only draw and reduce.
 
 The rules for valid inputs live with their owners: the flow kinds and their
-parameters in ``fields``, the estimators and direction specs in
-``estimators``, numeric domains (theta, counts, steps) in ``errors``. This
-module and the CLI only call those checks.
+parameters in ``fields``, the estimators, the points each needs and direction
+specs in ``estimators``, numeric domains (theta, counts, steps) in
+``errors``. This module and the CLI only call those checks; a config file's
+[flow] and [simulation] sections are built by FlowSpec and SimConfig.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import configparser
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -43,8 +44,8 @@ from .errors import (
 from .estimators import (
     ESTIMATORS,
     DiffusivityTensor,
+    _check_points,
     _parse_direction,
-    _points_needed,
     _reduce_row,
     _resolve_multiple,
     _row_buffers,
@@ -159,11 +160,7 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     resolved = []
     for d in deltas:
         m, d_c = _resolve_multiple(d, config.dt_stored)
-        needed = _points_needed(estimator, m)
-        if config.n_stored < needed:
-            raise InsufficientDataError(
-                f"delta={d} needs {needed} stored points, run stores {config.n_stored}"
-            )
+        _check_points(estimator, d_c, m, config.n_stored)
         resolved.append((m, d_c))
 
     values = np.empty((len(resolved), n_realizations))
@@ -377,40 +374,30 @@ def _eta0(text: str) -> float | str:
     return text if text == "stationary" else float(text)
 
 
-# the INI schema: each [simulation] key is the SimConfig field of its name,
-# read with its cast; each [estimation] and [sweep] key maps to its RunPlan
-# field and cast. A key left out keeps the dataclass default.
-_FLOW_KEYS = {"kind", *(key for keys in FLOW_PARAMS.values() for key in keys)}
-_SIM_KEYS = {"kappa": float, "dt": float, "t_final": float, "epsilon": float,
-             "x0": _floats, "eta0": _eta0, "seed": int, "store_stride": int,
-             "burn_in": float}
-_EST_KEYS = {"estimator": ("estimator", str), "delta": ("deltas", _floats),
-             "theta": ("theta", float), "direction": ("direction", str)}
-_SWEEP_KEYS = {"realizations": ("realizations", int), "batch_size": ("batch_size", int),
-               "epsilons": ("epsilons", _floats), "alpha_exponent": ("alpha_exponent", float)}
+# the INI schema, one {key: cast} table per section. [flow] keys are the
+# FlowSpec fields and [simulation] keys the SimConfig fields of their name,
+# [estimation] and [sweep] keys the RunPlan fields (the key delta fills
+# deltas). A key left out keeps the dataclass default.
+_SCHEMA = {
+    "flow": {"kind": str, **{key: float for keys in FLOW_PARAMS.values() for key in keys}},
+    "simulation": {"kappa": float, "dt": float, "t_final": float, "epsilon": float,
+                   "x0": _floats, "eta0": _eta0, "seed": int, "store_stride": int,
+                   "burn_in": float},
+    "estimation": {"estimator": str, "delta": _floats, "theta": float, "direction": str},
+    "sweep": {"realizations": int, "batch_size": int, "epsilons": _floats,
+              "alpha_exponent": float},
+}
 
 
-def _build_flow(options: dict) -> FlowSpec:
-    kind = options.pop("kind", None)
-    if kind is None:
-        raise ConfigError("[flow] must set kind")
-    if kind not in FLOW_PARAMS:
-        raise ConfigError(f"unknown flow kind {kind!r}")
-    params = FLOW_PARAMS[kind]
-    missing = [k for k in params if k not in options]
+def _build(cls, section: str, values: dict):
+    """cls(**values), refusing a missing required field or a bad value as ConfigError."""
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
-        raise ConfigError(f"flow kind {kind!r} requires keys {missing}")
-    extra = sorted(set(options) - set(params))
-    if extra:
-        raise ConfigError(f"[flow] keys {extra} do not apply to kind {kind!r}")
+        raise ConfigError(f"[{section}] must set {', '.join(missing)}")
     try:
-        values = {k: float(options[k]) for k in params}
-    except ValueError as exc:
-        raise ConfigError(f"bad [flow] value: {exc}") from None
-    try:
-        return FlowSpec(kind, **values)
-    except ParameterError as exc:
-        raise ConfigError(f"bad [flow] parameters: {exc}") from exc
+        return cls(**values)
+    except ValueError as exc:  # ParameterError included
+        raise ConfigError(f"bad [{section}] value: {exc}") from exc
 
 
 def parse_config(source) -> RunPlan:
@@ -435,39 +422,29 @@ def parse_config(source) -> RunPlan:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    known = {"flow": _FLOW_KEYS, "simulation": _SIM_KEYS,
-             "estimation": _EST_KEYS, "sweep": _SWEEP_KEYS}
+    values = {section: {} for section in _SCHEMA}
     for section in parser.sections():
-        if section not in known:
+        schema = _SCHEMA.get(section)
+        if schema is None:
             raise ConfigError(f"unknown section [{section}]")
-        extra = set(parser[section]).difference(known[section])
+        extra = set(parser[section]).difference(schema)
         if extra:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(extra)}")
-    if not parser.has_section("flow"):
-        raise ConfigError("missing [flow] section")
-    if not parser.has_section("simulation"):
-        raise ConfigError("missing [simulation] section")
+        for key, text in parser[section].items():
+            try:
+                values[section][key] = schema[key](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad [{section}] value for {key}: {exc}") from exc
+    for section in ("flow", "simulation"):
+        if not parser.has_section(section):
+            raise ConfigError(f"missing [{section}] section")
 
-    flow = _build_flow(dict(parser["flow"]))
-
-    sim_raw = parser["simulation"]
-    if "kappa" not in sim_raw:
-        raise ConfigError("[simulation] must set kappa")
-    try:
-        sim = SimConfig(**{key: _SIM_KEYS[key](text) for key, text in sim_raw.items()})
-    except ValueError as exc:  # ParameterError included
-        raise ConfigError(f"bad [simulation] value: {exc}") from exc
-
-    fields = {}
-    try:
-        for section, schema in (("estimation", _EST_KEYS), ("sweep", _SWEEP_KEYS)):
-            if parser.has_section(section):
-                for key, text in parser[section].items():
-                    field, cast = schema[key]
-                    fields[field] = cast(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad estimation/sweep value: {exc}") from exc
-    plan = RunPlan(flow=flow, sim=sim, **fields)
+    flow = _build(FlowSpec, "flow", values["flow"])
+    sim = _build(SimConfig, "simulation", values["simulation"])
+    plan_values = {**values["estimation"], **values["sweep"]}
+    if "delta" in plan_values:
+        plan_values["deltas"] = plan_values.pop("delta")
+    plan = RunPlan(flow=flow, sim=sim, **plan_values)
     if plan.estimator not in ESTIMATORS:
         raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {plan.estimator!r}")
     return plan

@@ -323,7 +323,7 @@ def test_steady_shear_drift_is_exact(entry):
     config = SimConfig(kappa=TINY, dt=1e-3, t_final=0.5, x0=x0, seed=1)
     traj = _shear_block(entry, steady_shear(), config, 1)[0]
     assert traj[-1, 0] == pytest.approx(x0[0], abs=1e-12)
-    assert traj[-1, 1] == pytest.approx(x0[1] + 0.5 * math.sin(x0[0]), rel=1e-12)
+    assert traj[-1, 1] == pytest.approx(x0[1] + 0.5 * math.sin(x0[0]), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -335,7 +335,7 @@ def test_periodic_shear_modulation_clock(entry):
     config = SimConfig(kappa=TINY, dt=dt, t_final=n * dt, x0=x0, seed=1)
     traj = _shear_block(entry, periodic_shear(omega), config, 1)[0]
     expected = x0[1] + math.sin(x0[0]) * dt * np.sum(np.sin(omega * np.arange(n) * dt))
-    assert traj[-1, 1] == pytest.approx(expected, rel=1e-12)
+    assert traj[-1, 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_rescaled_drift_and_clock():
@@ -346,11 +346,11 @@ def test_rescaled_drift_and_clock():
     config = SimConfig(kappa=TINY, dt=dt, t_final=n * dt, epsilon=eps, x0=x0, seed=1)
     steady = simulate_ensemble(steady_shear(), config, 1)[0]
     assert steady[-1, 1] == pytest.approx(
-        x0[1] + (n * dt / eps) * math.sin(x0[0] / eps), rel=1e-12)
+        x0[1] + (n * dt / eps) * math.sin(x0[0] / eps), rel=1e-12, abs=0.0)
     modulated = simulate_ensemble(periodic_shear(omega), config, 1)[0]
     phases = np.sin(omega * np.arange(n) * dt / eps ** 2)
     expected = x0[1] + (dt / eps) * math.sin(x0[0] / eps) * np.sum(phases)
-    assert modulated[-1, 1] == pytest.approx(expected, rel=1e-12)
+    assert modulated[-1, 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -367,7 +367,7 @@ def test_ou_modulation_recursion_matches_scalar_replay(entry):
     for k in range(n):
         drift += eta * math.sin(x0[0]) * dt
         eta = _ou_step(eta, alpha, sigma, dt, g[k])
-    assert traj[-1, 1] == pytest.approx(x0[1] + drift, rel=1e-11)
+    assert traj[-1, 1] == pytest.approx(x0[1] + drift, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha, sigma, dt, eps", [
@@ -418,7 +418,7 @@ def test_fixed_eta0_with_zero_sigma_decays_deterministically():
     traj = simulate_em(ou_shear(alpha, 0.0), config)
     decay = math.exp(-alpha * dt)
     drift = eta0 * math.sin(0.5) * dt * (1.0 - decay ** n) / (1.0 - decay)
-    assert traj.positions[-1, 1] == pytest.approx(drift, rel=1e-12)
+    assert traj.positions[-1, 1] == pytest.approx(drift, rel=1e-12, abs=0.0)
 
 
 def test_em_tracks_taylor_green_ode():

@@ -7,6 +7,7 @@ floating point ones (translation) to tight relative tolerances.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eddykit import (
     InsufficientDataError,
     ObservationSeries,
     ParameterError,
+    SimConfig,
     Trajectory,
     add_observation_noise,
     bm_box_expectation,
@@ -24,8 +26,10 @@ from eddykit import (
     directional_component,
     qv_estimate,
     shift_estimate,
+    simulate_em,
     steady_shear,
     subsample,
+    taylor_green,
 )
 from eddykit.dynamics import noise_generator
 from eddykit.estimators import _qv_tensor, _reduce_row, _row_buffers, estimate_tensor
@@ -76,6 +80,18 @@ def test_subsample_needs_enough_points():
     subsample(traj, 0.4)  # 5 points just cover one increment
 
 
+@pytest.mark.parametrize("call, estimate", [
+    (lambda traj: subsample(traj, 0.5), "qv at delta=0.5 (5 stored steps)"),
+    (lambda traj: estimate_tensor(traj, "qv", 0.5), "qv at delta=0.5 (5 stored steps)"),
+    (lambda traj: box_estimate(traj, 0.3), "box at delta=0.3 (3 stored steps)"),
+    (lambda traj: shift_estimate(traj, 0.3), "shift at delta=0.3 (3 stored steps)"),
+], ids=["subsample", "qv", "box", "shift"])
+def test_too_few_points_refusal_names_delta_and_both_counts(call, estimate):
+    message = estimate + " needs at least 6 stored points, got 5"
+    with pytest.raises(InsufficientDataError, match=re.escape(message)):
+        call(Trajectory(np.zeros((5, 2)), 0.1))
+
+
 def test_observation_series_validation():
     with pytest.raises(InsufficientDataError):
         ObservationSeries(np.zeros((1, 2)), 0.1)
@@ -104,7 +120,7 @@ def test_noise_is_reproducible_and_composes():
     np.testing.assert_array_equal(a.positions, b.positions)
     assert a.theta == 0.3
     twice = add_observation_noise(a, 0.4, np.random.default_rng(6))
-    assert twice.theta == pytest.approx(0.5, rel=1e-15)
+    assert twice.theta == pytest.approx(0.5, rel=1e-15, abs=0.0)
 
 
 def test_noise_inflates_qv_by_theta_sq_over_delta():
@@ -115,7 +131,7 @@ def test_noise_inflates_qv_by_theta_sq_over_delta():
     noisy = qv_estimate(add_observation_noise(series, theta, rng))
     expected = theta * theta / delta
     for diag in (noisy.entries[0, 0], noisy.entries[1, 1]):
-        assert diag == pytest.approx(expected, rel=0.05)
+        assert diag == pytest.approx(expected, rel=0.05, abs=0.0)
     assert abs(noisy.entries[0, 1]) < 0.05 * expected
 
 
@@ -294,6 +310,22 @@ def test_noisy_box_at_j_one_is_noisy_qv_bitwise():
     np.testing.assert_array_equal(box.entries, qv.entries)
     noisy = add_observation_noise(subsample(traj, 0.01), 0.05, np.random.default_rng(5))
     np.testing.assert_array_equal(box.entries, qv_estimate(noisy).entries)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+@pytest.mark.parametrize("delta", [0.02, 0.1, 1.0])
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=["shear", "taylor_green"])
+def test_public_qv_pipeline_is_estimate_tensor_bitwise(flow, delta, theta):
+    # subsample -> add_observation_noise -> qv_estimate is one computation
+    # with estimate_tensor("qv"), draws included
+    traj = simulate_em(flow, SimConfig(kappa=0.3, dt=0.01, t_final=5.0, x0=(0.4, 1.1), seed=8))
+    series = add_observation_noise(subsample(traj, delta), theta, np.random.default_rng(21))
+    piped = qv_estimate(series)
+    direct = estimate_tensor(traj, "qv", delta, theta, np.random.default_rng(21))
+    np.testing.assert_array_equal(piped.entries, direct.entries)
+    assert piped.n_increments == direct.n_increments
+    assert piped.theta == direct.theta == theta
+    assert piped.delta == direct.delta
 
 
 @pytest.mark.parametrize("n, j", [(401, 1), (401, 4), (401, 7), (1003, 10)])

@@ -7,8 +7,10 @@ path. CLI tests drive main() in process and assert on exit codes.
 """
 
 import csv
+import inspect
 import io
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -35,11 +37,12 @@ from eddykit import (
     run_ensemble,
     simulate_em,
     simulate_ensemble,
+    spectral_diffusivity,
     steady_shear,
     taylor_green,
 )
 from eddykit import dynamics, harness
-from eddykit.cli import main
+from eddykit.cli import build_parser, main
 from eddykit.dynamics import noise_generator
 from eddykit.estimators import ESTIMATORS, estimate_tensor
 from eddykit.harness import _CSV_COLUMNS
@@ -211,7 +214,8 @@ def test_sweep_validation_happens_before_any_simulation():
         delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=8, batch_size=0)
     # FAST stores 101 points: qv at delta = 2.0 fits (101 needed), box needs 200
     delta_sweep(FLOW, FAST, "qv", [2.0], n_realizations=2)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match=re.escape(
+            "box at delta=2 (100 stored steps) needs at least 200 stored points, got 101")):
         delta_sweep(FLOW, FAST, "box", [2.0], n_realizations=2)
 
 
@@ -347,9 +351,10 @@ def test_parse_config_from_file(tmp_path):
 
 @pytest.mark.parametrize("mutation, needle", [
     ("[typo]\nx = 1\n", "unknown section"),
-    ("[flow]\nkind = shear\nomega = 1\n\n[simulation]\nkappa = 1\n", "do not apply"),
+    ("[flow]\nkind = shear\nomega = 1\n\n[simulation]\nkappa = 1\n", "omega is not a parameter of"),
     ("[flow]\nkind = spiral\n\n[simulation]\nkappa = 1\n", "unknown flow kind"),
-    ("[flow]\nkind = periodic_shear\n\n[simulation]\nkappa = 1\n", "requires keys"),
+    ("[flow]\nkind = periodic_shear\n\n[simulation]\nkappa = 1\n",
+     "omega must be finite and positive"),
     ("[flow]\nomega = 1\n\n[simulation]\nkappa = 1\n", "must set kind"),
     ("[simulation]\nkappa = 1\n", "missing \\[flow\\]"),
     ("[flow]\nkind = shear\n", "missing \\[simulation\\]"),
@@ -485,6 +490,41 @@ def test_cli_rescaled_csv(tmp_path):
     assert [float(r["epsilon"]) for r in rows] == [0.4, 1.0]
 
 
+RESCALED_SWEEP = "\n[sweep]\nrealizations = 4\nepsilons = 0.4, 1.0\n"
+
+
+@pytest.mark.parametrize("line", ["x0 = 3.0, 1.0", "eta0 = 0.5", "burn_in = 0.2"])
+def test_cli_rescaled_refuses_start_keys_it_cannot_apply(tmp_path, capsys, line):
+    config = _write(tmp_path, "run.ini", SIM_CONFIG + line + "\n" + RESCALED_SWEEP)
+    assert main(["rescaled", "--config", config, "--output", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(line.split()[0]) in err
+
+
+def test_cli_rescaled_takes_start_keys_at_their_defaults(tmp_path, capsys):
+    plain = _write(tmp_path, "plain.ini", SIM_CONFIG + RESCALED_SWEEP)
+    spelled = _write(tmp_path, "spelled.ini", SIM_CONFIG
+                     + "x0 = 0.0, 0.0\neta0 = stationary\nburn_in = 0.0\n" + RESCALED_SWEEP)
+    assert main(["rescaled", "--config", plain, "--output", "-"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["rescaled", "--config", spelled, "--output", "-"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_flags_left_out_take_the_library_defaults(capsys):
+    parser = build_parser()
+    library = set(inspect.signature(adjudicate_periodic_shear).parameters)
+    assert not library & set(vars(parser.parse_args(["oracle", "adjudicate"])))
+    assert "rtol" not in parser.parse_args(["diffusivity", "--flow", "shear", "--kappa", "1"])
+    assert main(["oracle", "adjudicate", "--realizations", "4", "--t-final", "60",
+                 "--dt", "0.01"]) == 0
+    verdict = adjudicate_periodic_shear(n_realizations=4, t_final=60.0, dt=0.01)
+    assert capsys.readouterr().out == verdict.report + "\n"
+    assert main(["diffusivity", "--flow", "taylor_green", "--kappa", "0.5"]) == 0
+    tensor, _ = spectral_diffusivity(taylor_green(), 0.5)
+    assert f"K11 = {tensor.entries[0, 0]:.12g}\n" in capsys.readouterr().out
+
+
 def test_cli_diffusivity(tmp_path, capsys):
     assert main(["diffusivity", "--flow", "shear", "--kappa", "0.1",
                  "--modes", "8"]) == 0
@@ -494,7 +534,7 @@ def test_cli_diffusivity(tmp_path, capsys):
     assert main(["diffusivity", "--flow", "taylor_green", "--kappa", "0.1",
                  "--csv", str(csv_path)]) == 0
     row = list(csv.DictReader(csv_path.read_text().splitlines()))[0]
-    assert float(row["k11"]) == pytest.approx(0.34166, rel=1e-3)
+    assert float(row["k11"]) == pytest.approx(0.34166, rel=1e-3, abs=0.0)
 
 
 def test_cli_diffusivity_reports_convergence(capsys):
@@ -510,21 +550,21 @@ def test_cli_oracles(capsys):
     assert float(capsys.readouterr().out) == 5.1
     assert main(["oracle", "shear-qv", "--kappa", "0.5", "--n", "100",
                  "--delta", "1.0"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(0.7116942911991108, rel=1e-12)
+    assert float(capsys.readouterr().out) == pytest.approx(0.7116942911991108, rel=1e-12, abs=0.0)
     assert main(["oracle", "ou-qv", "--kappa", "0.1", "--alpha", "1.0",
                  "--sigma", "0.1", "--delta", "1.0"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(0.11788723486355701, rel=1e-12)
+    assert float(capsys.readouterr().out) == pytest.approx(0.11788723486355701, rel=1e-12, abs=0.0)
     assert main(["oracle", "bias-limit", "--n", "100"]) == 0
     assert float(capsys.readouterr().out) == -0.50125
     assert main(["oracle", "bm-box", "--kappa", "0.1", "--delta", "1.0",
                  "--j", "10"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(0.067, rel=1e-12)
+    assert float(capsys.readouterr().out) == pytest.approx(0.067, rel=1e-12, abs=0.0)
     assert main(["oracle", "k-periodic-shear", "--kappa", "0.1", "--omega", "1.0",
                  "--variant", "figure"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(0.12475247524752475, rel=1e-12)
+    assert float(capsys.readouterr().out) == pytest.approx(0.12475247524752475, rel=1e-12, abs=0.0)
     assert main(["oracle", "k-ou-shear", "--kappa", "0.1", "--alpha", "1.0",
                  "--sigma", "0.1"]) == 0
-    assert float(capsys.readouterr().out) == pytest.approx(0.14545454545454545, rel=1e-12)
+    assert float(capsys.readouterr().out) == pytest.approx(0.14545454545454545, rel=1e-12, abs=0.0)
 
 
 def test_cli_oracle_refuses_bad_variant(capsys):

@@ -67,7 +67,7 @@ def test_shear_corrector_coefficients():
 @pytest.mark.parametrize("kappa", [0.05, 0.1, 0.5, 1.0])
 def test_spectral_matches_analytic_shear(kappa):
     tensor = eddy_diffusivity_from_cell(solve_cell_problem(steady_shear(), kappa, modes=8))
-    assert tensor.entries[1, 1] == pytest.approx(k_shear(kappa), rel=1e-10)
+    assert tensor.entries[1, 1] == pytest.approx(k_shear(kappa), rel=1e-10, abs=0.0)
     assert tensor.entries[0, 0] == pytest.approx(kappa, abs=1e-12)
     assert abs(tensor.entries[0, 1]) < 1e-12
 
@@ -79,7 +79,7 @@ def test_spectral_matches_analytic_shear(kappa):
 
 def test_taylor_green_frozen_value_and_isotropy():
     tensor = eddy_diffusivity_from_cell(solve_cell_problem(taylor_green(), 0.1, modes=16))
-    assert tensor.entries[0, 0] == pytest.approx(0.3416574503389721, rel=1e-9)
+    assert tensor.entries[0, 0] == pytest.approx(0.3416574503389721, rel=1e-9, abs=0.0)
     assert abs(tensor.entries[0, 0] - tensor.entries[1, 1]) < 1e-10
     assert abs(tensor.entries[0, 1]) < 1e-10
 
@@ -97,8 +97,10 @@ def test_childress_soward_frozen_values():
         np.array([[0.92554337, 0.79087976], [0.79087976, 0.92554337]]),
         atol=1e-7,
     )
-    assert tensor.project((1 / SQ2, 1 / SQ2)) == pytest.approx(1.716423126170169, rel=1e-8)
-    assert tensor.project((-1 / SQ2, 1 / SQ2)) == pytest.approx(0.13466361475636562, rel=1e-8)
+    assert tensor.project((1 / SQ2, 1 / SQ2)) == pytest.approx(
+        1.716423126170169, rel=1e-8, abs=0.0)
+    assert tensor.project((-1 / SQ2, 1 / SQ2)) == pytest.approx(
+        0.13466361475636562, rel=1e-8, abs=0.0)
 
 
 def test_childress_soward_lambda_zero_reduces_to_taylor_green():
@@ -171,7 +173,7 @@ def test_refined_residual_above_contract_raises(monkeypatch):
     monkeypatch.setattr(homogenization.spla, "splu", lambda a, **kw: real_splu(1.5 * a, **kw))
     with pytest.raises(ConvergenceError) as caught:
         solve_cell_problem(taylor_green(), 0.1, modes=8)
-    assert caught.value.residual == pytest.approx(1.0 / 9.0, rel=1e-10)
+    assert caught.value.residual == pytest.approx(1.0 / 9.0, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", TIME_INDEPENDENT)
@@ -459,7 +461,7 @@ def test_velocity_with_real_part_is_refused(monkeypatch):
 
 def test_spectral_diffusivity_converges():
     tensor, sol = spectral_diffusivity(taylor_green(), 0.1, rtol=1e-8)
-    assert tensor.entries[0, 0] == pytest.approx(0.3416574503389721, rel=1e-6)
+    assert tensor.entries[0, 0] == pytest.approx(0.3416574503389721, rel=1e-6, abs=0.0)
     assert sol.modes >= 32
     assert tensor.provenance == "spectral"
 
@@ -504,8 +506,8 @@ def test_spectral_diffusivity_tries_a_cap_off_the_doubling_ladder():
 def test_fit_scaling_exponent_exact_power_law():
     samples = [(k, 3.0 * k ** 0.5) for k in (0.01, 0.04, 0.09, 0.25)]
     fit = fit_scaling_exponent(samples)
-    assert fit.exponent == pytest.approx(0.5, rel=1e-12)
-    assert fit.prefactor == pytest.approx(3.0, rel=1e-12)
+    assert fit.exponent == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    assert fit.prefactor == pytest.approx(3.0, rel=1e-12, abs=0.0)
     assert isinstance(fit, ScalingFit)
 
 

@@ -37,7 +37,7 @@ def test_k_shear_values():
     assert k_shear(1.0) == 1.5
     # global minimum sqrt(2) at kappa = 1/sqrt(2)
     k_min = 2.0 ** -0.5
-    assert k_shear(k_min) == pytest.approx(2.0 ** 0.5, rel=1e-15)
+    assert k_shear(k_min) == pytest.approx(2.0 ** 0.5, rel=1e-15, abs=0.0)
     assert k_shear(0.99 * k_min) > k_shear(k_min)
     assert k_shear(1.01 * k_min) > k_shear(k_min)
 
@@ -49,14 +49,16 @@ def test_k_shear_bounds(kappa):
 
 def test_k_ou_shear_values():
     assert k_ou_shear(0.1, 1.0, 0.1) == 0.1 + 0.1 / 2.2
-    assert k_ou_shear(0.1, 1.0, 0.1) == pytest.approx(0.14545454545454545, rel=1e-15)
+    assert k_ou_shear(0.1, 1.0, 0.1) == pytest.approx(0.14545454545454545, rel=1e-15, abs=0.0)
     # sigma = 0 switches the modulation off
     assert k_ou_shear(0.3, 2.0, 0.0) == 0.3
 
 
 def test_k_periodic_shear_variants():
-    assert k_periodic_shear(0.1, 1.0, "printed") == pytest.approx(0.34752475247524752, rel=1e-15)
-    assert k_periodic_shear(0.1, 1.0, "figure") == pytest.approx(0.12475247524752475, rel=1e-15)
+    assert k_periodic_shear(0.1, 1.0, "printed") == pytest.approx(
+        0.34752475247524752, rel=1e-15, abs=0.0)
+    assert k_periodic_shear(0.1, 1.0, "figure") == pytest.approx(
+        0.12475247524752475, rel=1e-15, abs=0.0)
     with pytest.raises(ParameterError):
         k_periodic_shear(0.1, 1.0, "both")
 
@@ -81,14 +83,14 @@ QV_CASES = [
 
 @pytest.mark.parametrize("kappa, n, delta, expected, rtol", QV_CASES)
 def test_qv_expectation_shear_frozen(kappa, n, delta, expected, rtol):
-    assert qv_expectation_shear(kappa, n, delta) == pytest.approx(expected, rel=rtol)
+    assert qv_expectation_shear(kappa, n, delta) == pytest.approx(expected, rel=rtol, abs=0.0)
 
 
 def test_qv_expectation_shear_limits():
     # delta -> 0 recovers the molecular value, delta -> infinity the
     # effective one (exponentials underflow harmlessly on the way)
-    assert qv_expectation_shear(0.3, 50, 1e-10) == pytest.approx(0.3, rel=1e-9)
-    assert qv_expectation_shear(0.5, 1, 1e6) == pytest.approx(k_shear(0.5), rel=1e-5)
+    assert qv_expectation_shear(0.3, 50, 1e-10) == pytest.approx(0.3, rel=1e-9, abs=0.0)
+    assert qv_expectation_shear(0.5, 1, 1e6) == pytest.approx(k_shear(0.5), rel=1e-5, abs=0.0)
 
 
 @given(kappas, st.integers(1, 100000), deltas)
@@ -119,13 +121,14 @@ OU_QV_CASES = [
 
 @pytest.mark.parametrize("delta, expected", OU_QV_CASES)
 def test_qv_expectation_ou_shear_frozen(delta, expected):
-    assert qv_expectation_ou_shear(0.1, 1.0, 0.1, delta) == pytest.approx(expected, rel=1e-12)
+    assert qv_expectation_ou_shear(0.1, 1.0, 0.1, delta) == pytest.approx(
+        expected, rel=1e-12, abs=0.0)
 
 
 def test_qv_expectation_ou_shear_limits():
-    assert qv_expectation_ou_shear(0.1, 1.0, 0.1, 1e-12) == pytest.approx(0.1, rel=1e-9)
+    assert qv_expectation_ou_shear(0.1, 1.0, 0.1, 1e-12) == pytest.approx(0.1, rel=1e-9, abs=0.0)
     assert qv_expectation_ou_shear(0.1, 1.0, 0.1, 1e12) == pytest.approx(
-        k_ou_shear(0.1, 1.0, 0.1), rel=1e-9
+        k_ou_shear(0.1, 1.0, 0.1), rel=1e-9, abs=0.0
     )
 
 
@@ -156,7 +159,7 @@ def test_qv_expectation_ou_shear_monotone_in_delta(kappa, alpha, sigma, delta, f
 def test_subsample_bias_limit_values():
     assert subsample_bias_limit_shear(100) == -0.50125
     assert subsample_bias_limit_shear(1) == -0.625
-    assert subsample_bias_limit_shear(10 ** 9) == pytest.approx(-0.5, rel=1e-9)
+    assert subsample_bias_limit_shear(10 ** 9) == pytest.approx(-0.5, rel=1e-9, abs=0.0)
     with pytest.raises(ParameterError):
         subsample_bias_limit_shear(0)
 
@@ -178,19 +181,19 @@ def test_subsample_bias_limit_bounds(n):
 def test_bm_box_matches_closed_form(j):
     kappa, delta = 0.37, 2.9
     expected = kappa * (2 * j * j + 1) / (3 * j * j)
-    assert bm_box_expectation(kappa, delta, j) == pytest.approx(expected, rel=1e-13)
+    assert bm_box_expectation(kappa, delta, j) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_bm_box_j_one_is_molecular():
     assert bm_box_expectation(0.25, 4.0, 1) == 0.25
-    assert bm_box_expectation(0.1, 1.7, 1) == pytest.approx(0.1, rel=1e-14)
+    assert bm_box_expectation(0.1, 1.7, 1) == pytest.approx(0.1, rel=1e-14, abs=0.0)
 
 
 @given(kappas, deltas, deltas, st.integers(1, 200))
 def test_bm_box_scale_invariance_and_bounds(kappa, d1, d2, j):
     v1 = bm_box_expectation(kappa, d1, j)
     v2 = bm_box_expectation(kappa, d2, j)
-    assert v1 == pytest.approx(v2, rel=1e-12)
+    assert v1 == pytest.approx(v2, rel=1e-12, abs=0.0)
     # decays from kappa at J = 1 to (2/3) kappa, never below
     assert 2.0 * kappa / 3.0 < v1 <= kappa * (1.0 + 1e-12)
     if j > 1:

@@ -82,7 +82,7 @@ def test_traced_share_sweep_is_exact(monkeypatch):
     assert tracer._stack == []
     (root,) = [span for span in tracer.spans if span[5] is None]
     assert root[1] == "harness.delta_sweep"
-    assert math.fsum(tracer.self_s.values()) == pytest.approx(root[4] - root[3], rel=1e-9)
+    assert math.fsum(tracer.self_s.values()) == pytest.approx(root[4] - root[3], rel=1e-9, abs=0.0)
     # box draws one normal per bin coordinate: 2 floor(n / J) per estimate
     draws = m * sum(2 * (config.n_stored // k) for k in multiples)
     assert tracer.counts["estimators.noise_draws"] == draws
