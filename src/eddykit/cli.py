@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFlowError,
 )
 from .estimators import ESTIMATORS, directional_component, estimate_tensor
-from .fields import FLOW_PARAMS, TIME_INDEPENDENT, FlowSpec, flow_label
+from .fields import CHILDRESS_SOWARD, TIME_INDEPENDENT, FlowSpec, flow_label
 from .harness import adjudicate_periodic_shear, delta_sweep, parse_config, rescaled_study
 from .homogenization import eddy_diffusivity_from_cell, solve_cell_problem, spectral_diffusivity
 from .theory import (
@@ -51,6 +51,8 @@ _ORACLES = {
     "bias-limit": (subsample_bias_limit_shear, "small-kappa qv bias limit"),
     "bm-box": (bm_box_expectation, "exact discrete-BM box-estimator mean"),
 }
+
+_LAM = 0.5  # childress_soward's lam when diffusivity is not given --lam
 
 
 def _print_tensor(entries) -> None:
@@ -131,7 +133,9 @@ def _cmd_rescaled(args) -> int:
 
 
 def _cmd_diffusivity(args) -> int:
-    flow = FlowSpec(args.flow, **{key: getattr(args, key) for key in FLOW_PARAMS[args.flow]})
+    # FlowSpec refuses a given --lam for a flow without lam
+    lam = _LAM if args.lam is None and args.flow == CHILDRESS_SOWARD else args.lam
+    flow = FlowSpec(args.flow, lam=lam)
     if args.modes is not None:
         sol = solve_cell_problem(flow, args.kappa, args.modes)
         tensor = eddy_diffusivity_from_cell(sol)
@@ -205,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffusivity", help="spectral reference diffusivity")
     p.add_argument("--flow", required=True, choices=TIME_INDEPENDENT)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--lam", type=float, default=0.5,
-                   help="childress_soward parameter (default 0.5)")
+    p.add_argument("--lam", type=float, default=None,
+                   help=f"childress_soward parameter (default {_LAM:g})")
     p.add_argument("--modes", type=int, default=None,
                    help="fixed truncation M; omit for adaptive doubling")
     p.add_argument("--rtol", type=float, default=argparse.SUPPRESS,

@@ -29,14 +29,19 @@ checks that the state is finite, naming the steps in which it went bad.
 Its advance kernel is time-vectorised for the shear family and a step
 loop for the cellular flows (Taylor-Green, Childress-Soward). A shear
 block runs on one thread per CPU in the process's affinity mask, each on
-a contiguous share of the realizations (``_run_shares``, which the
-harness's estimator reduction uses too), bitwise identical to one thread:
-the kernel's draws, cumulative sums and the OU modulation's banded solve
-work row by row and release the interpreter lock on long rows. A
-cellular block runs as one share: each step advances one stacked
+a contiguous share of the realizations (``_run_shares``), bitwise
+identical to one thread: the kernel's draws, cumulative sums and the OU
+modulation's banded solve work row by row and release the interpreter
+lock on long rows. A share integrates its rows in groups whose stored
+paths fit ``_GROUP_BYTES``. Given a row reduction (the harness sweeps
+pass their estimators), it reduces each group as soon as it is
+integrated and reuses one group buffer, so a sweep's memory is bounded
+per share rather than by batch size times stored points. A cellular block
+runs in the calling thread as one group: each step advances one stacked
 (2, rows) state [x, y] with one sin and one cos call shared by both
 coordinates, and its few small numpy calls per step hold the lock, so
-threads would only slow it down.
+threads would only slow it down; its rows are then reduced on the row
+shares.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -72,6 +77,7 @@ SOURCE_ETA0 = 2    # stationary initial draw for eta
 SOURCE_NOISE = 3   # observation noise, consumed by the harness
 
 _CHUNK = 4096
+_GROUP_BYTES = 16 << 20  # stored paths of the group of rows a share integrates at once
 _PIECE = 256  # steps of scaled draws the cellular loop copies at a time
 
 
@@ -416,7 +422,7 @@ def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
     draws a chunk's increments, the flow family's ``advance(c, step0)``
     fills the chunk's x and y paths, whose column 0 holds the state before
     it, and the loop stores every stride-th column and checks that the
-    state after the chunk is finite. Buffers are allocated once per share.
+    state after the chunk is finite. Buffers are allocated once per call.
     A state going non-finite is reported by that check alone: numpy's
     overflow and invalid-value warnings are off here, per thread, since the
     error state is thread-local.
@@ -477,18 +483,18 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_shares(run, count: int, threads: bool = True) -> None:
+def _run_shares(run, count: int) -> None:
     """Call ``run(rows)`` on contiguous row shares that cover range(count) once.
 
-    With ``threads`` the rows split into one share per CPU in the process's
-    affinity mask (at most one per row), each run on a thread of its own;
-    otherwise one share covers every row. ``run`` writes only its own rows
-    of whatever it fills, so the result is bitwise identical to one thread.
-    An error is re-raised as one thread would have raised it: the earliest
-    ``step``, ties going to the lowest share; an error without a step
-    arose before any step.
+    The rows split into one share per CPU in the process's affinity mask (at
+    most one per row), each run on a thread of its own. ``run`` writes only
+    its own rows of whatever it fills, so the result is bitwise identical to
+    one thread. An error is re-raised as one thread would have raised it: a
+    blow-up before any other error, the earliest ``step`` first, ties going
+    to the lowest share; among errors without a step (a row reduction's),
+    the lowest share's.
     """
-    n_shares = min(_cpu_count(), count) if threads else 1
+    n_shares = min(_cpu_count(), count)
     if n_shares == 1:
         run(slice(0, count))
         return
@@ -496,14 +502,14 @@ def _run_shares(run, count: int, threads: bool = True) -> None:
     with ThreadPoolExecutor(max_workers=n_shares) as pool:
         futures = [pool.submit(run, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
     errors = [f.exception() for f in futures]
-    raised = [(getattr(e, "step", -1), k) for k, e in enumerate(errors) if e is not None]
+    raised = [(getattr(e, "step", math.inf), k) for k, e in enumerate(errors) if e is not None]
     if raised:
         raise errors[min(raised)[1]]
 
 
 def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
-                      first_realization: int = 0) -> np.ndarray:
-    """Simulate a block of realizations.
+                      first_realization: int = 0, reduce=None) -> np.ndarray:
+    """Simulate a block of realizations, and reduce each one if asked to.
 
     Returns an (n_realizations, n_stored, 2) array. Every flow runs through
     the one block loop, with the time-vectorised advance for the shear family
@@ -513,11 +519,24 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     in one call or in any partition yields bitwise identical rows.
 
     A shear block runs on the row shares of ``_run_shares``, one thread per
-    CPU, each writing its own rows of the output; the result is bitwise
-    identical to one thread. A cellular block runs as one share: its step
-    loop holds the interpreter lock, so threads would only slow it down. A
-    non-finite state raises IntegrationBlowupError naming its realization
-    and steps.
+    CPU. Each share integrates its rows in groups whose stored paths fit
+    ``_GROUP_BYTES``; the result is bitwise identical to one thread and to
+    any grouping. A cellular block runs in the calling thread as one group:
+    its step loop holds the interpreter lock, so threads would only slow it
+    down. A non-finite state raises IntegrationBlowupError naming its
+    realization and steps: the earliest step interval, ties going to the
+    lowest realization.
+
+    ``reduce``, if given, replaces each stored path by its reduction, so
+    that a shear block never holds more than one group of paths per share.
+    ``reduce()`` is called once per share, on the share's thread, and
+    returns ``row(i, path)``, which gets row i of the block and its
+    (n_stored, 2) path as soon as the row's group is integrated (for a
+    cellular block, after the whole block, on the row shares) and returns
+    an array of one shape for every row; the path's buffer is reused once
+    ``row`` returns. The result is then those arrays stacked in row order.
+    A blow-up anywhere in the block outranks an error raised by ``row``,
+    and among those errors the lowest row's is raised.
     """
     first = integer("first_realization", first_realization, 0)
     count = integer("n_realizations", n_realizations, 1)
@@ -527,14 +546,52 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     eta = gens_ou = None
     if flow.kind == OU_SHEAR:
         eta, gens_ou = _ou_streams(flow, config, first, count)
-    out = np.empty((count, config.n_stored, 2))
+    shape = (config.n_stored, 2)
+    group_rows = max(1, _GROUP_BYTES // (8 * math.prod(shape)))
+    # the whole block's paths, unless each shear group is reduced at once
+    out = np.empty((count, *shape)) if reduce is None or not flow.is_shear else None
+    reduced = [None] * count
 
-    def run(rows: slice) -> None:
+    def integrate(rows: slice, paths: np.ndarray) -> None:
         ou = None if gens_ou is None else (eta[rows], gens_ou[rows])
-        _block(flow, config, first + rows.start, gens[rows], ou, out[rows])
+        _block(flow, config, first + rows.start, gens[rows], ou, paths)
 
-    _run_shares(run, count, threads=flow.is_shear)
-    return out
+    def reduce_rows(row, rows: slice, paths: np.ndarray) -> None:
+        for i, path in zip(range(rows.start, rows.stop), paths):
+            reduced[i] = row(i, path)
+
+    def share(rows: slice) -> None:
+        # every group runs even after an error, so the share raises what one
+        # _block call over all its rows would have: the earliest blow-up
+        size = min(rows.stop - rows.start, group_rows)
+        if reduce is not None:
+            buffer = np.empty((size, *shape))
+            row = reduce()
+        blowup = failed = None
+        for a in range(rows.start, rows.stop, size):
+            group = slice(a, min(a + size, rows.stop))
+            paths = out[group] if reduce is None else buffer[:group.stop - a]
+            try:
+                integrate(group, paths)
+            except IntegrationBlowupError as exc:
+                if blowup is None or exc.step < blowup.step:
+                    blowup = exc
+                continue
+            if reduce is not None and blowup is None and failed is None:
+                try:
+                    reduce_rows(row, group, paths)
+                except Exception as exc:  # kept until no group can blow up
+                    failed = exc
+        if blowup is not None or failed is not None:
+            raise blowup or failed
+
+    if flow.is_shear:
+        _run_shares(share, count)
+    else:
+        integrate(slice(0, count), out)
+        if reduce is not None:
+            _run_shares(lambda rows: reduce_rows(reduce(), rows, out[rows]), count)
+    return out if reduce is None else np.stack(reduced)
 
 
 def simulate_em(flow: FlowSpec, config: SimConfig) -> Trajectory:

@@ -49,10 +49,15 @@ ESTIMATORS = ("qv", "box", "shift")
 PROVENANCES = ESTIMATORS + ("spectral",)
 
 
-def _check_points(estimator: str, delta: float, j: int, n: int) -> None:
-    """Refuse n stored points too few for one estimate at delta = j stored steps."""
+def _check_estimator(estimator: str) -> None:
+    """Refuse a name that is not one of ESTIMATORS."""
     if estimator not in ESTIMATORS:
         raise ParameterError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+
+
+def _check_points(estimator: str, delta: float, j: int, n: int) -> None:
+    """Refuse n stored points too few for one estimate at delta = j stored steps."""
+    _check_estimator(estimator)
     # qv needs one increment of j steps; box two full bins, shift two points per grid
     needed = j + 1 if estimator == "qv" else 2 * j
     if n < needed:

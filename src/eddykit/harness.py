@@ -8,23 +8,28 @@ simulated once and re-subsampled at every delta, mirroring how a single
 observed dataset is analyzed at several sampling rates (this also gives
 the delta-to-delta comparison a common noise background).
 
-A sweep reduces each simulated block in place, on the same row shares as
-the simulation (``dynamics._run_shares``, one thread per CPU, for every
-flow), through the one row reduction of the estimators that
-``estimators.estimate_tensor`` and the library estimators call too; the
-thread count never changes a digit either. Noise streams and direction
-values are made in the calling thread; the shares only draw and reduce.
+A sweep hands ``dynamics.simulate_ensemble`` the one row reduction of the
+estimators, which ``estimators.estimate_tensor`` and the library
+estimators call too, and the simulation's row shares (one thread per CPU)
+run it. A shear share reduces each group of rows as soon as it is
+integrated, so a sweep holds one group of stored paths per share, never
+a (batch, n_stored, 2) block; a cellular block is reduced on the shares
+once its step loop is done. Neither the thread count nor the group size
+changes a digit. Noise streams and direction values are made in the
+calling thread; the shares only draw and reduce.
 
 The rules for valid inputs live with their owners: the flow kinds and their
 parameters in ``fields``, the estimators, the points each needs and direction
 specs in ``estimators``, numeric domains (theta, counts, steps) in
 ``errors``. This module and the CLI only call those checks; a config file's
-[flow] and [simulation] sections are built by FlowSpec and SimConfig.
+[flow] and [simulation] sections are built by FlowSpec and SimConfig, and
+its [estimation] and [sweep] sections are checked by RunPlan.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import math
 import os
@@ -32,7 +37,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .dynamics import SimConfig, _run_shares, noise_generator, simulate_ensemble
+from .dynamics import SimConfig, noise_generator, simulate_ensemble
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -42,8 +47,8 @@ from .errors import (
     positive,
 )
 from .estimators import (
-    ESTIMATORS,
     DiffusivityTensor,
+    _check_estimator,
     _check_points,
     _parse_direction,
     _reduce_row,
@@ -139,12 +144,16 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 direction: str = "y", batch_size: int = 64) -> SweepReport:
     """One record per delta, all deltas sharing the same M trajectories.
 
-    Realizations run in blocks of ``batch_size``. Each block is reduced on
-    its simulation's row shares (one thread per CPU; each share allocates
-    its work buffers once), and realization r's value at the j-th delta is
-    bitwise ``directional_component(estimators.estimate_tensor(traj_r,
-    estimator, delta_j, theta, noise_generator(seed, r, j)), direction)``,
-    whatever the batch size and the thread count. Observation noise is thus
+    Realizations run in blocks of ``batch_size``, one ``simulate_ensemble``
+    call each, which reduces every row on its simulation's row shares (one
+    thread per CPU; each share allocates its work buffers once). A shear
+    share integrates and reduces its rows in groups of at most
+    ``dynamics._GROUP_BYTES`` of stored paths, so memory is bounded per
+    share, not by batch_size times n_stored. Realization r's value at the
+    j-th delta is bitwise ``directional_component(
+    estimators.estimate_tensor(traj_r, estimator, delta_j, theta,
+    noise_generator(seed, r, j)), direction)``, whatever the batch size,
+    the group size and the thread count. Observation noise is thus
     drawn independently per (realization, delta) from streams disjoint from
     the dynamics streams. Estimator statistics use the sample standard
     deviation (ddof=1); stderr = std / sqrt(M).
@@ -167,22 +176,26 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     first = 0
     while first < n_realizations:
         count = min(batch_size, n_realizations - first)
-        block = simulate_ensemble(flow, config, count, first_realization=first)
         noise = [[noise_generator(config.seed, first + i, j) if theta > 0.0 else None
                   for j in range(len(resolved))] for i in range(count)]
-        entries = np.empty((count, len(resolved), 2, 2))
 
-        def reduce(rows: slice) -> None:
+        def reduction():
             work = _row_buffers(config.n_stored)
-            for i in range(rows.start, rows.stop):
+
+            def row(i: int, path: np.ndarray) -> np.ndarray:
+                entries = np.empty((len(resolved), 2, 2))
                 for j, (m, d_c) in enumerate(resolved):
                     try:
-                        entries[i, j], _ = _reduce_row(estimator, block[i], m, d_c, theta,
-                                                       noise[i][j], work)
+                        entries[j], _ = _reduce_row(estimator, path, m, d_c, theta,
+                                                    noise[i][j], work)
                     except (InsufficientDataError, ParameterError) as exc:
                         raise type(exc)(f"realization {first + i}: {exc}") from exc
+                return entries
 
-        _run_shares(reduce, count)
+            return row
+
+        entries = simulate_ensemble(flow, config, count, first_realization=first,
+                                    reduce=reduction)
         for i in range(count):
             for j in range(len(resolved)):
                 tensor = DiffusivityTensor(entries[i, j], estimator)
@@ -349,20 +362,38 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
+_SWEEP_PARAMS = inspect.signature(delta_sweep).parameters
+
+
 @dataclass(frozen=True)
 class RunPlan:
-    """Everything a CLI run needs, parsed from one INI file."""
+    """Everything a CLI run needs, parsed from one INI file.
+
+    The sweep settings take delta_sweep's defaults and are checked when the
+    plan is built, by the checks delta_sweep calls: the estimator and the
+    direction spec by ``estimators``, theta, each delta and the counts by
+    ``errors``.
+    """
 
     flow: FlowSpec
     sim: SimConfig
     estimator: str = "qv"
     deltas: tuple[float, ...] = ()
-    theta: float = 0.0
-    direction: str = "y"
-    realizations: int = 1000
-    batch_size: int = 64
+    theta: float = _SWEEP_PARAMS["theta"].default
+    direction: str = _SWEEP_PARAMS["direction"].default
+    realizations: int = _SWEEP_PARAMS["n_realizations"].default
+    batch_size: int = _SWEEP_PARAMS["batch_size"].default
     epsilons: tuple[float, ...] = ()
     alpha_exponent: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_estimator(self.estimator)
+        for delta in self.deltas:
+            positive("delta", delta)
+        nonnegative("theta", self.theta)
+        _parse_direction(self.direction)
+        integer("realizations", self.realizations, 2)
+        integer("batch_size", self.batch_size, 1)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -439,12 +470,12 @@ def parse_config(source) -> RunPlan:
         if not parser.has_section(section):
             raise ConfigError(f"missing [{section}] section")
 
-    flow = _build(FlowSpec, "flow", values["flow"])
-    sim = _build(SimConfig, "simulation", values["simulation"])
-    plan_values = {**values["estimation"], **values["sweep"]}
-    if "delta" in plan_values:
-        plan_values["deltas"] = plan_values.pop("delta")
-    plan = RunPlan(flow=flow, sim=sim, **plan_values)
-    if plan.estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {plan.estimator!r}")
+    given = {"flow": _build(FlowSpec, "flow", values["flow"]),
+             "sim": _build(SimConfig, "simulation", values["simulation"])}
+    if "delta" in values["estimation"]:
+        values["estimation"]["deltas"] = values["estimation"].pop("delta")
+    # [estimation] is checked before [sweep] joins it, so a refusal names its section
+    for section in ("estimation", "sweep"):
+        given.update(values[section])
+        plan = _build(RunPlan, section, given)
     return plan

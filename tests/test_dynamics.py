@@ -569,6 +569,10 @@ def test_row_shares_under_short_switch_interval(monkeypatch):
     try:
         for _ in range(3):
             np.testing.assert_array_equal(simulate_ensemble(flow, config, 8), reference)
+        # each share reduces its one-row groups from one reused buffer
+        monkeypatch.setattr(dynamics, "_GROUP_BYTES", config.n_stored * 2 * 8)
+        copies = simulate_ensemble(flow, config, 8, reduce=lambda: lambda i, path: path.copy())
+        np.testing.assert_array_equal(copies, reference)
     finally:
         sys.setswitchinterval(interval)
 

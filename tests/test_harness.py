@@ -12,6 +12,7 @@ import io
 import math
 import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from eddykit import (
     ConfigError,
     EnsembleRecord,
     InsufficientDataError,
+    IntegrationBlowupError,
     ObservationSeries,
     ParameterError,
     SimConfig,
@@ -137,15 +139,20 @@ def _csv(report) -> str:
 @pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estimator):
-    # the reduction runs on min(CPUs, rows) shares for every flow
+    # the reduction runs on min(CPUs, rows) shares for every flow, and a
+    # shear share integrates and reduces its rows in groups of one row, of
+    # three (the last group of a share partial) or of the whole share
     config = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=3)
+    row_bytes = config.n_stored * 2 * 8
     texts = set()
-    for cpus in (1, 3):
-        monkeypatch.setattr(dynamics, "_cpu_count", lambda cpus=cpus: cpus)
-        for batch_size in (5, 64):
-            texts.add(_csv(delta_sweep(flow, config, estimator, [0.01, 0.05, 0.3],
-                                       theta=0.05, n_realizations=13,
-                                       direction="xi:1,2", batch_size=batch_size)))
+    for budget in (row_bytes, 3 * row_bytes, dynamics._GROUP_BYTES):
+        monkeypatch.setattr(dynamics, "_GROUP_BYTES", budget)
+        for cpus in (1, 3):
+            monkeypatch.setattr(dynamics, "_cpu_count", lambda cpus=cpus: cpus)
+            for batch_size in (5, 64):
+                texts.add(_csv(delta_sweep(flow, config, estimator, [0.01, 0.05, 0.3],
+                                           theta=0.05, n_realizations=13,
+                                           direction="xi:1,2", batch_size=batch_size)))
     assert len(texts) == 1
 
 
@@ -164,6 +171,66 @@ def test_reduction_error_names_its_realization(monkeypatch, batch_size):
     monkeypatch.setattr(harness, "_reduce_row", failing)
     with pytest.raises(ParameterError, match="^realization 4: bad row$"):
         delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=10, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("group_rows", [1, 2])
+def test_sweep_errors_do_not_depend_on_groups(monkeypatch, cpus, group_rows):
+    # one _block call over the whole batch raises its earliest blow-up, ties
+    # going to the lowest realization; a blow-up anywhere in the batch
+    # outranks a reduction error, which names the lowest failing realization
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", group_rows * FAST.n_stored * 2 * 8)
+    block = simulate_ensemble(FLOW, FAST, 12)
+    reduce_row, run_block = harness._reduce_row, dynamics._block
+    failing_rows, blowups = (), {}
+
+    def failing(estimator, row, *args):
+        if any(np.array_equal(row, block[r]) for r in failing_rows):
+            raise ParameterError("bad row")
+        return reduce_row(estimator, row, *args)
+
+    def blowing_block(flow, config, first, gens, ou, out):
+        run_block(flow, config, first, gens, ou, out)
+        hit = [(blowups[r], r) for r in range(first, first + len(gens)) if r in blowups]
+        if hit:
+            step, r = min(hit)
+            raise IntegrationBlowupError(step, f"realization {r} at step {step}")
+
+    monkeypatch.setattr(harness, "_reduce_row", failing)
+    monkeypatch.setattr(dynamics, "_block", blowing_block)
+    cases = [
+        ((4, 8, 10), {}, ParameterError, "^realization 4: bad row$"),
+        ((0, 1), {11: 40}, IntegrationBlowupError, "^realization 11 at step 40$"),
+        ((0,), {9: 30, 2: 50, 5: 30, 11: 30}, IntegrationBlowupError,
+         "^realization 5 at step 30$"),
+    ]
+    for failing_rows, blowups, error, message in cases:
+        with pytest.raises(error, match=message):
+            delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=12, batch_size=12)
+    # a real blow-up: every group goes non-finite in its first chunk
+    monkeypatch.setattr(dynamics, "_block", run_block)
+    overflow = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
+    with pytest.raises(IntegrationBlowupError, match="realization 0 between steps 0 and 10"):
+        delta_sweep(FLOW, overflow, "qv", [1.0], n_realizations=6)
+
+
+def test_sweep_memory_is_bounded_by_the_group_budget(monkeypatch):
+    # a full-resolution batch would be (64, 20001, 2) doubles, 20 MB; each of
+    # two shares holds a group of two paths, a reduction buffer and the
+    # chunk buffers instead
+    config = SimConfig(kappa=0.5, dt=0.01, t_final=200.0, seed=5)
+    m = 64
+    block_bytes = m * config.n_stored * 2 * 8
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * config.n_stored * 2 * 8)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        delta_sweep(steady_shear(), config, "box", [0.01, 0.1], 0.05, m, "x", batch_size=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes / 4
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -365,10 +432,39 @@ def test_parse_config_from_file(tmp_path):
     ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\n\n[estimation]\nestimator = mad\n",
      "estimator must be"),
     ("[flow]\nkind = shear\n\n[simulation]\nkappa = -1\n", "bad \\[simulation\\]"),
+    ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\n\n[sweep]\nrealizations = 1\n",
+     "bad \\[sweep\\] value: realizations must be an integer >= 2"),
+    ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\n\n[sweep]\nbatch_size = 0\n",
+     "bad \\[sweep\\] value: batch_size must be an integer >= 1"),
 ])
 def test_parse_config_rejections(mutation, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(mutation)
+
+
+def test_run_plan_defaults_are_the_sweep_defaults():
+    plan = parse_config("[flow]\nkind = shear\n\n[simulation]\nkappa = 0.5\n")
+    params = inspect.signature(delta_sweep).parameters
+    for field, param in [("theta", "theta"), ("direction", "direction"),
+                         ("realizations", "n_realizations"), ("batch_size", "batch_size")]:
+        assert getattr(plan, field) == params[param].default
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("theta", "-1", "theta must be finite and nonnegative"),
+    ("direction", "z", "direction must be x, y or xi:<a>,<b>, got 'z'"),
+    ("delta", "0.1 -3", "delta must be finite and positive, got -3.0"),
+    ("estimator", "mad", "estimator must be one of"),
+])
+def test_estimation_section_is_checked_at_parse_time(tmp_path, capsys, key, value, needle):
+    # refused while parsing, so even simulate, which ignores the section, exits 2
+    text = SIM_CONFIG + f"\n[estimation]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=re.escape(f"bad [estimation] value: {needle}")):
+        parse_config(text)
+    config = _write(tmp_path, "run.ini", text)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "x.npz")]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "x.npz").exists()
 
 
 def test_parse_config_malformed_and_missing():
@@ -535,6 +631,25 @@ def test_cli_diffusivity(tmp_path, capsys):
                  "--csv", str(csv_path)]) == 0
     row = list(csv.DictReader(csv_path.read_text().splitlines()))[0]
     assert float(row["k11"]) == pytest.approx(0.34166, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("flow", ["taylor_green", "shear"])
+@pytest.mark.parametrize("lam", ["0.9", "7"])
+def test_cli_diffusivity_refuses_lam_for_other_flows(capsys, flow, lam):
+    assert main(["diffusivity", "--flow", flow, "--kappa", "0.5", "--modes", "8",
+                 "--lam", lam]) == 2
+    captured = capsys.readouterr()
+    assert "lam is not a parameter of" in captured.err and captured.out == ""
+
+
+def test_cli_diffusivity_childress_soward_lam_defaults_to_one_half(capsys):
+    argv = ["diffusivity", "--flow", "childress_soward", "--kappa", "0.5", "--modes", "8"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--lam", "0.5"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--lam", "0.2"]) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_cli_diffusivity_reports_convergence(capsys):
