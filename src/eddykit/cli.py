@@ -73,8 +73,10 @@ def _write_report(report, path: str) -> None:
 def _cmd_simulate(args) -> int:
     plan = parse_config(args.config)
     traj = simulate_em(plan.flow, plan.sim)
-    np.savez(args.output, positions=traj.positions, dt_stored=traj.dt_stored,
-             flow=flow_label(plan.flow), kappa=plan.sim.kappa, seed=plan.sim.seed)
+    # np.savez appends .npz to a path without it; a file object keeps the name given
+    with open(args.output, "wb") as fh:
+        np.savez(fh, positions=traj.positions, dt_stored=traj.dt_stored,
+                 flow=flow_label(plan.flow), kappa=plan.sim.kappa, seed=plan.sim.seed)
     print(f"wrote {traj.n_points} positions at dt_stored={traj.dt_stored:g} to {args.output}")
     return 0
 
@@ -136,6 +138,9 @@ def _cmd_diffusivity(args) -> int:
     # FlowSpec refuses a given --lam for a flow without lam
     lam = _LAM if args.lam is None and args.flow == CHILDRESS_SOWARD else args.lam
     flow = FlowSpec(args.flow, lam=lam)
+    if args.modes is not None and "rtol" in args:
+        raise ParameterError("--rtol sets the tolerance of adaptive doubling, which "
+                             "--modes turns off; give --modes or --rtol, not both")
     if args.modes is not None:
         sol = solve_cell_problem(flow, args.kappa, args.modes)
         tensor = eddy_diffusivity_from_cell(sol)
@@ -184,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one trajectory to an .npz file")
     p.add_argument("--config", required=True, help="INI file with [flow] and [simulation]")
-    p.add_argument("--output", required=True, help="output .npz path")
+    p.add_argument("--output", required=True,
+                   help="output path; an .npz archive is written there as named")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate a diffusivity tensor from a trajectory file")

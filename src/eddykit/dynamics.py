@@ -21,7 +21,9 @@ grid as a Brownian path and y is the left endpoint quadrature of
 (1/eps) eta(t/eps^2) sin(x/eps) along it plus its own Brownian part; that
 triangular structure lets the scheme run vectorised over time, the OU
 recursion included: one in-place banded triangular solve per chunk,
-bitwise the scalar recursion (see ``_shear_kernel``).
+bitwise the scalar recursion (see ``_shear_kernel``). That solve is
+LAPACK's dtbtrs, taken from scipy.linalg.cython_lapack when the first
+OU shear block starts (``_dtbtrs``); no other flow imports scipy.
 
 One block loop runs every flow: it draws the noise, runs the burn-in, stores
 every stride-th state and, after each chunk of at most 4096 steps,
@@ -52,13 +54,13 @@ realization r alone or inside any block yields bitwise identical output.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 from .errors import IntegrationBlowupError, ParameterError, integer, nonnegative, positive
 from .fields import (
@@ -243,22 +245,25 @@ def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cython_lapack(name: str, n_args: int):
-    """ctypes handle of a scipy.linalg.cython_lapack routine; every argument is a pointer.
+@functools.cache
+def _dtbtrs():
+    """ctypes handle of LAPACK's dtbtrs from scipy.linalg.cython_lapack.
 
-    The wrappers of scipy.linalg.lapack hold the interpreter lock for the
-    whole call, which serialises the row shares; a ctypes call releases it.
+    scipy is imported here, on the first OU shear block, so that a process
+    which never runs one does not pay for it. The wrappers of
+    scipy.linalg.lapack hold the interpreter lock for the whole call, which
+    serialises the row shares; a ctypes call releases it. Every argument
+    is a pointer.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dtbtrs"]
     name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)
     return routine(pointer_of(capsule, name_of(capsule)))
-
-
-_DTBTRS = _cython_lapack("dtbtrs", 11)
 
 
 def _ou_solve(band: np.ndarray, eta: np.ndarray) -> None:
@@ -271,8 +276,8 @@ def _ou_solve(band: np.ndarray, eta: np.ndarray) -> None:
     rows, c = eta.shape
     n, kd, nrhs, ldab = (ctypes.byref(ctypes.c_int(v)) for v in (c, 1, rows, 2))
     info = ctypes.c_int()
-    _DTBTRS(b"U", b"T", b"U", n, kd, nrhs, band.ctypes.data, ldab, eta.ctypes.data, n,
-            ctypes.byref(info))
+    _dtbtrs()(b"U", b"T", b"U", n, kd, nrhs, band.ctypes.data, ldab, eta.ctypes.data, n,
+              ctypes.byref(info))
     if info.value != 0:
         raise RuntimeError(f"banded OU solve failed: dtbtrs info={info.value}")
 
@@ -287,7 +292,12 @@ def _raise_if_not_finite(x: np.ndarray, y: np.ndarray, first: int, start: int, e
 
 
 def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
-    """Initial eta vector and per-realization driver generators of the OU modulation."""
+    """Initial eta vector and per-realization driver generators of the OU modulation.
+
+    Also resolves the dtbtrs handle that ``_ou_solve`` uses, so that it is
+    made here in the calling thread and no share thread ever imports.
+    """
+    _dtbtrs()
     if config.eta0 == "stationary":
         eta = np.array([
             stationary_eta_draw(flow.alpha, flow.sigma,

@@ -87,17 +87,19 @@ given by R has the same norms as the G-even one, which leaves the ratio
 unchanged, and chi^2 = T_G chi^1 has the relative residual of chi^1. The
 full system's residual and b are odd and its row 0 is zero, so the
 relative residual on H equals the full one.
+
+The sparse matrices and the LU come from scipy.sparse, which the first
+assembly and the first solve import, so importing this module loads no
+scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConvergenceError,
@@ -109,6 +111,9 @@ from .errors import (
 )
 from .estimators import DiffusivityTensor
 from .fields import FlowSpec, stream_modes, velocity_modes
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class DoublingStep(NamedTuple):
@@ -308,7 +313,7 @@ class _Block(NamedTuple):
     those of the orbits' representatives, one per unknown.
     """
 
-    matrix: sp.csc_matrix
+    matrix: scipy.sparse.csc_matrix
     rhs: np.ndarray
     weight: np.ndarray
     points: np.ndarray
@@ -332,6 +337,8 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
     coefficient with a real part would make the system genuinely complex
     and is refused.
     """
+    import scipy.sparse as sp
+
     vm = velocity_modes(flow)
     for mode, vhat in vm.items():
         if np.any(vhat.real != 0.0):
@@ -399,6 +406,8 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
 def _solve_block(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refined solution of one block and the squared norms, on H, of its
     residual and right-hand side per column."""
+    import scipy.sparse.linalg as spla
+
     lu = spla.splu(block.matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     z = lu.solve(block.rhs)

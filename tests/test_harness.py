@@ -521,6 +521,22 @@ def test_cli_simulate_estimate_roundtrip(tmp_path, capsys):
     assert value >= 0.0
 
 
+def test_cli_simulate_writes_the_path_it_names(tmp_path, capsys):
+    # np.savez given a path would append .npz to this suffix-less name
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    out = str(tmp_path / "traj")
+    assert main(["simulate", "--config", config, "--output", out]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f" to {out}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "traj"]
+    assert main(["estimate", "--input", out, "--delta", "0.1"]) == 0
+    suffixless = capsys.readouterr().out
+    named = str(tmp_path / "traj.npz")
+    assert main(["simulate", "--config", config, "--output", named]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", named, "--delta", "0.1"]) == 0
+    assert capsys.readouterr().out == suffixless
+
+
 def test_cli_estimate_with_noise_is_reproducible(tmp_path, capsys):
     config = _write(tmp_path, "run.ini", SIM_CONFIG)
     out = str(tmp_path / "traj.npz")
@@ -658,6 +674,15 @@ def test_cli_diffusivity_reports_convergence(capsys):
     assert main(["diffusivity", "--flow", "shear", "--kappa", "0.1",
                  "--modes", "8"]) == 0
     assert "converged = not tested" in capsys.readouterr().out
+
+
+def test_cli_diffusivity_refuses_rtol_with_fixed_modes(capsys):
+    # a fixed truncation runs no doubling, so the tolerance would be dropped
+    assert main(["diffusivity", "--flow", "taylor_green", "--kappa", "0.1",
+                 "--modes", "8", "--rtol", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.out == ""
+    assert "--modes" in captured.err and "--rtol" in captured.err
 
 
 def test_cli_oracles(capsys):

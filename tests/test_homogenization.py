@@ -170,7 +170,7 @@ def test_refined_residual_above_contract_raises(monkeypatch):
     # factoring 1.5 A leaves x/1.5 after the first solve and 8x/9 after the
     # refinement step, so the refined residual is 1/9 in each component
     real_splu = spla.splu
-    monkeypatch.setattr(homogenization.spla, "splu", lambda a, **kw: real_splu(1.5 * a, **kw))
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: real_splu(1.5 * a, **kw))
     with pytest.raises(ConvergenceError) as caught:
         solve_cell_problem(taylor_green(), 0.1, modes=8)
     assert caught.value.residual == pytest.approx(1.0 / 9.0, rel=1e-10, abs=0.0)
@@ -320,7 +320,7 @@ def test_factorization_sees_only_the_half_set(flow, shape, swap, mirror, monkeyp
         seen.append(a.shape)
         return real_splu(a, **kw)
 
-    monkeypatch.setattr(homogenization.spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     solve_cell_problem(flow, 0.1, modes=m)
     reachable, _ = _reachable_and_half(shape, m)
     n = (np.count_nonzero(reachable) - 1) // 2
@@ -405,7 +405,7 @@ def test_even_flow_without_swap_runs_as_one_block(monkeypatch):
         seen.append(a.shape)
         return real_splu(a, **kw)
 
-    monkeypatch.setattr(homogenization.spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     for m, kappa in ((8, 0.1), (24, 0.005)):
         seen.clear()
         sol = solve_cell_problem(taylor_green(), kappa, modes=m)
@@ -432,7 +432,7 @@ def test_reported_residual_is_the_full_lattice_one(flow, monkeypatch):
         return real_splu((a @ sp.diags(1.0 + c * np.linspace(1.0, 2.0, a.shape[0]))).tocsc(),
                          **kw)
 
-    monkeypatch.setattr(homogenization.spla, "splu", perturbed_splu)
+    monkeypatch.setattr(spla, "splu", perturbed_splu)
     m, kappa = 12, 0.1
     sol = solve_cell_problem(flow, kappa, modes=m)
     matrix, rhs = _full_lattice_system(flow, kappa, m)

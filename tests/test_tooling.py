@@ -1,7 +1,10 @@
 """Tooling around the package: its import footprint and the benchmark's tracer.
 
-Importing eddykit must load no scipy subpackage beyond the two it uses,
-since each heavy one adds its import time to every CLI call.
+Importing eddykit must load no scipy subpackage, since each one adds
+its import time to every CLI call. scipy loads on first use: the OU shear
+loads scipy.linalg (LAPACK's dtbtrs, in the calling thread, before any row
+share starts) and the spectral cell solver loads scipy.sparse; the steady
+shear and Taylor-Green sweeps load none.
 
 The benchmark's tracer patches eddykit names from outside the package.
 A name it patches that the package no longer defines would break every
@@ -26,16 +29,73 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_loads_only_the_scipy_subpackages_it_uses():
-    # scipy.signal alone once cost over a second of every start-up
-    code = ("import sys, eddykit, eddykit.cli\n"
-            "print(*sorted(n for n, m in sys.modules.items() if n.count('.') == 1\n"
-            "              and n.startswith('scipy.') and not n.startswith('scipy._')\n"
-            "              and hasattr(m, '__path__')))")
+SUBPACKAGES = ("import sys\n"
+               "def subpackages():\n"
+               "    return sorted(n for n, m in sys.modules.items() if n.count('.') == 1\n"
+               "                  and n.startswith('scipy.') and not n.startswith('scipy._')\n"
+               "                  and hasattr(m, '__path__'))\n")
+
+
+def _fresh_python(code: str, *args: str) -> list[str]:
+    """Output lines of ``code`` run in a new interpreter that imports eddykit from src."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", SUBPACKAGES + code, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.split() == ["scipy.linalg", "scipy.sparse"]
+    return done.stdout.splitlines()
+
+
+def test_import_loads_only_the_scipy_subpackages_it_uses():
+    # scipy.signal alone once cost over a second of every start-up, and
+    # scipy.linalg with scipy.sparse later took over half of a 0.46 s import
+    assert _fresh_python("import eddykit, eddykit.cli\nprint(subpackages())") == ["[]"]
+
+
+def test_scipy_loads_only_with_the_calls_that_need_it(tmp_path):
+    # each step adds to the modules of the steps before it, so those that
+    # need no scipy run first; every scipy import is recorded with its thread
+    (tmp_path / "run.ini").write_text(
+        "[flow]\nkind = shear\n\n[simulation]\nkappa = 0.5\ndt = 0.01\nt_final = 2.0\n"
+        "seed = 3\n\n[estimation]\ndelta = 0.1 0.2\n\n[sweep]\nrealizations = 4\n")
+    code = """
+import threading
+import numpy as np
+from eddykit import SimConfig, cli, dynamics, harness, ou_shear, spectral_diffusivity, taylor_green
+
+importers = set()
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            importers.add(threading.current_thread().name)
+        return None
+
+sys.meta_path.insert(0, Recorder())
+ini, csv = sys.argv[1:]
+assert cli.main(["sweep", "--config", ini, "--output", csv]) == 0
+print("shear sweep", subpackages())
+harness.delta_sweep(taylor_green(), SimConfig(kappa=0.5, dt=0.01, t_final=1.0, seed=2),
+                    "qv", [0.1], n_realizations=4, direction="x", batch_size=4)
+print("taylor-green sweep", subpackages())
+flow, config = ou_shear(1.0, 0.1), SimConfig(kappa=0.1, dt=0.01, t_final=2.0, seed=5)
+dynamics._cpu_count = lambda: 2
+shares = dynamics.simulate_ensemble(flow, config, 6)
+print("ou shear", subpackages())
+dynamics._cpu_count = lambda: 1
+print("one share equal", np.array_equal(shares, dynamics.simulate_ensemble(flow, config, 6)))
+spectral_diffusivity(taylor_green(), 0.5)
+print("spectral", "scipy.sparse" in subpackages())
+print("importers", sorted(importers))
+"""
+    assert _fresh_python(code, str(tmp_path / "run.ini"), str(tmp_path / "rows.csv")) == [
+        "wrote 2 rows to " + str(tmp_path / "rows.csv"),
+        "shear sweep []",
+        "taylor-green sweep []",
+        "ou shear ['scipy.linalg']",
+        "one share equal True",
+        "spectral True",
+        "importers ['MainThread']",
+    ]
 
 
 def test_tracer_patches_existing_names_and_restores_them(monkeypatch):
