@@ -29,21 +29,20 @@ One block loop runs every flow: it draws the noise, runs the burn-in, stores
 every stride-th state and, after each chunk of at most 4096 steps,
 checks that the state is finite, naming the steps in which it went bad.
 Its advance kernel is time-vectorised for the shear family and a step
-loop for the cellular flows (Taylor-Green, Childress-Soward). A shear
-block runs on one thread per CPU in the process's affinity mask, each on
-a contiguous share of the realizations (``_run_shares``), bitwise
-identical to one thread: the kernel's draws, cumulative sums and the OU
+loop for the cellular flows (Taylor-Green, Childress-Soward).
+``simulate_ensemble`` runs it on contiguous shares of the realizations,
+each integrated in groups of rows; the flow family sets only how many.
+A shear block has one share per CPU in the process's affinity mask, each
+on a thread of its own, and groups whose stored paths fit
+``_GROUP_BYTES``: the kernel's draws, cumulative sums and the OU
 modulation's banded solve work row by row and release the interpreter
-lock on long rows. A share integrates its rows in groups whose stored
-paths fit ``_GROUP_BYTES``. Given a row reduction (the harness sweeps
-pass their estimators), it reduces each group as soon as it is
-integrated and reuses one group buffer, so a sweep's memory is bounded
-per share rather than by batch size times stored points. A cellular block
-runs in the calling thread as one group: each step advances one stacked
-(2, rows) state [x, y] with one sin and one cos call shared by both
-coordinates, and its few small numpy calls per step hold the lock, so
-threads would only slow it down; its rows are then reduced on the row
-shares.
+lock on long rows. A cellular block is one share in the calling thread
+and one group: each step advances one stacked (2, rows) state [x, y]
+with one sin and one cos call shared by both coordinates, and its few
+small numpy calls per step hold the lock, so threads would only slow it
+down. Given a row reduction (the harness sweeps pass their estimators),
+a share reduces each group as soon as it is integrated and reuses one
+group buffer, so a sweep holds at most one group of paths per share.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -192,6 +191,13 @@ class SimConfig:
         return int(math.floor(self.burn_in / self.dt + 1e-9))
 
 
+def _check_finite_positions(pos: np.ndarray) -> None:
+    """Refuse an (n, 2) array of positions with a non-finite entry, naming its row."""
+    if not np.isfinite(pos).all():
+        row = int(np.argmax(~np.isfinite(pos).all(axis=1)))
+        raise ParameterError(f"positions must be finite, row {row} is {pos[row].tolist()}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled 2-D path plus the metadata that produced it.
@@ -209,9 +215,7 @@ class Trajectory:
         pos = np.ascontiguousarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ParameterError("positions must be an (n, 2) array with n >= 1")
-        if not np.isfinite(pos).all():
-            row = int(np.argmax(~np.isfinite(pos).all(axis=1)))
-            raise ParameterError(f"positions must be finite, row {row} is {pos[row].tolist()}")
+        _check_finite_positions(pos)
         object.__setattr__(self, "positions", pos)
         positive("dt_stored", self.dt_stored)
         if self.config is not None and pos.shape[0] != self.config.n_stored:
@@ -493,30 +497,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_shares(run, count: int) -> None:
-    """Call ``run(rows)`` on contiguous row shares that cover range(count) once.
-
-    The rows split into one share per CPU in the process's affinity mask (at
-    most one per row), each run on a thread of its own. ``run`` writes only
-    its own rows of whatever it fills, so the result is bitwise identical to
-    one thread. An error is re-raised as one thread would have raised it: a
-    blow-up before any other error, the earliest ``step`` first, ties going
-    to the lowest share; among errors without a step (a row reduction's),
-    the lowest share's.
-    """
-    n_shares = min(_cpu_count(), count)
-    if n_shares == 1:
-        run(slice(0, count))
-        return
-    bounds = [count * k // n_shares for k in range(n_shares + 1)]
-    with ThreadPoolExecutor(max_workers=n_shares) as pool:
-        futures = [pool.submit(run, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
-    errors = [f.exception() for f in futures]
-    raised = [(getattr(e, "step", math.inf), k) for k, e in enumerate(errors) if e is not None]
-    if raised:
-        raise errors[min(raised)[1]]
-
-
 def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
                       first_realization: int = 0, reduce=None) -> np.ndarray:
     """Simulate a block of realizations, and reduce each one if asked to.
@@ -528,25 +508,25 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     first_realization + r, source), so blocks compose: simulating [0, 200)
     in one call or in any partition yields bitwise identical rows.
 
-    A shear block runs on the row shares of ``_run_shares``, one thread per
-    CPU. Each share integrates its rows in groups whose stored paths fit
-    ``_GROUP_BYTES``; the result is bitwise identical to one thread and to
-    any grouping. A cellular block runs in the calling thread as one group:
-    its step loop holds the interpreter lock, so threads would only slow it
-    down. A non-finite state raises IntegrationBlowupError naming its
-    realization and steps: the earliest step interval, ties going to the
-    lowest realization.
+    The rows run on the shares and groups the flow family sets (see the
+    module docstring): a cellular block reduces its rows in the calling
+    thread. The result is bitwise identical to one thread and any grouping.
 
     ``reduce``, if given, replaces each stored path by its reduction, so
-    that a shear block never holds more than one group of paths per share.
+    that a block never holds more than one group of paths per share.
     ``reduce()`` is called once per share, on the share's thread, and
     returns ``row(i, path)``, which gets row i of the block and its
-    (n_stored, 2) path as soon as the row's group is integrated (for a
-    cellular block, after the whole block, on the row shares) and returns
-    an array of one shape for every row; the path's buffer is reused once
-    ``row`` returns. The result is then those arrays stacked in row order.
-    A blow-up anywhere in the block outranks an error raised by ``row``,
-    and among those errors the lowest row's is raised.
+    (n_stored, 2) path as soon as the row's group is integrated, in row
+    order, and returns an array of one shape for every row; the path's
+    buffer is reused once ``row`` returns. The result is then those arrays
+    stacked in row order.
+
+    Every share runs to its end; the block then raises what one thread over
+    all its rows would have. A non-finite state raises
+    IntegrationBlowupError naming its realization and steps: the earliest
+    step interval first, ties going to the lowest realization. Any blow-up
+    outranks an error raised by ``row``, and among those the lowest row's
+    is raised.
     """
     first = integer("first_realization", first_realization, 0)
     count = integer("n_realizations", n_realizations, 1)
@@ -557,50 +537,48 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     if flow.kind == OU_SHEAR:
         eta, gens_ou = _ou_streams(flow, config, first, count)
     shape = (config.n_stored, 2)
-    group_rows = max(1, _GROUP_BYTES // (8 * math.prod(shape)))
-    # the whole block's paths, unless each shear group is reduced at once
-    out = np.empty((count, *shape)) if reduce is None or not flow.is_shear else None
+    if flow.is_shear:
+        n_shares = min(_cpu_count(), count)
+        group_rows = max(1, _GROUP_BYTES // (8 * math.prod(shape)))
+    else:
+        n_shares, group_rows = 1, count
+    out = np.empty((count, *shape)) if reduce is None else None
     reduced = [None] * count
-
-    def integrate(rows: slice, paths: np.ndarray) -> None:
-        ou = None if gens_ou is None else (eta[rows], gens_ou[rows])
-        _block(flow, config, first + rows.start, gens[rows], ou, paths)
-
-    def reduce_rows(row, rows: slice, paths: np.ndarray) -> None:
-        for i, path in zip(range(rows.start, rows.stop), paths):
-            reduced[i] = row(i, path)
+    # ((step, row), error) of every share; a blow-up's row is the first of its
+    # group and a reduction error's step is inf, so the least key is raised
+    raised = []
 
     def share(rows: slice) -> None:
-        # every group runs even after an error, so the share raises what one
-        # _block call over all its rows would have: the earliest blow-up
         size = min(rows.stop - rows.start, group_rows)
         if reduce is not None:
             buffer = np.empty((size, *shape))
             row = reduce()
-        blowup = failed = None
         for a in range(rows.start, rows.stop, size):
             group = slice(a, min(a + size, rows.stop))
             paths = out[group] if reduce is None else buffer[:group.stop - a]
+            ou = None if gens_ou is None else (eta[group], gens_ou[group])
             try:
-                integrate(group, paths)
+                _block(flow, config, first + a, gens[group], ou, paths)
             except IntegrationBlowupError as exc:
-                if blowup is None or exc.step < blowup.step:
-                    blowup = exc
+                raised.append(((exc.step, a), exc))
                 continue
-            if reduce is not None and blowup is None and failed is None:
+            if reduce is None:
+                continue
+            for i, path in zip(range(a, group.stop), paths):
                 try:
-                    reduce_rows(row, group, paths)
-                except Exception as exc:  # kept until no group can blow up
-                    failed = exc
-        if blowup is not None or failed is not None:
-            raise blowup or failed
+                    reduced[i] = row(i, path)
+                except Exception as exc:  # no later row of the group can outrank it
+                    raised.append(((math.inf, i), exc))
+                    break
 
-    if flow.is_shear:
-        _run_shares(share, count)
+    if n_shares == 1:
+        share(slice(0, count))
     else:
-        integrate(slice(0, count), out)
-        if reduce is not None:
-            _run_shares(lambda rows: reduce_rows(reduce(), rows, out[rows]), count)
+        bounds = [count * k // n_shares for k in range(n_shares + 1)]
+        with ThreadPoolExecutor(max_workers=n_shares) as pool:
+            list(pool.map(share, [slice(a, b) for a, b in zip(bounds, bounds[1:])]))
+    if raised:
+        raise min(raised, key=lambda keyed: keyed[0])[1]
     return out if reduce is None else np.stack(reduced)
 
 

@@ -43,7 +43,7 @@ from .errors import (
     positive,
 )
 from .fields import FlowSpec
-from .dynamics import Trajectory, as_generator
+from .dynamics import Trajectory, _check_finite_positions, as_generator
 
 ESTIMATORS = ("qv", "box", "shift")
 PROVENANCES = ESTIMATORS + ("spectral",)
@@ -80,6 +80,7 @@ class ObservationSeries:
             raise ParameterError("positions must be an (n, 2) array")
         if pos.shape[0] < 2:
             raise InsufficientDataError("an observation series needs at least 2 points")
+        _check_finite_positions(pos)
         object.__setattr__(self, "positions", pos)
         positive("delta", self.delta)
         nonnegative("theta", self.theta)

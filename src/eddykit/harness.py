@@ -10,13 +10,13 @@ the delta-to-delta comparison a common noise background).
 
 A sweep hands ``dynamics.simulate_ensemble`` the one row reduction of the
 estimators, which ``estimators.estimate_tensor`` and the library
-estimators call too, and the simulation's row shares (one thread per CPU)
-run it. A shear share reduces each group of rows as soon as it is
-integrated, so a sweep holds one group of stored paths per share, never
-a (batch, n_stored, 2) block; a cellular block is reduced on the shares
-once its step loop is done. Neither the thread count nor the group size
-changes a digit. Noise streams and direction values are made in the
-calling thread; the shares only draw and reduce.
+estimators call too, and the simulation's shares run it on each group of
+rows as soon as it is integrated: a shear block's per-CPU share threads,
+so a sweep holds one group of stored paths per share, never a (batch,
+n_stored, 2) block, and a cellular block's one share, in the calling
+thread. Neither the thread count nor the group size changes a digit.
+Noise streams and direction values are made in the calling thread; the
+shares only draw and reduce.
 
 The rules for valid inputs live with their owners: the flow kinds and their
 parameters in ``fields``, the estimators, the points each needs and direction
@@ -33,7 +33,7 @@ import inspect
 import io
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,7 @@ from .estimators import (  # noqa: F401
 from .fields import FLOW_PARAMS, FlowSpec, flow_label, periodic_shear
 from .theory import k_periodic_shear
 
+# the EnsembleRecord fields in order, n_realizations as M and t_final as T
 _CSV_COLUMNS = ("flow", "kappa", "epsilon", "theta", "delta", "estimator",
                 "direction", "mean", "std", "stderr", "M", "T", "dt", "seed")
 
@@ -118,19 +119,10 @@ class SweepReport:
 
     def to_csv(self, target) -> None:
         """Write the exact column schema; floats carry 17 significant digits."""
-        values_for = {
-            "M": lambda r: r.n_realizations,
-            "T": lambda r: r.t_final,
-        }
         own = io.StringIO()
         own.write(",".join(_CSV_COLUMNS) + "\n")
         for rec in self.rows:
-            cells = []
-            for col in _CSV_COLUMNS:
-                getter = values_for.get(col)
-                value = getter(rec) if getter else getattr(rec, col)
-                cells.append(_format_cell(value))
-            own.write(",".join(cells) + "\n")
+            own.write(",".join(_format_cell(value) for value in astuple(rec)) + "\n")
         text = own.getvalue()
         if hasattr(target, "write"):
             target.write(text)
@@ -145,9 +137,10 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     """One record per delta, all deltas sharing the same M trajectories.
 
     Realizations run in blocks of ``batch_size``, one ``simulate_ensemble``
-    call each, which reduces every row on its simulation's row shares (one
-    thread per CPU; each share allocates its work buffers once). A shear
-    share integrates and reduces its rows in groups of at most
+    call each, which reduces every row on its simulation's shares (one
+    thread per CPU for a shear block, the calling thread for a cellular
+    one; each share allocates its work buffers once). A shear share
+    integrates and reduces its rows in groups of at most
     ``dynamics._GROUP_BYTES`` of stored paths, so memory is bounded per
     share, not by batch_size times n_stored. Realization r's value at the
     j-th delta is bitwise ``directional_component(
@@ -255,7 +248,8 @@ def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float
 
     Every epsilon is observed at delta = epsilon^alpha over the same fixed
     horizon. All configurations are constructed (and therefore validated,
-    including the dt <= epsilon^2/50 constraint) before the first
+    including the dt <= epsilon^2/50 constraint) and each is checked to
+    store enough points for the estimator at its delta before the first
     simulation starts. The same master seed drives every epsilon, so the
     comparison across epsilons is paired. epsilon = 1 reduces to the
     unrescaled pipeline bitwise.
@@ -265,6 +259,8 @@ def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float
         raise ParameterError("epsilons must be non-empty")
     planned = [rescaled_config(kappa, eps, alpha_exponent, t_final, seed)
                for eps in epsilons]
+    for config, delta in planned:
+        _check_points(estimator, delta, 1, config.n_stored)
     rows = []
     for config, delta in planned:
         report = delta_sweep(flow, config, estimator, [delta], theta,

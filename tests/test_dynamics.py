@@ -22,10 +22,12 @@ from scipy.integrate import solve_ivp
 
 from eddykit import (
     IntegrationBlowupError,
+    ObservationSeries,
     ParameterError,
     SimConfig,
     Trajectory,
     childress_soward,
+    delta_sweep,
     ou_shear,
     periodic_shear,
     qv_expectation_ou_shear,
@@ -550,10 +552,15 @@ def test_share_count_is_bounded_by_cpus_and_rows(monkeypatch, cpus, rows):
 
 
 def test_cellular_block_starts_no_pool(monkeypatch):
-    # the step loop holds the interpreter lock: one share covers every row
+    # the step loop holds the interpreter lock: one share covers every row,
+    # and a sweep reduces them in the calling thread too
     pools, shares = _record_shares(monkeypatch, 2)
-    simulate_ensemble(taylor_green(), SimConfig(kappa=0.3, dt=1e-2, t_final=0.1), 4)
+    config = SimConfig(kappa=0.3, dt=1e-2, t_final=0.1)
+    simulate_ensemble(taylor_green(), config, 4)
     assert pools == [] and shares == [(0, 4)]
+    delta_sweep(taylor_green(), config, "qv", [0.02, 0.05], theta=0.1, n_realizations=5,
+                batch_size=5)
+    assert pools == [] and shares == [(0, 4), (0, 5)]
 
 
 def test_row_shares_under_short_switch_interval(monkeypatch):
@@ -597,6 +604,20 @@ def test_blowup_with_threads_reports_the_first_realization(monkeypatch):
     monkeypatch.setattr(dynamics, "_block", failing_block)
     with pytest.raises(IntegrationBlowupError, match="realization 8 at step 3"):
         simulate_ensemble(steady_shear(), config, 3, first_realization=7)
+
+
+def test_share_lets_other_errors_propagate(monkeypatch):
+    # only blow-ups and reduction errors are ranked; a failed LAPACK call in
+    # one share propagates as it was raised
+    def failing_block(flow, config, first, gens, ou, out):
+        if first == 8:
+            raise RuntimeError("banded OU solve failed: dtbtrs info=-1")
+
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dynamics, "_block", failing_block)
+    with pytest.raises(RuntimeError, match="^banded OU solve failed"):
+        simulate_ensemble(steady_shear(), SimConfig(kappa=0.3, dt=0.1, t_final=1.0), 2,
+                          first_realization=7)
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +775,13 @@ def test_trajectory_validation():
         Trajectory(np.zeros((5, 2)), 0.01, steady_shear(), config)  # expects 11 rows
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_positions_are_refused(bad):
+@pytest.mark.parametrize("build, bad", [
+    pytest.param(build, bad, id=f"{prefix}{bad}")
+    for prefix, build in (("", Trajectory), ("series-", ObservationSeries))
+    for bad in (math.nan, math.inf, -math.inf)])
+def test_non_finite_positions_are_refused(build, bad):
     positions = np.zeros((6, 2))
     positions[3, 1] = bad
     positions[5, 0] = bad
     with pytest.raises(ParameterError, match=r"^positions must be finite, row 3 is "):
-        Trajectory(positions, 0.1)
+        build(positions, 0.1)

@@ -139,9 +139,10 @@ def _csv(report) -> str:
 @pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estimator):
-    # the reduction runs on min(CPUs, rows) shares for every flow, and a
-    # shear share integrates and reduces its rows in groups of one row, of
-    # three (the last group of a share partial) or of the whole share
+    # a shear block runs on min(CPUs, rows) shares, each integrating and
+    # reducing its rows in groups of one row, of three (the last group of a
+    # share partial) or of the whole share; a cellular block is one share
+    # and one group, whatever the CPU count and the group budget
     config = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=3)
     row_bytes = config.n_stored * 2 * 8
     texts = set()
@@ -173,15 +174,17 @@ def test_reduction_error_names_its_realization(monkeypatch, batch_size):
         delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=10, batch_size=batch_size)
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("group_rows", [1, 2])
-def test_sweep_errors_do_not_depend_on_groups(monkeypatch, cpus, group_rows):
+@pytest.mark.parametrize("flow, cpus, group_rows", [
+    pytest.param(flow, cpus, group_rows, id=f"{prefix}{group_rows}-{cpus}")
+    for prefix, flow in (("", FLOW), ("taylor_green-", taylor_green()))
+    for cpus in (1, 3) for group_rows in (1, 2)])
+def test_sweep_errors_do_not_depend_on_groups(monkeypatch, flow, cpus, group_rows):
     # one _block call over the whole batch raises its earliest blow-up, ties
     # going to the lowest realization; a blow-up anywhere in the batch
     # outranks a reduction error, which names the lowest failing realization
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(dynamics, "_GROUP_BYTES", group_rows * FAST.n_stored * 2 * 8)
-    block = simulate_ensemble(FLOW, FAST, 12)
+    block = simulate_ensemble(flow, FAST, 12)
     reduce_row, run_block = harness._reduce_row, dynamics._block
     failing_rows, blowups = (), {}
 
@@ -207,12 +210,12 @@ def test_sweep_errors_do_not_depend_on_groups(monkeypatch, cpus, group_rows):
     ]
     for failing_rows, blowups, error, message in cases:
         with pytest.raises(error, match=message):
-            delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=12, batch_size=12)
+            delta_sweep(flow, FAST, "qv", [0.1], n_realizations=12, batch_size=12)
     # a real blow-up: every group goes non-finite in its first chunk
     monkeypatch.setattr(dynamics, "_block", run_block)
     overflow = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
     with pytest.raises(IntegrationBlowupError, match="realization 0 between steps 0 and 10"):
-        delta_sweep(FLOW, overflow, "qv", [1.0], n_realizations=6)
+        delta_sweep(flow, overflow, "qv", [1.0], n_realizations=6)
 
 
 def test_sweep_memory_is_bounded_by_the_group_budget(monkeypatch):
@@ -322,6 +325,16 @@ def test_rescaled_study_is_paired_and_validated_upfront():
         rescaled_study(FLOW, 0.5, [], 1.0, n_realizations=4)
     with pytest.raises(ParameterError):
         rescaled_study(FLOW, 0.5, [0.4, 1.7], 1.0, n_realizations=4)
+
+
+def test_rescaled_study_checks_points_before_simulating(monkeypatch):
+    # delta = 1 at epsilon = 1 leaves one stored point over t_final = 0.5;
+    # the epsilon = 0.05 sweep before it must not run first
+    calls = []
+    monkeypatch.setattr(harness, "simulate_ensemble", lambda *args, **kw: calls.append(args))
+    with pytest.raises(InsufficientDataError, match=r"^qv at delta=1 .* got 1$"):
+        rescaled_study(steady_shear(), 0.5, [0.05, 1.0], 1.0, n_realizations=8, t_final=0.5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
