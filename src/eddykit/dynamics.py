@@ -33,16 +33,20 @@ loop for the cellular flows (Taylor-Green, Childress-Soward).
 ``simulate_ensemble`` runs it on contiguous shares of the realizations,
 each integrated in groups of rows; the flow family sets only how many.
 A shear block has one share per CPU in the process's affinity mask, each
-on a thread of its own, and groups whose stored paths fit
-``_GROUP_BYTES``: the kernel's draws, cumulative sums and the OU
-modulation's banded solve work row by row and release the interpreter
-lock on long rows. A cellular block is one share in the calling thread
-and one group: each step advances one stacked (2, rows) state [x, y]
-with one sin and one cos call shared by both coordinates, and its few
-small numpy calls per step hold the lock, so threads would only slow it
-down. Given a row reduction (the harness sweeps pass their estimators),
-a share reduces each group as soon as it is integrated and reuses one
-group buffer, so a sweep holds at most one group of paths per share.
+on a thread of its own, and groups of as many rows as fit the 4 MiB
+``_GROUP_BYTES``, at least one. A row is priced by all it holds
+(``_row_bytes``): its stored path plus its chunk buffers (draws, x and y
+chunk paths and, for OU shear, the modulation), so a full-resolution
+share of 10^5 points per path integrates two paths at a time. The
+kernel's draws, cumulative sums and the OU modulation's banded solve
+work row by row and release the interpreter lock on long rows. A
+cellular block is one share in the calling thread and one group: each
+step advances one stacked (2, rows) state [x, y] with one sin and one
+cos call shared by both coordinates, and its few small numpy calls per
+step hold the lock, so threads would only slow it down. Given a row
+reduction (the harness sweeps pass their estimators), a share reduces
+each group as soon as it is integrated and reuses one group buffer, so a
+sweep holds at most one group of paths per share.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -78,8 +82,26 @@ SOURCE_ETA0 = 2    # stationary initial draw for eta
 SOURCE_NOISE = 3   # observation noise, consumed by the harness
 
 _CHUNK = 4096
-_GROUP_BYTES = 16 << 20  # stored paths of the group of rows a share integrates at once
+_GROUP_BYTES = 4 << 20  # what a shear share's group of rows holds at once (``_row_bytes``)
 _PIECE = 256  # steps of scaled draws the cellular loop copies at a time
+
+
+def _width(config: SimConfig) -> int:
+    """Columns of a block's chunk buffers: at most _CHUNK steps."""
+    span = config.store_stride * (config.n_stored - 1)
+    return min(_CHUNK, max(config.burn_steps, span))
+
+
+def _row_bytes(flow: FlowSpec, config: SimConfig) -> int:
+    """Bytes one row of a shear group holds: its stored path and chunk buffers.
+
+    The stored (n_stored, 2) path, the (width, 2) draws, the x and y chunk
+    paths of width+1 columns each and, for OU shear, the width-column
+    modulation, all float64.
+    """
+    width = _width(config)
+    modulation = width if flow.kind == OU_SHEAR else 0
+    return 8 * (2 * config.n_stored + 2 * width + 2 * (width + 1) + modulation)
 
 
 def _keyed_generator(*key: int) -> np.random.Generator:
@@ -320,7 +342,8 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
 
     x does not depend on y, so a chunk of x is one cumulative sum of its
     Brownian increments; y then sums the left endpoint drift along that
-    path plus its own Brownian increments (``ou`` holds the OU modulation's
+    path, whose phase x/eps is x itself at eps = 1 (x * 1.0 == x), plus
+    its own Brownian increments (``ou`` holds the OU modulation's
     initial eta vector and noise generators, None for the other shear
     flows). The modulation's exact AR(1) step eta_n = d eta_{n-1} + s xi_n
     runs over a chunk as one unit bidiagonal solve U^T eta = b, where U has
@@ -339,6 +362,7 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
     clock_dt = dt / (config.epsilon * config.epsilon)
     noise_scale = math.sqrt(2.0 * config.kappa * dt)
     kind = flow.kind
+    rescaled = config.epsilon != 1.0
     count = g.shape[0]
     x_path = np.empty((count, width + 1))
     y_path = np.empty((count, width + 1))
@@ -359,8 +383,8 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
         xs += x_path[:, :1]
         # y increments, built in place on the left endpoint phases x/eps
         ys = y_path[:, 1:c + 1]
-        np.multiply(x_path[:, :c], inv_eps, out=ys)
-        np.sin(ys, out=ys)
+        phase = np.multiply(x_path[:, :c], inv_eps, out=ys) if rescaled else x_path[:, :c]
+        np.sin(phase, out=ys)
         if kind == OU_SHEAR:
             eta = g_mod[:count * c].reshape(count, c)
             for i, gen in enumerate(gens_ou):
@@ -447,7 +471,7 @@ def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
     # stored chunks hold whole strides; a stride longer than _CHUNK runs in
     # _CHUNK-step pieces, so the buffers never outgrow _CHUNK columns
     chunk = stride * (_CHUNK // stride) or _CHUNK
-    width = min(_CHUNK, max(burn, span))
+    width = _width(config)
     g = np.empty((len(gens), width, 2))  # Brownian draws of x and y
     kernel = _shear_kernel if flow.is_shear else _cellular_kernel
     x_path, y_path, advance = kernel(flow, config, g, ou, width)
@@ -509,8 +533,11 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     in one call or in any partition yields bitwise identical rows.
 
     The rows run on the shares and groups the flow family sets (see the
-    module docstring): a cellular block reduces its rows in the calling
-    thread. The result is bitwise identical to one thread and any grouping.
+    module docstring): a shear share integrates groups of
+    ``_GROUP_BYTES // _row_bytes(flow, config)`` rows, at least one, each
+    row priced by its stored path and its chunk buffers; a cellular block
+    is one group and reduces its rows in the calling thread. The result is
+    bitwise identical to one thread and any grouping.
 
     ``reduce``, if given, replaces each stored path by its reduction, so
     that a block never holds more than one group of paths per share.
@@ -539,7 +566,7 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     shape = (config.n_stored, 2)
     if flow.is_shear:
         n_shares = min(_cpu_count(), count)
-        group_rows = max(1, _GROUP_BYTES // (8 * math.prod(shape)))
+        group_rows = max(1, _GROUP_BYTES // _row_bytes(flow, config))
     else:
         n_shares, group_rows = 1, count
     out = np.empty((count, *shape)) if reduce is None else None

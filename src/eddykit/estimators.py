@@ -243,7 +243,9 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
     points, diffs = work
     n = row.shape[0]
     _check_points(estimator, delta, j, n)
-    if estimator == "qv":
+    # box at j = 1 is qv: one-point bins are the points, theta/sqrt(1) = theta
+    # and both draw the same (n, 2) noise, so the qv branch gives its bits
+    if estimator == "qv" or (estimator == "box" and j == 1):
         obs = row[::j]
         if theta > 0.0:
             obs = _perturbed(obs, theta, gen, points[:obs.shape[0]])

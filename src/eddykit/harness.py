@@ -140,15 +140,15 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     call each, which reduces every row on its simulation's shares (one
     thread per CPU for a shear block, the calling thread for a cellular
     one; each share allocates its work buffers once). A shear share
-    integrates and reduces its rows in groups of at most
-    ``dynamics._GROUP_BYTES`` of stored paths, so memory is bounded per
-    share, not by batch_size times n_stored. Realization r's value at the
-    j-th delta is bitwise ``directional_component(
-    estimators.estimate_tensor(traj_r, estimator, delta_j, theta,
-    noise_generator(seed, r, j)), direction)``, whatever the batch size,
-    the group size and the thread count. Observation noise is thus
-    drawn independently per (realization, delta) from streams disjoint from
-    the dynamics streams. Estimator statistics use the sample standard
+    integrates and reduces its rows in groups whose stored paths and chunk
+    buffers fit ``dynamics._GROUP_BYTES`` (4 MiB; two rows of 10^5 points),
+    so memory is bounded per share, not by batch_size times n_stored.
+    Realization r's value at the j-th delta is bitwise
+    ``directional_component(estimators.estimate_tensor(traj_r, estimator,
+    delta_j, theta, noise_generator(seed, r, j)), direction)``, whatever
+    the batch size, the group size and the thread count. Observation noise
+    is thus drawn independently per (realization, delta) from streams
+    disjoint from the dynamics streams. Estimator statistics use the sample standard
     deviation (ddof=1); stderr = std / sqrt(M).
     """
     deltas = [float(d) for d in deltas]

@@ -148,6 +148,12 @@ def test_j_one_collapses_bitwise():
     np.testing.assert_array_equal(plain.entries, box.entries)
     np.testing.assert_array_equal(plain.entries, shift.entries)
     assert plain.n_increments == box.n_increments == shift.n_increments == 500
+    # under noise too: one-point bins draw qv's (n, 2) noise at theta/sqrt(1) = theta
+    noisy_qv = estimate_tensor(traj, "qv", 0.01, 0.3, np.random.default_rng(4))
+    noisy_box = estimate_tensor(traj, "box", 0.01, 0.3, np.random.default_rng(4))
+    np.testing.assert_array_equal(noisy_qv.entries, noisy_box.entries)
+    assert noisy_qv.n_increments == noisy_box.n_increments == 500
+    assert not np.array_equal(noisy_qv.entries, plain.entries)
 
 
 def test_quadratic_scaling_is_exact():

@@ -32,6 +32,7 @@ from eddykit import (
     delta_sweep,
     directional_component,
     k_periodic_shear,
+    ou_shear,
     parse_config,
     qv_expectation_shear,
     rescaled_config,
@@ -144,7 +145,7 @@ def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estima
     # share partial) or of the whole share; a cellular block is one share
     # and one group, whatever the CPU count and the group budget
     config = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=3)
-    row_bytes = config.n_stored * 2 * 8
+    row_bytes = dynamics._row_bytes(flow, config)
     texts = set()
     for budget in (row_bytes, 3 * row_bytes, dynamics._GROUP_BYTES):
         monkeypatch.setattr(dynamics, "_GROUP_BYTES", budget)
@@ -183,7 +184,7 @@ def test_sweep_errors_do_not_depend_on_groups(monkeypatch, flow, cpus, group_row
     # going to the lowest realization; a blow-up anywhere in the batch
     # outranks a reduction error, which names the lowest failing realization
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(dynamics, "_GROUP_BYTES", group_rows * FAST.n_stored * 2 * 8)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", group_rows * dynamics._row_bytes(flow, FAST))
     block = simulate_ensemble(flow, FAST, 12)
     reduce_row, run_block = harness._reduce_row, dynamics._block
     failing_rows, blowups = (), {}
@@ -218,6 +219,15 @@ def test_sweep_errors_do_not_depend_on_groups(monkeypatch, flow, cpus, group_row
         delta_sweep(flow, overflow, "qv", [1.0], n_realizations=6)
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_memory_is_bounded_by_the_group_budget(monkeypatch):
     # a full-resolution batch would be (64, 20001, 2) doubles, 20 MB; each of
     # two shares holds a group of two paths, a reduction buffer and the
@@ -225,15 +235,39 @@ def test_sweep_memory_is_bounded_by_the_group_budget(monkeypatch):
     config = SimConfig(kappa=0.5, dt=0.01, t_final=200.0, seed=5)
     m = 64
     block_bytes = m * config.n_stored * 2 * 8
-    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * config.n_stored * 2 * 8)
+    row_bytes = dynamics._row_bytes(steady_shear(), config)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * row_bytes)
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
-    tracemalloc.start()
-    try:
-        delta_sweep(steady_shear(), config, "box", [0.01, 0.1], 0.05, m, "x", batch_size=m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: delta_sweep(steady_shear(), config, "box", [0.01, 0.1], 0.05,
+                                            m, "x", batch_size=m))
     assert peak < block_bytes / 4
+
+
+def test_group_budget_counts_the_chunk_buffers(monkeypatch):
+    # a stride-1000 path stores 6 points but its chunk buffers (draws, x and
+    # y chunk paths, OU modulation) take 4096 columns; priced by its stored
+    # path alone, each share would integrate all its 128 rows at once, about
+    # 21 MB of chunk buffers
+    config = SimConfig(kappa=0.1, dt=1e-3, t_final=5.0, store_stride=1000, seed=7)
+    m, shares = 256, 2
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 4 << 20)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: shares)
+    dynamics._dtbtrs()  # scipy's import is not the sweep's memory
+    peak = _traced_peak(lambda: delta_sweep(ou_shear(1.0, 0.1), config, "qv", [1.0, 2.0],
+                                            n_realizations=m, batch_size=m))
+    assert peak < 2 * shares * dynamics._GROUP_BYTES
+
+
+def test_full_resolution_sweep_memory_does_not_grow_with_m(monkeypatch):
+    # at the default budget a share of 10^5-point paths integrates two rows at
+    # a time, so M = 8 and M = 64 hold the same groups; only the (n_delta, M)
+    # values and the per-realization streams grow with M, far less than a path
+    config = SimConfig(kappa=0.1, dt=0.01, t_final=1000.0, seed=7)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    peaks = [_traced_peak(lambda m=m: delta_sweep(steady_shear(), config, "box", [0.01, 1.0],
+                                                  0.05, m, "x", batch_size=m))
+             for m in (8, 64)]
+    assert peaks[1] < peaks[0] + config.n_stored * 2 * 8
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
