@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,6 +197,15 @@ def add_observation_noise(series: ObservationSeries, theta: float, rng) -> Obser
     return ObservationSeries(noisy, series.delta, math.hypot(series.theta, theta))
 
 
+def _qv_entries(d: np.ndarray, delta: float) -> np.ndarray:
+    """Quadratic-variation matrix of the increments d, normalized by their count."""
+    k00 = float(d[:, 0] @ d[:, 0])
+    k01 = float(d[:, 0] @ d[:, 1])
+    k11 = float(d[:, 1] @ d[:, 1])
+    scale = 1.0 / (2.0 * d.shape[0] * delta)
+    return np.array([[k00 * scale, k01 * scale], [k01 * scale, k11 * scale]])
+
+
 def _qv_tensor(points: np.ndarray, delta: float, diffs: np.ndarray) -> tuple[np.ndarray, int]:
     """Quadratic-variation matrix of one point sequence and its increment count.
 
@@ -203,16 +213,33 @@ def _qv_tensor(points: np.ndarray, delta: float, diffs: np.ndarray) -> tuple[np.
     """
     n_inc = points.shape[0] - 1
     d = np.subtract(points[1:], points[:-1], out=diffs[:n_inc])
-    k00 = float(d[:, 0] @ d[:, 0])
-    k01 = float(d[:, 0] @ d[:, 1])
-    k11 = float(d[:, 1] @ d[:, 1])
-    scale = 1.0 / (2.0 * n_inc * delta)
-    return np.array([[k00 * scale, k01 * scale], [k01 * scale, k11 * scale]]), n_inc
+    return _qv_entries(d, delta), n_inc
 
 
-def _row_buffers(n: int) -> np.ndarray:
-    """Work space of ``_reduce_row`` for rows of up to n points; one per thread."""
-    return np.empty((2, n, 2))
+# rows per chunk in which a full-resolution qv or box row turns its noisy
+# points into increments in place; each chunk costs two numpy calls
+_CHUNK = 16384
+
+
+class _Work(NamedTuple):
+    """Work space of ``_reduce_row`` for rows of up to n points; one per thread.
+
+    ``diffs`` (n, 2) holds a row's observed points and their increments,
+    ``chunk`` (min(n, _CHUNK), 2) the points one chunk ahead while the
+    increments of a full-resolution row overwrite its points, and
+    ``noisy`` (n, 2) shift's noisy copy of the row, kept only for shift
+    under noise.
+    """
+
+    diffs: np.ndarray
+    chunk: np.ndarray
+    noisy: np.ndarray | None
+
+
+def _row_buffers(n: int, estimator: str = "qv", theta: float = 0.0) -> _Work:
+    """The ``_Work`` of one thread that reduces rows of up to n points."""
+    noisy = np.empty((n, 2)) if estimator == "shift" and theta > 0.0 else None
+    return _Work(np.empty((n, 2)), np.empty((min(n, _CHUNK), 2)), noisy)
 
 
 def _perturbed(points: np.ndarray, scale: float, gen: np.random.Generator,
@@ -225,7 +252,7 @@ def _perturbed(points: np.ndarray, scale: float, gen: np.random.Generator,
 
 
 def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: float,
-                gen: np.random.Generator | None, work: np.ndarray) -> tuple[np.ndarray, int]:
+                gen: np.random.Generator | None, work: _Work) -> tuple[np.ndarray, int]:
     """Entries and increment count of one estimate from one (n, 2) row of points.
 
     qv observes every j-th point; box replaces each bin of j consecutive
@@ -237,38 +264,54 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
     With theta > 0, ``gen`` draws the observation noise: qv and shift add
     theta N(0, 1) to every point they observe; box adds theta/sqrt(j) N(0, 1)
     to every bin mean, the law of the mean of j points with theta noise
-    each, at one draw per bin coordinate. ``work`` is from ``_row_buffers``;
-    nothing else is allocated in proportion to the row.
+    each, at one draw per bin coordinate. ``work`` is from ``_row_buffers``:
+    qv and box keep their points and increments in its one (n, 2) array,
+    shift under noise also its noisy row; nothing else is allocated in
+    proportion to the row.
     """
-    points, diffs = work
     n = row.shape[0]
     _check_points(estimator, delta, j, n)
+    diffs = work.diffs
+    if estimator == "shift":
+        if theta > 0.0:
+            row = _perturbed(row, theta, gen, work.noisy[:n])
+        total = np.zeros((2, 2))
+        n_inc_min = None
+        for s in range(j):
+            entries, n_inc = _qv_tensor(row[s::j], delta, diffs)
+            total += entries
+            n_inc_min = n_inc if n_inc_min is None else min(n_inc_min, n_inc)
+        return total / j, n_inc_min
     # box at j = 1 is qv: one-point bins are the points, theta/sqrt(1) = theta
     # and both draw the same (n, 2) noise, so the qv branch gives its bits
-    if estimator == "qv" or (estimator == "box" and j == 1):
+    box = estimator == "box" and j > 1
+    if not box:
         obs = row[::j]
-        if theta > 0.0:
-            obs = _perturbed(obs, theta, gen, points[:obs.shape[0]])
-        return _qv_tensor(obs, delta, diffs)
-    if estimator == "box":
-        n_bins = n // j
-        # sequential sum within each bin: the bits of np.mean along axis 1
-        means = np.einsum("bjc->bc", row[:n_bins * j].reshape(n_bins, j, 2), out=points[:n_bins])
-        means /= j
         if theta == 0.0:
-            return _qv_tensor(means, delta, diffs)
-        # the noisy means go to diffs, so their increments go to points
-        noisy = _perturbed(means, theta / math.sqrt(j), gen, diffs[:n_bins])
-        return _qv_tensor(noisy, delta, points)
-    if theta > 0.0:
-        row = _perturbed(row, theta, gen, points[:n])
-    total = np.zeros((2, 2))
-    n_inc_min = None
-    for s in range(j):
-        entries, n_inc = _qv_tensor(row[s::j], delta, diffs)
-        total += entries
-        n_inc_min = n_inc if n_inc_min is None else min(n_inc_min, n_inc)
-    return total / j, n_inc_min
+            return _qv_tensor(obs, delta, diffs)
+    count = n // j if box else obs.shape[0]
+    # the points take the tail of diffs and their increments its head, which
+    # stay apart for j > 1, where 2 count - 1 <= n
+    points = diffs[n - count:n]
+    if box:
+        # sequential sum within each bin: the bits of np.mean along axis 1
+        means = diffs[:count] if theta > 0.0 else points
+        np.einsum("bjc->bc", row[:count * j].reshape(count, j, 2), out=means)
+        means /= j
+        if theta > 0.0:
+            _perturbed(means, theta / math.sqrt(j), gen, points)
+    else:
+        _perturbed(obs, theta, gen, points)
+    if count < n:
+        return _qv_tensor(points, delta, diffs)
+    # j = 1 under noise: each increment overwrites its own point, with the
+    # points one ahead copied out a chunk at a time first
+    for start in range(0, n - 1, _CHUNK):
+        stop = min(start + _CHUNK, n - 1)
+        ahead = work.chunk[:stop - start]
+        np.copyto(ahead, diffs[start + 1:stop + 1])
+        np.subtract(ahead, diffs[start:stop], out=diffs[start:stop])
+    return _qv_entries(diffs[:n - 1], delta), n - 1
 
 
 def qv_estimate(series: ObservationSeries) -> DiffusivityTensor:
@@ -294,7 +337,7 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
     gen = as_generator(noise) if theta > 0.0 else None
     entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
-                                 _row_buffers(traj.n_points))
+                                 _row_buffers(traj.n_points, estimator, theta))
     return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,
                              theta=theta, n_increments=n_inc)
 

@@ -173,7 +173,7 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                   for j in range(len(resolved))] for i in range(count)]
 
         def reduction():
-            work = _row_buffers(config.n_stored)
+            work = _row_buffers(config.n_stored, estimator, theta)
 
             def row(i: int, path: np.ndarray) -> np.ndarray:
                 entries = np.empty((len(resolved), 2, 2))

@@ -88,6 +88,18 @@ unchanged, and chi^2 = T_G chi^1 has the relative residual of chi^1. The
 full system's residual and b are odd and its row 0 is zero, so the
 relative residual on H equals the full one.
 
+kappa enters the blocks only on their diagonals, as kappa |k|^2 w: the
+folded advection is skew-symmetric and has none. Everything else (the
+reachable set, the fold embeddings, the sparse pattern with the
+advection entries, the right-hand sides) is built once per (velocity
+modes, symmetries, M) by _operator and kept read-only in a cache keyed
+by those modes, not by the FlowSpec, that holds at most _OPERATOR_BYTES
+(16 MiB, a whole doubling ladder to M = 256 of one cellular flow) and
+drops the least recently used operator first. Each solve copies the
+cached entries, writes kappa |k|^2 w into the diagonal slots, and gets
+the matrix that assembling from scratch gives, bit for bit. The refusal
+of a velocity with a real part runs on every solve, before the cache.
+
 The sparse matrices and the LU come from scipy.sparse, which the first
 assembly and the first solve import, so importing this module loads no
 scipy.
@@ -310,7 +322,9 @@ class _Block(NamedTuple):
     real Galerkin matrix; P^T P / 2 = diag(weight), with weight the orbit
     size over 2, which is 1 or 2. ``points`` are the flat lattice indices
     of the reachable set, where x = coef * z[column]; ``lattice`` holds
-    those of the orbits' representatives, one per unknown.
+    those of the orbits' representatives, one per unknown, and ``ksq``
+    their |k|^2. ``diagonal`` gives the position of each unknown's
+    diagonal entry in ``matrix.data``, the only entries kappa enters.
     """
 
     matrix: scipy.sparse.csc_matrix
@@ -320,6 +334,108 @@ class _Block(NamedTuple):
     column: np.ndarray
     coef: np.ndarray
     lattice: np.ndarray
+    ksq: np.ndarray
+    diagonal: np.ndarray
+
+
+def _block_arrays(block: _Block) -> tuple[np.ndarray, ...]:
+    """Every array of a block, its matrix's three included."""
+    return (block.matrix.data, block.matrix.indices, block.matrix.indptr, *block[1:])
+
+
+def _operator(vm, folds, components: slice, m_trunc: int) -> tuple[_Block, ...]:
+    """The kappa-free blocks of the cell problem on |k1|, |k2| <= m_trunc.
+
+    ``vm`` are the velocity modes, whose coefficients must be purely
+    imaginary, and ``folds`` holds one list of (map, character) pairs per
+    block, as _fold takes them; ``components`` selects the right-hand
+    sides kept. Each matrix holds the folded advection with the pattern,
+    entry order and duplicate sums that coo_matrix.tocsc gives the whole
+    operator, and zeros in the diagonal slots, which _assemble fills with
+    kappa |k|^2 weight. The advection part is skew-symmetric, so its
+    diagonal is zero: a coupling that folds onto the diagonal (a shift by
+    m = 2k, or within a G orbit) is left out, which no catalog flow has.
+    The blocks share ``points``, and every array is read-only.
+    """
+    import scipy.sparse as sp
+
+    side = 2 * m_trunc + 1
+    points = np.flatnonzero(_reachable(list(vm), m_trunc))
+    shared = points.astype(np.int32)
+    local = np.full(side * side, -1)
+    local[points] = np.arange(points.size)
+    p1, p2 = np.divmod(points, side)
+    p1 -= m_trunc
+    p2 -= m_trunc
+    blocks = []
+    for maps in folds:
+        column, coef, heads = _fold(p1, p2, local, maps)
+        n = heads.size
+        weight = np.bincount(column[coef != 0.0], minlength=n) / 2.0
+        k1, k2 = p1[heads], p2[heads]
+        rows = [np.arange(n)]
+        cols = [np.arange(n)]
+        vals = [np.zeros(n)]
+        # -v . grad chi couples mode k' to k = k' - m with weight -i (vhat_m . k),
+        # which is Im(vhat_m) . k once vhat_m is purely imaginary
+        for mode, vhat in vm.items():
+            w = vhat.imag
+            s1 = k1 - mode[0]
+            s2 = k2 - mode[1]
+            inside = np.flatnonzero((np.abs(s1) <= m_trunc) & (np.abs(s2) <= m_trunc))
+            src1, src2 = s1[inside], s2[inside]
+            src = local[(src1 + m_trunc) * side + (src2 + m_trunc)]
+            # a source off the block, the zero mode among them, is dropped,
+            # and so is one on the diagonal
+            ok = (coef[src] != 0.0) & (column[src] != inside)
+            src1, src2, src, row = src1[ok], src2[ok], src[ok], inside[ok]
+            rows.append(row)
+            cols.append(column[src])
+            vals.append(weight[row] * coef[src] * (w[0] * src1 + w[1] * src2))
+        matrix = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsc()
+        diagonal = np.flatnonzero(
+            matrix.indices == np.repeat(np.arange(n), np.diff(matrix.indptr)))
+
+        rhs = np.zeros((n, 2))
+        for mode, vhat in vm.items():
+            i = local[(mode[0] + m_trunc) * side + (mode[1] + m_trunc)]
+            if coef[i] != 0.0:
+                rhs[column[i]] -= coef[i] * vhat.imag / 2.0
+        blocks.append(_Block(matrix, np.ascontiguousarray(rhs[:, components]), weight,
+                             shared, column.astype(np.int32),
+                             coef.astype(np.int8), points[heads].astype(np.int32),
+                             (k1 ** 2 + k2 ** 2).astype(np.int32),
+                             diagonal.astype(np.int32)))
+    for block in blocks:
+        for array in _block_arrays(block):
+            array.setflags(write=False)
+    return tuple(blocks)
+
+
+# The operators _operator built, least recently used first, keyed by the
+# velocity modes' imaginary parts in order, the symmetry flags and M, each
+# with the bytes of its distinct arrays; together they stay within
+# _OPERATOR_BYTES, which holds a whole doubling ladder to M = 256 of
+# Taylor-Green (5.6 MB) or Childress-Soward (10.5 MB).
+_OPERATOR_BYTES = 16 << 20
+_operators: dict[tuple, tuple[tuple[_Block, ...], int]] = {}
+
+
+def _cached_operator(key: tuple, build) -> tuple[_Block, ...]:
+    """The operator stored under key, built by build() and stored if new."""
+    blocks, nbytes = _operators.pop(key, (None, 0))
+    if blocks is None:
+        blocks = build()
+        arrays = {id(a): a for block in blocks for a in _block_arrays(block)}
+        nbytes = sum(a.nbytes for a in arrays.values())
+    _operators[key] = blocks, nbytes
+    total = sum(size for _, size in _operators.values())
+    while total > _OPERATOR_BYTES:
+        total -= _operators.pop(next(iter(_operators)))[1]
+    return blocks
 
 
 def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
@@ -333,9 +449,11 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
     and chi^2 = T_G chi^1; with R as well only the G-even block is
     returned, and the G-odd part of chi^1 is -T_R of the G-even part.
 
-    Returns the blocks, G (or None) and R (or None). A velocity
-    coefficient with a real part would make the system genuinely complex
-    and is refused.
+    The kappa-free part comes from _operator, cached per (velocity modes,
+    symmetries, M); each call copies its matrix entries and writes
+    kappa |k|^2 weight into the diagonal slots. Returns the blocks, G (or
+    None) and R (or None). A velocity coefficient with a real part would
+    make the system genuinely complex and is refused, on every call.
     """
     import scipy.sparse as sp
 
@@ -356,51 +474,18 @@ def _assemble(flow: FlowSpec, kappa: float, m_trunc: int):
         parities = (1.0,) if mirror is not None else (1.0, -1.0)
         folds = [[odd, (swap, parity)] for parity in parities]
     components = slice(0, 2) if swap is None else slice(0, 1)
+    key = (tuple((mode, vhat.imag.tobytes()) for mode, vhat in vm.items()),
+           has_swap, has_mirror, m_trunc)
+    blocks = _cached_operator(key, lambda: _operator(vm, folds, components, m_trunc))
 
-    side = 2 * m_trunc + 1
-    points = np.flatnonzero(_reachable(list(vm), m_trunc))
-    local = np.full(side * side, -1)
-    local[points] = np.arange(points.size)
-    p1, p2 = np.divmod(points, side)
-    p1 -= m_trunc
-    p2 -= m_trunc
-    blocks = []
-    for maps in folds:
-        column, coef, heads = _fold(p1, p2, local, maps)
-        n = heads.size
-        weight = np.bincount(column[coef != 0.0], minlength=n) / 2.0
-        k1, k2 = p1[heads], p2[heads]
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [kappa * (k1 ** 2 + k2 ** 2) * weight]
-        # -v . grad chi couples mode k' to k = k' - m with weight -i (vhat_m . k),
-        # which is Im(vhat_m) . k once vhat_m is purely imaginary
-        for mode, vhat in vm.items():
-            w = vhat.imag
-            s1 = k1 - mode[0]
-            s2 = k2 - mode[1]
-            inside = np.flatnonzero((np.abs(s1) <= m_trunc) & (np.abs(s2) <= m_trunc))
-            src1, src2 = s1[inside], s2[inside]
-            src = local[(src1 + m_trunc) * side + (src2 + m_trunc)]
-            # a source off the block, the zero mode among them, is dropped
-            ok = coef[src] != 0.0
-            src1, src2, src, row = src1[ok], src2[ok], src[ok], inside[ok]
-            rows.append(row)
-            cols.append(column[src])
-            vals.append(weight[row] * coef[src] * (w[0] * src1 + w[1] * src2))
-        matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsc()
-
-        rhs = np.zeros((n, 2))
-        for mode, vhat in vm.items():
-            i = local[(mode[0] + m_trunc) * side + (mode[1] + m_trunc)]
-            if coef[i] != 0.0:
-                rhs[column[i]] -= coef[i] * vhat.imag / 2.0
-        blocks.append(_Block(matrix, rhs[:, components], weight, points, column, coef,
-                             points[heads]))
-    return blocks, swap, mirror
+    filled = []
+    for block in blocks:
+        data = block.matrix.data.copy()
+        data[block.diagonal] = kappa * block.ksq * block.weight
+        matrix = sp.csc_matrix((data, block.matrix.indices, block.matrix.indptr),
+                               shape=block.matrix.shape)
+        filled.append(block._replace(matrix=matrix))
+    return filled, swap, mirror
 
 
 def _solve_block(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,6 +522,13 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
     residuals; a residual above 1e-10 raises ConvergenceError carrying the
     measured value. A flow whose velocity coefficients are not purely
     imaginary raises UnsupportedFlowError.
+
+    kappa sits only on the diagonal of each block. The rest of the
+    operator is built once per (velocity modes, symmetries, modes) and
+    cached read-only, at most 16 MiB of operators, least recently used
+    dropped first; a solve at another kappa, or again at the same one,
+    only rewrites the diagonal, so its results are bitwise those of a
+    solve on an empty cache.
     """
     if not flow.is_time_independent:
         raise UnsupportedFlowError(
@@ -447,11 +539,15 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
 
     blocks, swap, mirror = _assemble(flow, kappa, modes)
     side = 2 * modes + 1
-    x = np.zeros((blocks[0].rhs.shape[1], side * side))
     err = scale = 0.0
+    solutions = []
     for block in blocks:
         z, block_err, block_scale = _solve_block(block)
         err, scale = err + block_err, scale + block_scale
+        solutions.append(z)
+    # the lattice-sized arrays come after the factorizations, not alongside
+    x = np.zeros((blocks[0].rhs.shape[1], side * side))
+    for block, z in zip(blocks, solutions):
         x[:, block.points] += block.coef * z[block.column].T
     if mirror is not None:
         x -= mirror.apply(x)

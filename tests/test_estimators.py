@@ -8,6 +8,7 @@ floating point ones (translation) to tight relative tolerances.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from eddykit import (
     subsample,
     taylor_green,
 )
+from eddykit import estimators
 from eddykit.dynamics import noise_generator
 from eddykit.estimators import _qv_tensor, _reduce_row, _row_buffers, estimate_tensor
 
@@ -340,6 +342,53 @@ def test_noisy_box_draws_once_per_bin_coordinate(n, j):
     gen = _CountingGenerator(6)
     estimate_tensor(traj, "box", j * 0.01, 0.05, gen)
     assert gen.normals == 2 * (n // j)
+
+
+def _one_shot(estimator, row, j, delta, theta, gen):
+    """qv and box with every observed point and its noise made in one array."""
+    if estimator == "box" and j > 1:
+        n_bins = row.shape[0] // j
+        obs = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1)
+        theta /= math.sqrt(j)
+    else:
+        obs = row[::j]
+    if theta > 0.0:
+        obs = obs + theta * gen.standard_normal(obs.shape)
+    return _qv_tensor(obs, delta, np.empty_like(obs))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+@pytest.mark.parametrize("estimator", ["qv", "box"])
+def test_points_and_increments_in_one_buffer_are_bitwise(estimator, theta):
+    # qv and box keep their points in the tail of one (n, 2) buffer and a
+    # full-resolution row turns them into increments in place, in chunks of
+    # estimators._CHUNK rows: the bits of separate points and increments
+    chunk = estimators._CHUNK
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 5):
+        row = _bm_trajectory(np.random.default_rng(n), n - 1, 0.5, 0.01).positions + 100.0
+        for j in (1, 2, 3, 7):
+            got = _reduce_row(estimator, row, j, j * 0.01, theta, np.random.default_rng(4),
+                              _row_buffers(n, estimator, theta))
+            want = _one_shot(estimator, row, j, j * 0.01, theta, np.random.default_rng(4))
+            assert got[0].tobytes() == want[0].tobytes(), (n, j)
+            assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+@pytest.mark.parametrize("estimator", ["qv", "box"])
+def test_qv_and_box_hold_one_row_of_increments(estimator, theta):
+    # the (n, 2) points and increments plus a chunk and numpy's iteration
+    # buffers, well under 1 MiB; a noisy copy or the bin means of the whole
+    # row apart from the increments would add another (n, 2), 3.2 MB
+    n = 200_001
+    traj = _bm_trajectory(np.random.default_rng(3), n - 1, 0.5, 0.01)
+    tracemalloc.start()
+    try:
+        estimate_tensor(traj, estimator, 0.02, theta, np.random.default_rng(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 2 * 8 + (1 << 20)
 
 
 def test_noisy_box_on_a_zero_path_has_mean_theta_sq_over_j_delta():

@@ -455,6 +455,149 @@ def test_velocity_with_real_part_is_refused(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the kappa-free operator, built once per (velocity modes, symmetries, M)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_operators(monkeypatch):
+    """An empty operator cache for one test, and the list of M built in it."""
+    monkeypatch.setattr(homogenization, "_operators", {})
+    built = []
+    real_operator = homogenization._operator
+
+    def recording_operator(vm, folds, components, m_trunc):
+        built.append(m_trunc)
+        return real_operator(vm, folds, components, m_trunc)
+
+    monkeypatch.setattr(homogenization, "_operator", recording_operator)
+    return built
+
+
+def _cache_bytes():
+    return sum(nbytes for _, nbytes in homogenization._operators.values())
+
+
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green(), childress_soward(0.5)],
+                         ids=flow_label)
+def test_kappa_enters_only_the_diagonal(flow, fresh_operators):
+    m = 12
+    first, _, _ = homogenization._assemble(flow, 0.1, m)
+    second, _, _ = homogenization._assemble(flow, 0.003, m)
+    assert fresh_operators == [m]
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.matrix.indptr, b.matrix.indptr)
+        np.testing.assert_array_equal(a.matrix.indices, b.matrix.indices)
+        assert a.matrix.indices.dtype == a.matrix.indptr.dtype == np.int32
+        rows = np.repeat(np.arange(a.matrix.shape[1]), np.diff(a.matrix.indptr))
+        on_diagonal = a.matrix.indices == rows
+        assert np.count_nonzero(on_diagonal) == a.matrix.shape[0]
+        np.testing.assert_array_equal(np.flatnonzero(on_diagonal), a.diagonal)
+        assert a.matrix.data[~on_diagonal].tobytes() == b.matrix.data[~on_diagonal].tobytes()
+        for kappa, block in ((0.1, a), (0.003, b)):
+            expected = kappa * block.ksq.astype(float) * block.weight
+            assert block.matrix.data[block.diagonal].tobytes() == expected.tobytes()
+
+
+def test_scan_builds_each_structure_once(fresh_operators):
+    # perfbench's scan: 24 solves on 8 (flow, M) structures, the rest reuse
+    for flow, kappas in ((taylor_green(), (0.005, 0.01, 0.02, 0.05)),
+                         (childress_soward(0.5), (0.002, 0.005, 0.01))):
+        for kappa in kappas:
+            spectral_diffusivity(flow, kappa, rtol=1e-6, max_modes=256)
+    assert sorted(fresh_operators) == [16, 16, 32, 32, 64, 64, 128, 128]
+
+
+def _cosine_patched_modes(flow):
+    # Taylor-Green plus cos 2x, as in test_even_flow_without_swap_runs_as_one_block
+    modes = {(1, 1): -0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): -0.25}
+    return {**modes, (2, 0): 0.2, (-2, 0): 0.2}
+
+
+def test_patched_modes_do_not_share_the_cached_operator(fresh_operators, monkeypatch):
+    # keyed by the modes, not the FlowSpec: Taylor-Green, then the same FlowSpec
+    # with cosine-patched modes, then Taylor-Green again factor the shapes and
+    # give the bits of solves on an empty cache
+    m, kappa = 12, 0.05
+    seen = []
+    real_splu = spla.splu
+
+    def recording_splu(a, **kw):
+        seen.append(a.shape)
+        return real_splu(a, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    reachable, _ = _reachable_and_half("parity", m)
+    n = (np.count_nonzero(reachable) - 1) // 2
+    first = solve_cell_problem(taylor_green(), kappa, modes=m)
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "stream_modes", _cosine_patched_modes)
+        patch.setattr(homogenization, "stream_modes", _cosine_patched_modes)
+        patched = solve_cell_problem(taylor_green(), kappa, modes=m)
+        homogenization._operators.clear()
+        patched_fresh = solve_cell_problem(taylor_green(), kappa, modes=m)
+    again = solve_cell_problem(taylor_green(), kappa, modes=m)
+    assert seen == [(n // 2, n // 2), (n, n), (n, n), (n // 2, n // 2)]
+    assert fresh_operators == [m, m, m, m]
+    assert patched.coefficients.tobytes() == patched_fresh.coefficients.tobytes()
+    assert again.coefficients.tobytes() == first.coefficients.tobytes()
+    assert not np.array_equal(patched.coefficients, first.coefficients)
+
+
+def test_real_part_is_refused_on_a_warm_cache(fresh_operators, monkeypatch):
+    # the patched modes keep the shear's imaginary parts, so only the refusal,
+    # not the cache key, tells them apart
+    solve_cell_problem(steady_shear(), 0.1, modes=8)
+    real_modes = velocity_modes(steady_shear())
+
+    def modes_with_real_part(flow):
+        return {mode: vhat + np.array([0.0, 0.5]) for mode, vhat in real_modes.items()}
+
+    monkeypatch.setattr(homogenization, "velocity_modes", modes_with_real_part)
+    with pytest.raises(UnsupportedFlowError, match=r"\(1, 0\)"):
+        solve_cell_problem(steady_shear(), 0.1, modes=8)
+    assert fresh_operators == [8]
+
+
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green(), childress_soward(0.5)],
+                         ids=flow_label)
+def test_mutating_returned_arrays_leaves_the_next_solve_unchanged(flow, fresh_operators):
+    m, kappa = 12, 0.05
+    sol = solve_cell_problem(flow, kappa, modes=m)
+    reference = sol.coefficients.copy()
+    sol.coefficients[...] = 7.0
+    blocks, _, _ = homogenization._assemble(flow, kappa, m)
+    for block in blocks:
+        for array in homogenization._block_arrays(block):
+            try:
+                array[...] = 1
+            except ValueError:
+                pass  # a read-only view of the cached operator
+    again = solve_cell_problem(flow, kappa, modes=m)
+    assert again.coefficients.tobytes() == reference.tobytes()
+    assert fresh_operators == [m]
+
+
+def test_cached_operators_stay_within_their_byte_bound(fresh_operators):
+    # each ladder to M = 256 fits the bound on its own; the three together
+    # do not, so the least recently used operators make way
+    ladder = [16, 32, 64, 128, 256]
+    for flow in (taylor_green(), childress_soward(0.5), childress_soward(1.0)):
+        for m in ladder:
+            solve_cell_problem(flow, 0.05, modes=m)
+            assert _cache_bytes() <= homogenization._OPERATOR_BYTES
+        assert [key[-1] for key in homogenization._operators][-len(ladder):] == ladder
+    for blocks, nbytes in homogenization._operators.values():
+        arrays = {id(a): a for block in blocks for a in homogenization._block_arrays(block)}
+        assert nbytes == sum(a.nbytes for a in arrays.values())
+    assert len(homogenization._operators) < 3 * len(ladder)
+    # a hit makes its operator the most recently used, and builds nothing
+    solve_cell_problem(childress_soward(1.0), 0.05, modes=16)
+    assert next(reversed(homogenization._operators))[-1] == 16
+    assert len(fresh_operators) == 3 * len(ladder)
+
+
+# ---------------------------------------------------------------------------
 # adaptive refinement and scaling fit
 # ---------------------------------------------------------------------------
 

@@ -7,7 +7,9 @@ criterion 4, which share that call. A row records the entries of K to 17
 significant digits, the final truncation and the truncations tried. A
 change to the solver that claims "identical up to rounding" must keep K
 within rtol 1e-12 (and 1e-12 of the largest entry) and the truncations
-exactly.
+exactly. ``SPECTRAL_DIGESTS`` pins the same calls bitwise: the sha256 of
+K's bytes, the final residual and the final ``CellSolution.coefficients``,
+which a change that claims "bitwise identical" must keep.
 
 The digest table: each row is the sha256 of the bytes of one small run,
 either ``simulate_ensemble`` rows of one flow kind and config, the raw
@@ -25,6 +27,7 @@ move these values, with
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -77,15 +80,33 @@ TABLE = [
 ]
 
 
+# sha256 of K's bytes, repr(residual) and the coefficients, per CASES row;
+# recorded in DIGEST_ENV
+SPECTRAL_DIGESTS = {
+    'taylor_green 0.002': '9e7b7f5ba3b87e11b513bebe143678fe94181da09cbbe23b0df868bf11e65709',
+    'taylor_green 0.005': 'fd8aa11520a247e943294cf38cc24fec20661f6d461ed5cd815a9db445f0affb',
+    'taylor_green 0.01': 'c8e935c42533e5642d0e521cbd354abdd3822a0bced1646e033fb8b6101d6aa0',
+    'taylor_green 0.02': '18c9f5c1d240af7bc41b6fe0986f8e6dbd8a5f5ba6cd989f5ec8f011761e2f4c',
+    'taylor_green 0.05': '5a42e246f43c8c530068ce1a5ef27ae866ff6de4779f4aa21cd3e64d74b25c97',
+    'childress_soward(0.5) 0.002': '1f20880e3cfa22bf0f535e12b7e069cbdb8d995331df0700d133bcd902665f20',
+    'childress_soward(0.5) 0.005': '05cfc10cc3e99dd30e61ae7c6872561cc6f56c0bc1c0862a474f190b51397bcc',
+    'childress_soward(0.5) 0.01': '9d67c206ac0de37461236ab707ed05e1bf8349f5d2dd1abd4142233fa76c39ae',
+}
+
+
+@functools.lru_cache(maxsize=None)
 def _solve(label, kappa):
+    """Final modes, truncations tried, K and the row's bitwise digest."""
     tensor, sol = spectral_diffusivity(FLOWS[label](), kappa, rtol=RTOL, max_modes=MAX_MODES)
-    return sol.modes, tuple(step.modes for step in sol.history), tensor.entries
+    digest = _sha(_array_bytes(tensor.entries), repr(sol.residual).encode(),
+                  _array_bytes(sol.coefficients))
+    return sol.modes, tuple(step.modes for step in sol.history), tensor.entries, digest
 
 
 @pytest.mark.parametrize("label, kappa, modes, history, entries", TABLE,
                          ids=[f"{row[0]}-{row[1]:g}" for row in TABLE])
 def test_spectral_identity_table(label, kappa, modes, history, entries):
-    got_modes, got_history, got_entries = _solve(label, kappa)
+    got_modes, got_history, got_entries, _ = _solve(label, kappa)
     assert got_modes == modes
     assert got_history == history
     # Taylor-Green's K12 is zero in exact arithmetic and recorded as
@@ -96,6 +117,20 @@ def test_spectral_identity_table(label, kappa, modes, history, entries):
 
 def test_table_covers_the_scan_and_criterion_4():
     assert [(label, kappa) for label, kappa, *_ in TABLE] == CASES
+    assert list(SPECTRAL_DIGESTS) == [_spectral_name(label, kappa) for label, kappa in CASES]
+
+
+def _spectral_name(label, kappa):
+    return f"{label} {kappa!r}"
+
+
+@pytest.mark.parametrize("label, kappa", CASES, ids=[_spectral_name(*case) for case in CASES])
+def test_spectral_digest_table(label, kappa):
+    got = _solve(label, kappa)[3]
+    name = _spectral_name(label, kappa)
+    assert got == SPECTRAL_DIGESTS.get(name), (
+        f"{name}: sha256 {got} differs from the recorded {SPECTRAL_DIGESTS.get(name)}; "
+        f"recorded on {DIGEST_ENV}, running on {_environment()}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +432,13 @@ def test_digest_table_covers_every_case():
 
 if __name__ == "__main__":
     for label, kappa in CASES:
-        modes, history, entries = _solve(label, kappa)
+        modes, history, entries, _ = _solve(label, kappa)
         values = ", ".join(f"{v:.17g}" for v in entries.ravel())
         print(f"    ({label!r}, {kappa!r}, {modes}, {history},\n     ({values})),")
+    print("SPECTRAL_DIGESTS = {")
+    for label, kappa in CASES:
+        print(f"    {_spectral_name(label, kappa)!r}: {_solve(label, kappa)[3]!r},")
+    print("}")
     print(f"DIGEST_ENV = {_environment()!r}")
     print("DIGESTS = {")
     for name in DIGEST_CASES:
