@@ -41,12 +41,12 @@ share of 10^5 points per path integrates two paths at a time. The
 kernel's draws, cumulative sums and the OU modulation's banded solve
 work row by row and release the interpreter lock on long rows. A
 cellular block is one share in the calling thread and one group: each
-step advances one stacked (2, rows) state [x, y] with one sin and one
+step advances one flat 1-D state [x, y mirrored] with one sin and one
 cos call shared by both coordinates, and its few small numpy calls per
-step hold the lock, so threads would only slow it down. Given a row
-reduction (the harness sweeps pass their estimators), a share reduces
-each group as soon as it is integrated and reuses one group buffer, so a
-sweep holds at most one group of paths per share.
+step, all on 1-D operands, hold the lock, so threads would only slow it
+down. Given a row reduction (the harness sweeps pass their estimators),
+a share reduces each group as soon as it is integrated and reuses one
+group buffer, so a sweep holds at most one group of paths per share.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -411,42 +411,52 @@ def _cellular_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: None,
                      width: int):
     """Path buffers and the chunk advance of the cellular flows: the step loop.
 
-    The paths are one time-major (width+1, 2, rows) state, so step k's state
-    z = [x, y] is one contiguous (2, rows) array. Each step takes sin and
-    cos of the phase z/eps (z itself at eps = 1, since z * 1.0 == z) into
-    one trig buffer, writes the drift h v of ``fields`` into the next state
-    and adds z and the step's scaled draws. The draws are scaled and copied
-    transposed in pieces of at most _PIECE steps, so each step's are
-    contiguous while the copy stays small.
+    The paths are one time-major (width+1, 2 rows) state, so step k's state
+    z = [x_0 ... x_{n-1}, y_{n-1} ... y_0] is one contiguous 1-D row whose y
+    half is mirrored (see the velocity kernels of ``fields``). Each step
+    takes sin and cos of the phase z/eps (z itself at eps = 1, since
+    z * 1.0 == z) into one trig buffer, writes the drift h v of ``fields``
+    into the next state and adds z and the step's scaled draws, every numpy
+    call on 1-D operands. The draws are scaled and copied into the same
+    mirrored layout in pieces of at most _PIECE steps, so each step's are
+    one contiguous row while the copy stays small. The buffers serve every
+    chunk of the block, so their per-step rows are taken once.
     """
     inv_eps = 1.0 / config.epsilon
     drift_dt = config.dt * inv_eps
     noise_scale = math.sqrt(2.0 * config.kappa * config.dt)
     count = g.shape[0]
-    steps = np.empty((width + 1, 2, count))
-    trig = np.empty((2, 2, count))
-    sin_z, cos_z = trig
+    steps = np.empty((width + 1, 2 * count))
+    trig = np.empty(4 * count)
+    sin_z, cos_z = trig[:2 * count], trig[2 * count:]
     if flow.kind == TAYLOR_GREEN:
         drift = _taylor_green_drift(drift_dt, trig)
     else:
         drift = _childress_soward_drift(flow.lam, drift_dt, trig)
     rescaled = config.epsilon != 1.0
-    scaled = np.empty((2, count))
-    g_piece = np.empty((min(_PIECE, width), 2, count))
+    scaled = np.empty(2 * count)
+    g_piece = np.empty((min(_PIECE, width), 2 * count))
+    state_rows = list(steps)
+    g_rows = list(g_piece)
+
+    # looked up once and given out positionally: on rows of a few hundred
+    # elements a call's dispatch costs about as much as its arithmetic
+    sin, cos, add, multiply = np.sin, np.cos, np.add, np.multiply
 
     def advance(c: int, step0: int) -> None:
         for p in range(0, c, _PIECE):
             n = min(_PIECE, c - p)
-            np.multiply(g[:, p:p + n].transpose(1, 2, 0), noise_scale, out=g_piece[:n])
-            for z, nxt, g_k in zip(steps[p:p + n], steps[p + 1:p + n + 1], g_piece):
-                phase = np.multiply(z, inv_eps, out=scaled) if rescaled else z
-                np.sin(phase, out=sin_z)
-                np.cos(phase, out=cos_z)
+            multiply(g[:, p:p + n, 0].T, noise_scale, g_piece[:n, :count])
+            multiply(g[::-1, p:p + n, 1].T, noise_scale, g_piece[:n, count:])
+            for z, nxt, g_k in zip(state_rows[p:p + n], state_rows[p + 1:p + n + 1], g_rows):
+                phase = multiply(z, inv_eps, scaled) if rescaled else z
+                sin(phase, sin_z)
+                cos(phase, cos_z)
                 drift(nxt)
-                nxt += z
-                nxt += g_k
+                add(nxt, z, nxt)
+                add(nxt, g_k, nxt)
 
-    return steps[:, 0].T, steps[:, 1].T, advance
+    return steps[:, :count].T, steps[:, count:][:, ::-1].T, advance
 
 
 @np.errstate(invalid="ignore", over="ignore")

@@ -128,50 +128,64 @@ def flow_label(flow: FlowSpec) -> str:
 # ---------------------------------------------------------------------------
 # velocity kernels
 #
-# The two cellular velocities in the stacked form of the Euler-Maruyama step
-# loop, which advances a whole block of realizations at once. A state z = [x, y]
-# is one (2, rows) array, and trig = [sin z, cos z] one (2, 2, rows) array that
-# the loop fills once per step. Each helper is built once per block, with the
-# signed factor [-h, h] and its views of trig, and returns drift(out), which
-# writes h v(z) into the (2, rows) array out; h = 1 gives v itself. The sign of
-# v1 rides on the factor, which is exact. The shear drift (0, eta(t) sin x) is
-# inlined in the shear kernel instead.
+# The two cellular velocities in the flat form of the Euler-Maruyama step loop,
+# which advances a whole block of realizations at once. A state of n rows is one
+# 1-D array z = [x_0 ... x_{n-1}, y_{n-1} ... y_0], its y half mirrored, and
+# trig = [sin z, cos z] one 1-D array of 4n that the loop fills once per step.
+# The mirror lines each x_i up with y_i in the reversed view of a half: with
+# s = sin z and c = cos z, s * c[::-1] is [sx cy, sy cx] in the state's own
+# layout. Each helper is built once per block, with the signed factor [-h, h]
+# and its views of trig, and returns drift(out), which writes h v(z) into the
+# 1-D array out of 2n, every numpy call on 1-D operands; h = 1 gives v itself.
+# The sign of v1 rides on the factor, which is exact. The shear drift
+# (0, eta(t) sin x) is inlined in the shear kernel instead.
 # ---------------------------------------------------------------------------
 
 
-def _signed_factor(h: float, trig: np.ndarray) -> np.ndarray:
-    factor = np.empty_like(trig[0])
-    factor[0] = -h
-    factor[1] = h
+def _signed_factor(h: float, n: int) -> np.ndarray:
+    factor = np.empty(2 * n)
+    factor[:n] = -h
+    factor[n:] = h
     return factor
 
 
 def _taylor_green_drift(h: float, trig: np.ndarray):
-    # psi = sin x sin y: h v = [-h, h] * [sin x cos y, sin y cos x]
-    factor = _signed_factor(h, trig)
-    sin_z, cos_yx = trig[0], trig[1, ::-1]
+    # psi = sin x sin y: h v = [-h, h] * [sx cy, sy cx]
+    n = trig.size // 4
+    factor = _signed_factor(h, n)
+    s, c_mirror = trig[:2 * n], trig[2 * n:][::-1]
+    multiply = np.multiply
 
     def drift(out: np.ndarray) -> None:
-        np.multiply(sin_z, cos_yx, out=out)
-        out *= factor
+        multiply(s, c_mirror, out)
+        multiply(out, factor, out)
 
     return drift
 
 
 def _childress_soward_drift(lam: float, h: float, trig: np.ndarray):
-    # psi = sin x sin y + lam cos x cos y: with P = [sx cy, cx sy] and
-    # Q = [(lam sx) cy, (lam cx) sy], h v = [-h, h] * (P - Q[::-1])
-    factor = _signed_factor(h, trig)
-    sx_cx, cy_sy = trig[:, 0], trig[::-1, 1]
-    q = np.empty_like(trig[0])
-    q_reversed = q[::-1]
+    # psi = sin x sin y + lam cos x cos y: h v = [-h, h] * (P - Q) with
+    # P = [sx cy, sy cx] and Q = [(lam cx) sy, (lam sx) cy]. lam multiplies
+    # the x half's cosines but the y half's sines, so Q takes one product
+    # per half of lam trig = [lam s, lam c], each half on views in its order
+    n = trig.size // 4
+    factor = _signed_factor(h, n)
+    s, c = trig[:2 * n], trig[2 * n:]
+    c_mirror = c[::-1]
+    lam_trig = np.empty_like(trig)
+    lam_cx, sy = lam_trig[2 * n:3 * n], s[::-1][:n]  # x order
+    lam_sx, cy = lam_trig[n - 1::-1], c[n:]  # mirrored y order
+    q = np.empty(2 * n)
+    q_x, q_y = q[:n], q[n:]
+    multiply, subtract = np.multiply, np.subtract
 
     def drift(out: np.ndarray) -> None:
-        np.multiply(sx_cx, cy_sy, out=out)
-        np.multiply(sx_cx, lam, out=q)
-        np.multiply(q, cy_sy, out=q)
-        out -= q_reversed
-        out *= factor
+        multiply(s, c_mirror, out)
+        multiply(trig, lam, lam_trig)
+        multiply(lam_cx, sy, q_x)
+        multiply(lam_sx, cy, q_y)
+        subtract(out, q, out)
+        multiply(out, factor, out)
 
     return drift
 

@@ -321,10 +321,10 @@ class _Block(NamedTuple):
     orbit embedding P (see _fold) into the reachable set, on which A is the
     real Galerkin matrix; P^T P / 2 = diag(weight), with weight the orbit
     size over 2, which is 1 or 2. ``points`` are the flat lattice indices
-    of the reachable set, where x = coef * z[column]; ``lattice`` holds
-    those of the orbits' representatives, one per unknown, and ``ksq``
-    their |k|^2. ``diagonal`` gives the position of each unknown's
-    diagonal entry in ``matrix.data``, the only entries kappa enters.
+    of the reachable set, where x = coef * z[column], and ``ksq`` holds
+    |k|^2 at each unknown's orbit representative. ``diagonal`` gives the
+    position of each unknown's diagonal entry in ``matrix.data``, the only
+    entries kappa enters.
     """
 
     matrix: scipy.sparse.csc_matrix
@@ -333,7 +333,6 @@ class _Block(NamedTuple):
     points: np.ndarray
     column: np.ndarray
     coef: np.ndarray
-    lattice: np.ndarray
     ksq: np.ndarray
     diagonal: np.ndarray
 
@@ -406,8 +405,7 @@ def _operator(vm, folds, components: slice, m_trunc: int) -> tuple[_Block, ...]:
                 rhs[column[i]] -= coef[i] * vhat.imag / 2.0
         blocks.append(_Block(matrix, np.ascontiguousarray(rhs[:, components]), weight,
                              shared, column.astype(np.int32),
-                             coef.astype(np.int8), points[heads].astype(np.int32),
-                             (k1 ** 2 + k2 ** 2).astype(np.int32),
+                             coef.astype(np.int8), (k1 ** 2 + k2 ** 2).astype(np.int32),
                              diagonal.astype(np.int32)))
     for block in blocks:
         for array in _block_arrays(block):

@@ -2,7 +2,7 @@
 
 One block loop runs every flow; the shear family advances through the
 time-vectorised kernel and the cellular flows through the step loop, and
-a scalar replay pins each kernel to the scheme step by step; the stacked
+a scalar replay pins each kernel to the scheme step by step; the flat
 cellular loop is also held bitwise to a two-array copy of itself, and the
 OU modulation's banded solve bitwise to the scalar fold. The
 deterministic checks exploit kappa -> 0: with a vanishing noise scale
@@ -264,7 +264,7 @@ def _two_array_loop(flow, config, first, count):
 
     It advances realizations first, ..., first+count-1 with the velocity
     written as (-sx cy + lam cx sy, cx sy - lam sx cy) and the same
-    operation order as the stacked loop: (v h + z) + scaled draw.
+    operation order as the flat loop: (v h + z) + scaled draw.
     """
     inv_eps = 1.0 / config.epsilon
     drift_dt = config.dt * inv_eps
@@ -302,7 +302,10 @@ def _two_array_loop(flow, config, first, count):
 def test_cellular_loop_is_bitwise_the_two_array_loop(flow, eps):
     # products with lam = 0, 0.5 or 1 are exact, so only lam = 0.3 pins
     # the association (lam cx) sy of the lam terms; a burn-in of 4100
-    # steps crosses a 4096-step draw chunk, and so does the stride 5000
+    # steps crosses a 4096-step draw chunk, and so does the stride 5000.
+    # Blocks of 1, 2 and 5 rows, starting at realization 0 or 2, check the
+    # mirrored y half of the flat state: 2 and 5 rows pair each row with
+    # another, which a wrong mirror would swap, while 1 row is its own mirror
     dt = eps ** 2 / 50.0
     for stride, n_stored, burn in ((1, 41, 0), (1, 41, 4100), (3, 21, 4100), (100, 4, 0),
                                    (5000, 2, 0)):
@@ -310,8 +313,37 @@ def test_cellular_loop_is_bitwise_the_two_array_loop(flow, eps):
                            epsilon=eps, x0=(0.4, -1.3), seed=17, store_stride=stride,
                            burn_in=burn * dt)
         assert config.n_stored == n_stored and config.burn_steps == burn
-        stacked = simulate_ensemble(flow, config, 5, first_realization=2)
-        np.testing.assert_array_equal(stacked, _two_array_loop(flow, config, 2, 5))
+        reference = _two_array_loop(flow, config, 0, 7)  # rows advance independently
+        for rows in (1, 2, 5):
+            for first in (0, 2):
+                flat = simulate_ensemble(flow, config, rows, first_realization=first)
+                np.testing.assert_array_equal(flat, reference[first:first + rows])
+
+
+@pytest.mark.parametrize("flow, per_step", [(taylor_green(), 6), (childress_soward(0.3), 10)],
+                         ids=["taylor_green", "cs0.3"])
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_cellular_step_calls_take_1d_operands(flow, per_step, eps, monkeypatch):
+    # every numpy call of a step gets 1-D operands and out, which is what
+    # makes the flat state cheap; only the draw copy, two multiplies per
+    # piece of at most _PIECE steps, reads the (rows, steps, 2) draws
+    calls = []
+    for name in ("sin", "cos", "multiply", "add", "subtract"):
+        def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
+            arrays = [a for a in (*args, kwargs.get("out")) if isinstance(a, np.ndarray)]
+            calls.append((_name, max([a.ndim for a in arrays], default=0)))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    dt = eps ** 2 / 50.0
+    steps = 300
+    config = SimConfig(kappa=0.3, dt=dt, t_final=steps * dt, epsilon=eps, seed=5)
+    assert config.n_steps == steps
+    simulate_ensemble(flow, config, 3)
+    monkeypatch.undo()
+    pieces = -(-steps // dynamics._PIECE)
+    wide = [call for call in calls if call[1] >= 2]
+    assert wide == [("multiply", 2)] * (2 * pieces)
+    assert len(calls) - len(wide) == steps * (per_step + (eps != 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -38,20 +38,24 @@ def _velocity(flow, z):
     """Spatial velocity at z = (x, y), leading axis of size 2.
 
     The cellular flows use the drift helpers of the step loop with h = 1,
-    which gives v exactly; the shear family shares the spatial factor
-    (0, sin x), its modulation left out.
+    which gives v exactly, on the loop's flat state [x, y mirrored]; the
+    shear family shares the spatial factor (0, sin x), its modulation left
+    out.
     """
     z = np.asarray(z, dtype=float)
     if flow.is_shear:
         return np.array([np.zeros_like(z[0]), np.sin(z[0])])
-    trig = np.array([np.sin(z), np.cos(z)])
+    x, y = z.reshape(2, -1)
+    n = x.size
+    state = np.concatenate([x, y[::-1]])
+    trig = np.concatenate([np.sin(state), np.cos(state)])
     if flow.kind == TAYLOR_GREEN:
         drift = _taylor_green_drift(1.0, trig)
     else:
         drift = _childress_soward_drift(flow.lam, 1.0, trig)
-    v = np.empty_like(z)
+    v = np.empty(2 * n)
     drift(v)
-    return v
+    return np.array([v[:n], v[n:][::-1]]).reshape(z.shape)
 
 
 def _sympy_velocity(psi, x, y):
