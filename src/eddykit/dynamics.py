@@ -30,8 +30,9 @@ every stride-th state and, after each chunk of at most 4096 steps,
 checks that the state is finite, naming the steps in which it went bad.
 Its advance kernel is time-vectorised for the shear family and a step
 loop for the cellular flows (Taylor-Green, Childress-Soward).
-``simulate_ensemble`` runs it on contiguous shares of the realizations,
-each integrated in groups of rows; the flow family sets only how many.
+``simulate_ensemble`` alone splits the realizations, into rounds of
+n_shares * group_rows rows, each split evenly into at most n_shares
+contiguous shares; the flow family sets only the two counts.
 A shear block has one share per CPU in the process's affinity mask, each
 on a thread of its own, and groups of as many rows as fit the 4 MiB
 ``_GROUP_BYTES``, at least one. A row is priced by all it holds
@@ -40,13 +41,15 @@ chunk paths and, for OU shear, the modulation), so a full-resolution
 share of 10^5 points per path integrates two paths at a time. The
 kernel's draws, cumulative sums and the OU modulation's banded solve
 work row by row and release the interpreter lock on long rows. A
-cellular block is one share in the calling thread and one group: each
-step advances one flat 1-D state [x, y mirrored] with one sin and one
+cellular round is one share of ``_CELL_ROWS`` rows in the calling thread:
+each step advances one flat 1-D state [x, y mirrored] with one sin and one
 cos call shared by both coordinates, and its few small numpy calls per
 step, all on 1-D operands, hold the lock, so threads would only slow it
-down. Given a row reduction (the harness sweeps pass their estimators),
-a share reduces each group as soon as it is integrated and reuses one
-group buffer, so a sweep holds at most one group of paths per share.
+down. Before a round starts, the calling thread makes its streams and,
+given a row reduction (the harness sweeps pass their estimators), calls
+``reduce(rows)`` per share for its noise streams and work buffers; each
+share reduces its rows once they are integrated, and a round's buffers
+go before the next round's are built, so a sweep holds one round.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -61,6 +64,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +87,7 @@ SOURCE_NOISE = 3   # observation noise, consumed by the harness
 
 _CHUNK = 4096
 _GROUP_BYTES = 4 << 20  # what a shear share's group of rows holds at once (``_row_bytes``)
+_CELL_ROWS = 64  # rows of a cellular round: a count, as each step's numpy calls cost per call
 _PIECE = 256  # steps of scaled draws the cellular loop copies at a time
 
 
@@ -317,7 +322,7 @@ def _raise_if_not_finite(x: np.ndarray, y: np.ndarray, first: int, start: int, e
             end, f"non-finite state in realization {first + i} between steps {start} and {end}")
 
 
-def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
+def _ou_streams(flow: FlowSpec, config: SimConfig, realizations: range):
     """Initial eta vector and per-realization driver generators of the OU modulation.
 
     Also resolves the dtbtrs handle that ``_ou_solve`` uses, so that it is
@@ -327,12 +332,12 @@ def _ou_streams(flow: FlowSpec, config: SimConfig, first: int, count: int):
     if config.eta0 == "stationary":
         eta = np.array([
             stationary_eta_draw(flow.alpha, flow.sigma,
-                                stream_generator(config.seed, first + i, SOURCE_ETA0))
-            for i in range(count)
+                                stream_generator(config.seed, r, SOURCE_ETA0))
+            for r in realizations
         ])
     else:
-        eta = np.full(count, float(config.eta0))
-    gens = [stream_generator(config.seed, first + i, SOURCE_OU) for i in range(count)]
+        eta = np.full(len(realizations), float(config.eta0))
+    gens = [stream_generator(config.seed, r, SOURCE_OU) for r in realizations]
     return eta, gens
 
 
@@ -542,23 +547,23 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     first_realization + r, source), so blocks compose: simulating [0, 200)
     in one call or in any partition yields bitwise identical rows.
 
-    The rows run on the shares and groups the flow family sets (see the
-    module docstring): a shear share integrates groups of
+    The rows run in rounds that the flow family sets (see the module
+    docstring): a shear share integrates groups of
     ``_GROUP_BYTES // _row_bytes(flow, config)`` rows, at least one, each
-    row priced by its stored path and its chunk buffers; a cellular block
-    is one group and reduces its rows in the calling thread. The result is
-    bitwise identical to one thread and any grouping.
+    row priced by its stored path and its chunk buffers; a cellular round
+    is one share of ``_CELL_ROWS`` rows in the calling thread. The result is
+    bitwise identical to one thread and any rounds.
 
     ``reduce``, if given, replaces each stored path by its reduction, so
-    that a block never holds more than one group of paths per share.
-    ``reduce()`` is called once per share, on the share's thread, and
+    that a block never holds more than one round of paths.
+    ``reduce(rows)`` is called once per share, in the calling thread before
+    the round starts, on the range of block rows the share runs, and
     returns ``row(i, path)``, which gets row i of the block and its
-    (n_stored, 2) path as soon as the row's group is integrated, in row
-    order, and returns an array of one shape for every row; the path's
-    buffer is reused once ``row`` returns. The result is then those arrays
-    stacked in row order.
+    (n_stored, 2) path on the share's thread once the share is integrated,
+    in row order, and returns an array of one shape for every row. The
+    result is then those arrays stacked in row order.
 
-    Every share runs to its end; the block then raises what one thread over
+    Every round runs to its end; the block then raises what one thread over
     all its rows would have. A non-finite state raises
     IntegrationBlowupError naming its realization and steps: the earliest
     step interval first, ties going to the lowest realization. Any blow-up
@@ -567,53 +572,50 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     """
     first = integer("first_realization", first_realization, 0)
     count = integer("n_realizations", n_realizations, 1)
-
-    # every stream is created here, in the calling thread; the shares only draw
-    gens = [stream_generator(config.seed, first + i, SOURCE_BM) for i in range(count)]
-    eta = gens_ou = None
-    if flow.kind == OU_SHEAR:
-        eta, gens_ou = _ou_streams(flow, config, first, count)
-    shape = (config.n_stored, 2)
     if flow.is_shear:
         n_shares = min(_cpu_count(), count)
         group_rows = max(1, _GROUP_BYTES // _row_bytes(flow, config))
     else:
-        n_shares, group_rows = 1, count
+        n_shares, group_rows = 1, _CELL_ROWS
+    shape = (config.n_stored, 2)
     out = np.empty((count, *shape)) if reduce is None else None
     reduced = [None] * count
     # ((step, row), error) of every share; a blow-up's row is the first of its
-    # group and a reduction error's step is inf, so the least key is raised
+    # share and a reduction error's step is inf, so the least key is raised
     raised = []
 
-    def share(rows: slice) -> None:
-        size = min(rows.stop - rows.start, group_rows)
-        if reduce is not None:
-            buffer = np.empty((size, *shape))
-            row = reduce()
-        for a in range(rows.start, rows.stop, size):
-            group = slice(a, min(a + size, rows.stop))
-            paths = out[group] if reduce is None else buffer[:group.stop - a]
-            ou = None if gens_ou is None else (eta[group], gens_ou[group])
+    def share(rows: range, gens: list, ou: tuple | None, row) -> None:
+        paths = out[rows.start:rows.stop] if row is None else np.empty((len(rows), *shape))
+        try:
+            _block(flow, config, first + rows.start, gens, ou, paths)
+        except IntegrationBlowupError as exc:
+            raised.append(((exc.step, rows.start), exc))
+            return
+        if row is None:
+            return
+        for i, path in zip(rows, paths):
             try:
-                _block(flow, config, first + a, gens[group], ou, paths)
-            except IntegrationBlowupError as exc:
-                raised.append(((exc.step, a), exc))
-                continue
-            if reduce is None:
-                continue
-            for i, path in zip(range(a, group.stop), paths):
-                try:
-                    reduced[i] = row(i, path)
-                except Exception as exc:  # no later row of the group can outrank it
-                    raised.append(((math.inf, i), exc))
-                    break
+                reduced[i] = row(i, path)
+            except Exception as exc:  # no later row of the share can outrank it
+                raised.append(((math.inf, i), exc))
+                return
 
-    if n_shares == 1:
-        share(slice(0, count))
-    else:
-        bounds = [count * k // n_shares for k in range(n_shares + 1)]
-        with ThreadPoolExecutor(max_workers=n_shares) as pool:
-            list(pool.map(share, [slice(a, b) for a, b in zip(bounds, bounds[1:])]))
+    def streams(rows: range) -> tuple:
+        # every stream is made here, in the calling thread; the shares only draw
+        keys = range(first + rows.start, first + rows.stop)
+        gens = [stream_generator(config.seed, r, SOURCE_BM) for r in keys]
+        ou = _ou_streams(flow, config, keys) if flow.kind == OU_SHEAR else None
+        return rows, gens, ou, None if reduce is None else reduce(rows)
+
+    round_rows = n_shares * group_rows
+    with ThreadPoolExecutor(n_shares) if n_shares > 1 else nullcontext() as pool:
+        for a in range(0, count, round_rows):
+            b = min(a + round_rows, count)
+            k = min(n_shares, b - a)
+            bounds = [a + (b - a) * s // k for s in range(k + 1)]
+            tasks = [streams(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+            list((map if pool is None else pool.map)(share, *zip(*tasks)))
+            del tasks  # the round's streams and buffers go before the next round's
     if raised:
         raise min(raised, key=lambda keyed: keyed[0])[1]
     return out if reduce is None else np.stack(reduced)

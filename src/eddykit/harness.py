@@ -8,13 +8,15 @@ simulated once and re-subsampled at every delta, mirroring how a single
 observed dataset is analyzed at several sampling rates (this also gives
 the delta-to-delta comparison a common noise background).
 
-A sweep hands ``dynamics.simulate_ensemble`` the one row reduction of the
-estimators, which ``estimators.estimate_tensor`` and the library
-estimators call too, and the simulation's shares run it on each group of
-rows as soon as it is integrated: a shear block's per-CPU share threads,
-so a sweep holds one group of stored paths per share, never a (batch,
+A sweep makes one ``dynamics.simulate_ensemble`` call for all its rows
+and hands it the one row reduction of the estimators, which
+``estimators.estimate_tensor`` and the library estimators call too. That
+call alone splits the rows, into rounds whose shares run the reduction
+as soon as their rows are integrated: a shear block's per-CPU share
+threads, so a sweep holds one round of stored paths, never an (M,
 n_stored, 2) block, and a cellular block's one share, in the calling
-thread. Neither the thread count nor the group size changes a digit.
+thread. Neither the thread count nor the group size changes a digit, and
+``batch_size`` changes nothing at all; it is only checked.
 Noise streams and direction values are made in the calling thread; the
 shares only draw and reduce.
 
@@ -136,13 +138,14 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 direction: str = "y", batch_size: int = 64) -> SweepReport:
     """One record per delta, all deltas sharing the same M trajectories.
 
-    Realizations run in blocks of ``batch_size``, one ``simulate_ensemble``
-    call each, which reduces every row on its simulation's shares (one
-    thread per CPU for a shear block, the calling thread for a cellular
-    one; each share allocates its work buffers once). A shear share
-    integrates and reduces its rows in groups whose stored paths and chunk
+    All M realizations run in one ``simulate_ensemble`` call, which
+    reduces every row on its simulation's shares (one thread per CPU for a
+    shear block, the calling thread for a cellular one), round by round,
+    making each round's streams and work buffers just before it runs. A
+    shear share integrates and reduces groups whose stored paths and chunk
     buffers fit ``dynamics._GROUP_BYTES`` (4 MiB; two rows of 10^5 points),
-    so memory is bounded per share, not by batch_size times n_stored.
+    a cellular round ``dynamics._CELL_ROWS`` rows, so only the (n_delta, M)
+    values and entries grow with M. ``batch_size`` changes nothing.
     Realization r's value at the j-th delta is bitwise
     ``directional_component(estimators.estimate_tensor(traj_r, estimator,
     delta_j, theta, noise_generator(seed, r, j)), direction)``, whatever
@@ -156,7 +159,7 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
         raise ParameterError("deltas must be non-empty")
     n_realizations = integer("n_realizations", n_realizations, 2)
     nonnegative("theta", theta)
-    batch_size = integer("batch_size", batch_size, 1)
+    integer("batch_size", batch_size, 1)
     _parse_direction(direction)
 
     resolved = []
@@ -165,35 +168,28 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
         _check_points(estimator, d_c, m, config.n_stored)
         resolved.append((m, d_c))
 
+    def reduction(rows: range):
+        noise = [[noise_generator(config.seed, i, j) if theta > 0.0 else None
+                  for j in range(len(resolved))] for i in rows]
+        work = _row_buffers(config.n_stored, estimator, theta)
+
+        def row(i: int, path: np.ndarray) -> np.ndarray:
+            entries = np.empty((len(resolved), 2, 2))
+            for j, (m, d_c) in enumerate(resolved):
+                try:
+                    entries[j], _ = _reduce_row(estimator, path, m, d_c, theta,
+                                                noise[i - rows.start][j], work)
+                except (InsufficientDataError, ParameterError) as exc:
+                    raise type(exc)(f"realization {i}: {exc}") from exc
+            return entries
+
+        return row
+
+    entries = simulate_ensemble(flow, config, n_realizations, reduce=reduction)
     values = np.empty((len(resolved), n_realizations))
-    first = 0
-    while first < n_realizations:
-        count = min(batch_size, n_realizations - first)
-        noise = [[noise_generator(config.seed, first + i, j) if theta > 0.0 else None
-                  for j in range(len(resolved))] for i in range(count)]
-
-        def reduction():
-            work = _row_buffers(config.n_stored, estimator, theta)
-
-            def row(i: int, path: np.ndarray) -> np.ndarray:
-                entries = np.empty((len(resolved), 2, 2))
-                for j, (m, d_c) in enumerate(resolved):
-                    try:
-                        entries[j], _ = _reduce_row(estimator, path, m, d_c, theta,
-                                                    noise[i][j], work)
-                    except (InsufficientDataError, ParameterError) as exc:
-                        raise type(exc)(f"realization {first + i}: {exc}") from exc
-                return entries
-
-            return row
-
-        entries = simulate_ensemble(flow, config, count, first_realization=first,
-                                    reduce=reduction)
-        for i in range(count):
-            for j in range(len(resolved)):
-                tensor = DiffusivityTensor(entries[i, j], estimator)
-                values[j, first + i] = directional_component(tensor, direction)
-        first += count
+    for i, row_entries in enumerate(entries):
+        values[:, i] = [directional_component(DiffusivityTensor(e, estimator), direction)
+                        for e in row_entries]
 
     rows = []
     label = flow_label(flow)
@@ -252,7 +248,7 @@ def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float
     store enough points for the estimator at its delta before the first
     simulation starts. The same master seed drives every epsilon, so the
     comparison across epsilons is paired. epsilon = 1 reduces to the
-    unrescaled pipeline bitwise.
+    unrescaled pipeline bitwise. As in delta_sweep, batch_size is inert.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -296,6 +292,7 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     quadratic-variation sweep estimates the true plateau as the average of
     the means at the two largest deltas and checks which candidate lies
     within 25% of it. The returned report spells out the comparison.
+    As in delta_sweep, batch_size is inert.
     """
     positive("dt", dt)
     deltas = sorted(float(d) for d in deltas)
@@ -368,7 +365,7 @@ class RunPlan:
     The sweep settings take delta_sweep's defaults and are checked when the
     plan is built, by the checks delta_sweep calls: the estimator and the
     direction spec by ``estimators``, theta, each delta and the counts by
-    ``errors``.
+    ``errors``. As in delta_sweep, batch_size is checked and inert.
     """
 
     flow: FlowSpec

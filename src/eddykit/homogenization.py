@@ -517,9 +517,9 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
     by one step of iterative refinement, which recovers the accuracy that
     partial pivoting would give at small kappa. The relative residual of
     each component on H is computed explicitly from the refined block
-    residuals; a residual above 1e-10 raises ConvergenceError carrying the
-    measured value. A flow whose velocity coefficients are not purely
-    imaginary raises UnsupportedFlowError.
+    residuals; a residual above 1e-10, or nan, raises ConvergenceError
+    carrying the measured value. A flow whose velocity coefficients are
+    not purely imaginary raises UnsupportedFlowError.
 
     kappa sits only on the diagonal of each block. The rest of the
     operator is built once per (velocity modes, symmetries, modes) and
@@ -551,10 +551,10 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
         x -= mirror.apply(x)
     if swap is not None:
         x = np.concatenate([x, swap.apply(x)])
-    residual = 0.0
-    for e, s in zip(np.sqrt(err), np.sqrt(scale)):
-        residual = max(residual, float(e / s) if s > 0.0 else float(e))
-    if residual > 1e-10:
+    # np.max keeps a nan, which max() and a > comparison would both drop
+    e, s = np.sqrt(err), np.sqrt(scale)
+    residual = float(np.max(np.divide(e, s, out=e.copy(), where=s > 0.0)))
+    if not residual <= 1e-10:
         raise ConvergenceError(
             f"cell-problem residual {residual:.3e} exceeds 1e-10 at modes={modes}",
             residual=residual,

@@ -608,9 +608,10 @@ def test_row_shares_under_short_switch_interval(monkeypatch):
     try:
         for _ in range(3):
             np.testing.assert_array_equal(simulate_ensemble(flow, config, 8), reference)
-        # each share reduces its one-row groups from one reused buffer
+        # rounds of four one-row shares, each reduced on its own thread
         monkeypatch.setattr(dynamics, "_GROUP_BYTES", dynamics._row_bytes(flow, config))
-        copies = simulate_ensemble(flow, config, 8, reduce=lambda: lambda i, path: path.copy())
+        copies = simulate_ensemble(flow, config, 8,
+                                   reduce=lambda rows: lambda i, path: path.copy())
         np.testing.assert_array_equal(copies, reference)
     finally:
         sys.setswitchinterval(interval)

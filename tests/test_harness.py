@@ -12,6 +12,7 @@ import io
 import math
 import re
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -140,10 +141,11 @@ def _csv(report) -> str:
 @pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estimator):
-    # a shear block runs on min(CPUs, rows) shares, each integrating and
-    # reducing its rows in groups of one row, of three (the last group of a
-    # share partial) or of the whole share; a cellular block is one share
-    # and one group, whatever the CPU count and the group budget
+    # a shear block runs in rounds of min(CPUs, rows) shares, each share
+    # integrating and reducing one row, three (the last round partial) or
+    # the whole block; a cellular block runs one share of all 13 rows,
+    # since a group holds dynamics._CELL_ROWS rows, whatever the CPU count
+    # and the group budget
     config = SimConfig(kappa=0.5, dt=0.01, t_final=2.0, seed=3)
     row_bytes = dynamics._row_bytes(flow, config)
     texts = set()
@@ -260,14 +262,98 @@ def test_group_budget_counts_the_chunk_buffers(monkeypatch):
 
 def test_full_resolution_sweep_memory_does_not_grow_with_m(monkeypatch):
     # at the default budget a share of 10^5-point paths integrates two rows at
-    # a time, so M = 8 and M = 64 hold the same groups; only the (n_delta, M)
-    # values and the per-realization streams grow with M, far less than a path
+    # a time, so M = 8 and M = 64 hold the same rounds, streams included; only
+    # the (n_delta, M) values and the stacked entries grow with M, far less
+    # than a path
     config = SimConfig(kappa=0.1, dt=0.01, t_final=1000.0, seed=7)
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
     peaks = [_traced_peak(lambda m=m: delta_sweep(steady_shear(), config, "box", [0.01, 1.0],
                                                   0.05, m, "x", batch_size=m))
              for m in (8, 64)]
     assert peaks[1] < peaks[0] + config.n_stored * 2 * 8
+
+
+def test_cellular_sweep_memory_does_not_grow_with_m():
+    # a cellular block runs in groups of _CELL_ROWS rows whatever the batch
+    # size, so M = 512 holds the rounds of M = 64 plus its longer (n_delta, M)
+    # values and its (M, n_delta, 2, 2) entries, kept per row and stacked
+    config = SimConfig(kappa=0.05, dt=0.01, t_final=5.0, seed=8)
+    deltas = [0.1, 0.5, 1.0]
+
+    def sweep(m):
+        delta_sweep(taylor_green(), config, "qv", deltas, 0.05, m, "x", batch_size=512)
+
+    sweep(2)  # what the first sweep allocates once is not growth with M
+    peaks = [_traced_peak(lambda m=m: sweep(m)) for m in (64, 512)]
+    extra = 512 - 64
+    growth = _traced_peak(lambda: (
+        np.empty((len(deltas), extra)),
+        np.stack([np.empty((len(deltas), 2, 2)) for _ in range(extra)])))
+    assert peaks[1] < peaks[0] + growth
+
+
+@pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
+def test_batch_size_decides_no_block(monkeypatch, flow):
+    # simulate_ensemble alone splits the rows: a shear block in rounds of two
+    # shares of two-row groups, a cellular one in groups of _CELL_ROWS rows
+    config = SimConfig(kappa=0.5, dt=0.01, t_final=0.5, seed=6)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * dynamics._row_bytes(flow, config))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    run_block, calls = dynamics._block, []
+
+    def recording_block(flow, config, first, gens, ou, out):
+        calls.append((first, len(gens)))
+        run_block(flow, config, first, gens, ou, out)
+
+    monkeypatch.setattr(dynamics, "_block", recording_block)
+    m = 10 if flow.is_shear else dynamics._CELL_ROWS + 6
+    seen = []
+    for batch_size in (1, 7, 10**6):
+        calls.clear()
+        delta_sweep(flow, config, "qv", [0.02, 0.1], 0.05, m, "x", batch_size)
+        seen.append(sorted(calls))
+    expected = ([(0, 2), (2, 2), (4, 2), (6, 2), (8, 1), (9, 1)] if flow.is_shear
+                else [(0, dynamics._CELL_ROWS), (dynamics._CELL_ROWS, 6)])
+    assert seen == [expected] * 3
+
+
+def test_sweep_makes_its_streams_per_round(monkeypatch):
+    # rounds of two shares of two-row groups: each round's BM, OU and noise
+    # streams are made just before it, so no _block call starts after more
+    # streams than the rows already run and one round need
+    flow = ou_shear(1.0, 0.1)
+    config = SimConfig(kappa=0.3, dt=0.01, t_final=1.0, seed=4)
+    deltas = [0.02, 0.1, 0.5]
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * dynamics._row_bytes(flow, config))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    lock, state, starts = threading.Lock(), {"streams": 0, "run": 0}, []
+
+    def counting(make):
+        def made(*key):
+            with lock:
+                state["streams"] += 1
+            return make(*key)
+        return made
+
+    run_block = dynamics._block
+
+    def recording_block(flow, config, first, gens, ou, out):
+        with lock:
+            starts.append((state["streams"], state["run"]))
+        run_block(flow, config, first, gens, ou, out)
+        with lock:
+            state["run"] += len(gens)
+
+    monkeypatch.setattr(dynamics, "stream_generator", counting(dynamics.stream_generator))
+    monkeypatch.setattr(harness, "noise_generator", counting(harness.noise_generator))
+    monkeypatch.setattr(dynamics, "_block", recording_block)
+    m, round_rows = 20, 4
+    per_row = 3 + len(deltas)  # BM, OU, stationary eta0 and one noise stream per delta
+    delta_sweep(flow, config, "qv", deltas, 0.05, m, "x", batch_size=m)
+    assert state == {"streams": m * per_row, "run": m}
+    assert len(starts) == m // 2
+    for streams, run in starts:
+        assert streams <= (run + round_rows) * per_row
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -721,6 +807,15 @@ def test_cli_diffusivity_reports_convergence(capsys):
     assert main(["diffusivity", "--flow", "shear", "--kappa", "0.1",
                  "--modes", "8"]) == 0
     assert "converged = not tested" in capsys.readouterr().out
+
+
+def test_cli_diffusivity_nan_residual_is_a_numerical_failure(capsys):
+    assert main(["diffusivity", "--flow", "childress_soward", "--lam", "0.2",
+                 "--kappa", "1e-100", "--modes", "32"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: cell-problem residual nan exceeds 1e-10"
+                            " at modes=32\n")
 
 
 def test_cli_diffusivity_refuses_rtol_with_fixed_modes(capsys):

@@ -176,6 +176,15 @@ def test_refined_residual_above_contract_raises(monkeypatch):
     assert caught.value.residual == pytest.approx(1.0 / 9.0, rel=1e-10, abs=0.0)
 
 
+def test_nan_residual_raises():
+    # at kappa = 1e-100 the factorization gives nan; max() and "> 1e-10"
+    # would both let the nan through as a converged residual of 0
+    with pytest.raises(ConvergenceError,
+                       match="^cell-problem residual nan exceeds 1e-10 at modes=32$") as caught:
+        solve_cell_problem(childress_soward(0.2), 1e-100, modes=32)
+    assert math.isnan(caught.value.residual)
+
+
 def _representatives(block):
     """Flat lattice index of each unknown's orbit representative.
 
