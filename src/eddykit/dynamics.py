@@ -22,8 +22,9 @@ grid as a Brownian path and y is the left endpoint quadrature of
 triangular structure lets the scheme run vectorised over time, the OU
 recursion included: one in-place banded triangular solve per chunk,
 bitwise the scalar recursion (see ``_shear_kernel``). That solve is
-LAPACK's dtbtrs, taken from scipy.linalg.cython_lapack when the first
-OU shear block starts (``_dtbtrs``); no other flow imports scipy.
+LAPACK's dtbtrs, taken from the scipy.linalg.cython_lapack extension
+when the first OU shear block starts (``_dtbtrs``), which loads that one
+extension and not the scipy.linalg package; no other flow imports scipy.
 
 One block loop runs every flow: it draws the noise, runs the burn-in, stores
 every stride-th state and, after each chunk of at most 4096 steps,
@@ -61,8 +62,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -280,13 +284,33 @@ def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
 def _dtbtrs():
     """ctypes handle of LAPACK's dtbtrs from scipy.linalg.cython_lapack.
 
-    scipy is imported here, on the first OU shear block, so that a process
-    which never runs one does not pay for it. The wrappers of
-    scipy.linalg.lapack hold the interpreter lock for the whole call, which
-    serialises the row shares; a ctypes call releases it. Every argument
-    is a pointer.
+    That extension is loaded here, on the first OU shear block, so that a
+    process which never runs one does not pay for it, and it is loaded
+    alone: importing it as scipy.linalg.cython_lapack would first run the
+    scipy.linalg package, which pulls in scipy.sparse and some 300 modules
+    for one function pointer. The extension file is found in scipy's
+    linalg directory, run, and registered in sys.modules under its own
+    name, so a later ``import scipy.linalg`` reuses it and ``from
+    scipy.linalg import cython_lapack`` gives the same module (the package
+    then has no ``cython_lapack`` attribute: the import system sets one only
+    when it loads the submodule itself); if scipy.linalg was imported
+    first, its module is reused. The wrappers of scipy.linalg.lapack hold
+    the interpreter lock for the whole call, which serialises the row
+    shares; a ctypes call releases it. Every argument is a pointer.
     """
-    from scipy.linalg import cython_lapack
+    name = "scipy.linalg.cython_lapack"
+    cython_lapack = sys.modules.get(name)
+    if cython_lapack is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"the OU shear needs LAPACK's dtbtrs from {name}, "
+                              f"which this scipy does not provide", name=name)
+        cython_lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cython_lapack)
+        sys.modules[name] = cython_lapack
 
     capsule = cython_lapack.__pyx_capi__["dtbtrs"]
     name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(

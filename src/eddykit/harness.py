@@ -15,7 +15,7 @@ call alone splits the rows, into rounds whose shares run the reduction
 as soon as their rows are integrated: a shear block's per-CPU share
 threads, so a sweep holds one round of stored paths, never an (M,
 n_stored, 2) block, and a cellular block's one share, in the calling
-thread. Neither the thread count nor the group size changes a digit, and
+thread. Neither the share thread count nor the group size changes a digit, and
 ``batch_size`` changes nothing at all; it is only checked.
 Noise streams and direction values are made in the calling thread; the
 shares only draw and reduce.
@@ -149,10 +149,14 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     Realization r's value at the j-th delta is bitwise
     ``directional_component(estimators.estimate_tensor(traj_r, estimator,
     delta_j, theta, noise_generator(seed, r, j)), direction)``, whatever
-    the batch size, the group size and the thread count. Observation noise
+    the batch size, the group size and the share thread count. Observation noise
     is thus drawn independently per (realization, delta) from streams
     disjoint from the dynamics streams. Estimator statistics use the sample standard
-    deviation (ddof=1); stderr = std / sqrt(M).
+    deviation (ddof=1); stderr = std / sqrt(M). The qv entries are BLAS
+    dot products, whose summation order depends on the BLAS thread pool
+    (``OPENBLAS_NUM_THREADS`` and the like) on rows of more than about
+    10^4 increments, so two pool sizes can give results that differ in the
+    last bits; with one pool size they repeat bitwise.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:

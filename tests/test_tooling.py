@@ -2,9 +2,11 @@
 
 Importing eddykit must load no scipy subpackage, since each one adds
 its import time to every CLI call. scipy loads on first use: the OU shear
-loads scipy.linalg (LAPACK's dtbtrs, in the calling thread, before any row
-share starts) and the spectral cell solver loads scipy.sparse; the steady
-shear and Taylor-Green sweeps load none.
+loads the one extension scipy.linalg.cython_lapack (LAPACK's dtbtrs, in
+the calling thread, before any row share starts) and no subpackage, and
+the spectral cell solver loads scipy.sparse; the steady shear and
+Taylor-Green sweeps load none. Whichever of the OU shear and scipy.linalg
+loads that extension first, the other reuses the same module.
 
 The benchmark's tracer patches eddykit names from outside the package.
 A name it patches that the package no longer defines would break every
@@ -81,6 +83,7 @@ flow, config = ou_shear(1.0, 0.1), SimConfig(kappa=0.1, dt=0.01, t_final=2.0, se
 dynamics._cpu_count = lambda: 2
 shares = dynamics.simulate_ensemble(flow, config, 6)
 print("ou shear", subpackages())
+print("ou shear linalg", sorted(n for n in sys.modules if n.startswith("scipy.linalg")))
 dynamics._cpu_count = lambda: 1
 print("one share equal", np.array_equal(shares, dynamics.simulate_ensemble(flow, config, 6)))
 spectral_diffusivity(taylor_green(), 0.5)
@@ -91,10 +94,74 @@ print("importers", sorted(importers))
         "wrote 2 rows to " + str(tmp_path / "rows.csv"),
         "shear sweep []",
         "taylor-green sweep []",
-        "ou shear ['scipy.linalg']",
+        "ou shear []",
+        "ou shear linalg ['scipy.linalg.cython_lapack']",
         "one share equal True",
         "spectral True",
         "importers ['MainThread']",
+    ]
+
+
+OU_BLOCK = """
+import numpy as np
+from eddykit import SimConfig, dynamics, ou_shear, spectral_diffusivity, taylor_green
+
+def ou_block():
+    return dynamics.simulate_ensemble(
+        ou_shear(1.0, 0.1), SimConfig(kappa=0.1, dt=0.01, t_final=2.0, seed=5), 4)
+"""
+
+
+def test_dtbtrs_loads_the_extension_alone_and_scipy_linalg_reuses_it():
+    code = OU_BLOCK + """
+import scipy
+before = set(sys.modules)
+dynamics._dtbtrs()
+print("added", sorted(set(sys.modules) - before))
+loaded = sys.modules["scipy.linalg.cython_lapack"]
+first = ou_block()
+import scipy.linalg, scipy.sparse.linalg
+from scipy.linalg import cython_lapack
+print("same module", cython_lapack is loaded)
+print("same block", np.array_equal(first, ou_block()))
+print("spectral", spectral_diffusivity(taylor_green(), 0.5)[1].converged)
+"""
+    assert _fresh_python(code) == [
+        "added ['scipy.linalg.cython_lapack']",
+        "same module True",
+        "same block True",
+        "spectral True",
+    ]
+
+
+def test_dtbtrs_reuses_the_extension_scipy_linalg_loaded():
+    code = OU_BLOCK + """
+import scipy.linalg
+from scipy.linalg import cython_lapack
+before = set(sys.modules)
+dynamics._dtbtrs()
+print("added", sorted(set(sys.modules) - before))
+print("same module", sys.modules["scipy.linalg.cython_lapack"] is cython_lapack)
+print("ou block", ou_block().shape)
+"""
+    assert _fresh_python(code) == ["added []", "same module True", "ou block (4, 201, 2)"]
+
+
+def test_dtbtrs_names_the_missing_extension(tmp_path):
+    # a scipy build without linalg/cython_lapack: the OU shear cannot run
+    code = OU_BLOCK + """
+import scipy
+scipy.__path__[:] = [sys.argv[1]]
+try:
+    ou_block()
+except ImportError as exc:
+    print(exc.name)
+    print(exc)
+"""
+    assert _fresh_python(code, str(tmp_path)) == [
+        "scipy.linalg.cython_lapack",
+        "the OU shear needs LAPACK's dtbtrs from scipy.linalg.cython_lapack, "
+        "which this scipy does not provide",
     ]
 
 
