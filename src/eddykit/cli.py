@@ -107,8 +107,7 @@ def _cmd_sweep(args) -> int:
     if not plan.deltas:
         raise ConfigError("[estimation] must set delta for the sweep command")
     report = delta_sweep(plan.flow, plan.sim, plan.estimator, plan.deltas,
-                         plan.theta, plan.realizations, plan.direction,
-                         plan.batch_size)
+                         plan.theta, plan.realizations, plan.direction)
     _write_report(report, args.output)
     return 0
 
@@ -129,7 +128,7 @@ def _cmd_rescaled(args) -> int:
     report = rescaled_study(plan.flow, plan.sim.kappa, plan.epsilons,
                             plan.alpha_exponent, plan.realizations,
                             plan.sim.t_final, plan.estimator, plan.direction,
-                            plan.theta, plan.sim.seed, plan.batch_size)
+                            plan.theta, plan.sim.seed)
     _write_report(report, args.output)
     return 0
 

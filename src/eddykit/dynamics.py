@@ -120,11 +120,6 @@ def _keyed_generator(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def as_generator(rng) -> np.random.Generator:
-    """rng itself if it is a numpy Generator, else numpy.random.default_rng(rng)."""
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def stream_generator(seed: int, realization: int, source: int) -> np.random.Generator:
     """Independent generator for one (seed, realization, source) triple."""
     return _keyed_generator(seed, realization, source)
@@ -182,14 +177,14 @@ class SimConfig:
     burn_in: float = 0.0
 
     def __post_init__(self) -> None:
-        positive("kappa", self.kappa)
-        positive("dt", self.dt)
-        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
+        # each number is stored as the float its check returns: run and record agree
+        for name in ("kappa", "dt", "t_final", "epsilon"):
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
+        if self.t_final < self.dt:
             raise ParameterError("t_final must be at least dt")
-        positive("epsilon", self.epsilon)
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         object.__setattr__(self, "store_stride", integer("store_stride", self.store_stride, 1))
-        nonnegative("burn_in", self.burn_in)
+        object.__setattr__(self, "burn_in", nonnegative("burn_in", self.burn_in))
         if self.epsilon < 1.0 and self.dt > self.epsilon ** 2 / 50.0 * (1.0 + 1e-12):
             raise ParameterError(
                 f"rescaled run with epsilon={self.epsilon} requires dt <= epsilon^2/50 "
@@ -272,7 +267,7 @@ def stationary_eta_draw(alpha: float, sigma: float, rng) -> float:
     """One draw from the stationary law N(0, sigma/alpha) of the OU modulation."""
     alpha = positive("alpha", alpha)
     sigma = nonnegative("sigma", sigma)
-    return math.sqrt(sigma / alpha) * float(as_generator(rng).standard_normal())
+    return math.sqrt(sigma / alpha) * float(np.random.default_rng(rng).standard_normal())
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .errors import (
     positive,
 )
 from .fields import FlowSpec
-from .dynamics import Trajectory, _check_finite_positions, as_generator
+from .dynamics import Trajectory, _check_finite_positions
 
 ESTIMATORS = ("qv", "box", "shift")
 PROVENANCES = ESTIMATORS + ("spectral",)
@@ -192,7 +192,7 @@ def add_observation_noise(series: ObservationSeries, theta: float, rng) -> Obser
     nonnegative("theta", theta)
     if theta == 0.0:
         return series
-    noisy = _perturbed(series.positions, theta, as_generator(rng),
+    noisy = _perturbed(series.positions, theta, np.random.default_rng(rng),
                        np.empty(series.positions.shape))
     return ObservationSeries(noisy, series.delta, math.hypot(series.theta, theta))
 
@@ -335,7 +335,7 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
     """
     nonnegative("theta", theta)
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
-    gen = as_generator(noise) if theta > 0.0 else None
+    gen = np.random.default_rng(noise) if theta > 0.0 else None
     entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
                                  _row_buffers(traj.n_points, estimator, theta))
     return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,

@@ -3,10 +3,11 @@
 Every ensemble statistic is reproducible from (flow, config, master seed)
 alone: realization r draws from substreams keyed by (seed, r), values are
 stored in realization order and reduced with a fixed summation order, so
-the batch size never changes a digit. Within a sweep the trajectories are
-simulated once and re-subsampled at every delta, mirroring how a single
-observed dataset is analyzed at several sampling rates (this also gives
-the delta-to-delta comparison a common noise background).
+the way the rows are split never changes a digit. Within a sweep the
+trajectories are simulated once and re-subsampled at every delta,
+mirroring how a single observed dataset is analyzed at several sampling
+rates (this also gives the delta-to-delta comparison a common noise
+background).
 
 A sweep makes one ``dynamics.simulate_ensemble`` call for all its rows
 and hands it the one row reduction of the estimators, which
@@ -15,8 +16,9 @@ call alone splits the rows, into rounds whose shares run the reduction
 as soon as their rows are integrated: a shear block's per-CPU share
 threads, so a sweep holds one round of stored paths, never an (M,
 n_stored, 2) block, and a cellular block's one share, in the calling
-thread. Neither the share thread count nor the group size changes a digit, and
-``batch_size`` changes nothing at all; it is only checked.
+thread. Neither the share thread count nor the group size changes a digit.
+``run_ensemble`` and the INI [sweep] section still accept a ``batch_size``,
+which they check and drop: it changes nothing.
 Noise streams and direction values are made in the calling thread; the
 shares only draw and reduce.
 
@@ -135,7 +137,7 @@ class SweepReport:
 
 def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 theta: float = 0.0, n_realizations: int = 1000,
-                direction: str = "y", batch_size: int = 64) -> SweepReport:
+                direction: str = "y") -> SweepReport:
     """One record per delta, all deltas sharing the same M trajectories.
 
     All M realizations run in one ``simulate_ensemble`` call, which
@@ -145,25 +147,23 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     shear share integrates and reduces groups whose stored paths and chunk
     buffers fit ``dynamics._GROUP_BYTES`` (4 MiB; two rows of 10^5 points),
     a cellular round ``dynamics._CELL_ROWS`` rows, so only the (n_delta, M)
-    values and entries grow with M. ``batch_size`` changes nothing.
-    Realization r's value at the j-th delta is bitwise
-    ``directional_component(estimators.estimate_tensor(traj_r, estimator,
-    delta_j, theta, noise_generator(seed, r, j)), direction)``, whatever
-    the batch size, the group size and the share thread count. Observation noise
-    is thus drawn independently per (realization, delta) from streams
-    disjoint from the dynamics streams. Estimator statistics use the sample standard
-    deviation (ddof=1); stderr = std / sqrt(M). The qv entries are BLAS
-    dot products, whose summation order depends on the BLAS thread pool
-    (``OPENBLAS_NUM_THREADS`` and the like) on rows of more than about
-    10^4 increments, so two pool sizes can give results that differ in the
-    last bits; with one pool size they repeat bitwise.
+    values and entries grow with M. Realization r's value at the j-th
+    delta is bitwise ``directional_component(estimators.estimate_tensor(
+    traj_r, estimator, delta_j, theta, noise_generator(seed, r, j)),
+    direction)``, whatever the group size and the share thread count.
+    Observation noise is thus drawn independently per (realization, delta)
+    from streams disjoint from the dynamics streams. Estimator statistics
+    use the sample standard deviation (ddof=1); stderr = std / sqrt(M). The
+    qv entries are BLAS dot products, whose summation order depends on the
+    BLAS thread pool (``OPENBLAS_NUM_THREADS`` and the like) on rows of
+    more than about 10^4 increments, so two pool sizes can give results
+    that differ in the last bits; with one pool size they repeat bitwise.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ParameterError("deltas must be non-empty")
     n_realizations = integer("n_realizations", n_realizations, 2)
-    nonnegative("theta", theta)
-    integer("batch_size", batch_size, 1)
+    theta = nonnegative("theta", theta)
     _parse_direction(direction)
 
     resolved = []
@@ -213,9 +213,13 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
 def run_ensemble(flow: FlowSpec, config: SimConfig, estimator: str, delta: float,
                  theta: float = 0.0, n_realizations: int = 1000,
                  direction: str = "y", batch_size: int = 64) -> EnsembleRecord:
-    """Single-delta ensemble; identical to a one-entry delta_sweep row."""
+    """Single-delta ensemble; identical to a one-entry delta_sweep row.
+
+    ``batch_size`` is checked (an integer >= 1) and changes nothing.
+    """
+    integer("batch_size", batch_size, 1)
     report = delta_sweep(flow, config, estimator, [delta], theta, n_realizations,
-                         direction, batch_size)
+                         direction)
     return report.rows[0]
 
 
@@ -227,9 +231,11 @@ def rescaled_config(kappa: float, epsilon: float, alpha_exponent: float,
     dt <= epsilon^2 / 50, and the store stride is chosen so the stored
     grid spacing is delta itself.
     """
-    if not (0.0 < epsilon <= 1.0):
+    epsilon = positive("epsilon", epsilon)
+    if epsilon > 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if not (0.0 < alpha_exponent < 2.0):
+    alpha_exponent = positive("alpha_exponent", alpha_exponent)
+    if alpha_exponent >= 2.0:
         raise ParameterError(f"alpha_exponent must lie in (0, 2), got {alpha_exponent!r}")
     delta = epsilon ** alpha_exponent
     fast = epsilon ** 2 / 50.0
@@ -243,7 +249,7 @@ def rescaled_config(kappa: float, epsilon: float, alpha_exponent: float,
 def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float,
                    n_realizations: int = 1000, t_final: float = 1.0,
                    estimator: str = "qv", direction: str = "y", theta: float = 0.0,
-                   seed: int = 0, batch_size: int = 64) -> SweepReport:
+                   seed: int = 0) -> SweepReport:
     """Estimator statistics for the rescaled dynamics at each epsilon.
 
     Every epsilon is observed at delta = epsilon^alpha over the same fixed
@@ -252,21 +258,18 @@ def rescaled_study(flow: FlowSpec, kappa: float, epsilons, alpha_exponent: float
     store enough points for the estimator at its delta before the first
     simulation starts. The same master seed drives every epsilon, so the
     comparison across epsilons is paired. epsilon = 1 reduces to the
-    unrescaled pipeline bitwise. As in delta_sweep, batch_size is inert.
+    unrescaled pipeline bitwise.
     """
-    epsilons = [float(e) for e in epsilons]
+    epsilons = list(epsilons)
     if not epsilons:
         raise ParameterError("epsilons must be non-empty")
     planned = [rescaled_config(kappa, eps, alpha_exponent, t_final, seed)
                for eps in epsilons]
     for config, delta in planned:
         _check_points(estimator, delta, 1, config.n_stored)
-    rows = []
-    for config, delta in planned:
-        report = delta_sweep(flow, config, estimator, [delta], theta,
-                             n_realizations, direction, batch_size)
-        rows.append(report.rows[0])
-    return SweepReport(tuple(rows))
+    return SweepReport(tuple(
+        run_ensemble(flow, config, estimator, delta, theta, n_realizations, direction)
+        for config, delta in planned))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,7 @@ class PeriodicShearVerdict:
 def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
                               n_realizations: int = 200, t_final: float = 1000.0,
                               dt: float = 1e-3, deltas=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
-                              seed: int = 0, batch_size: int = 64) -> PeriodicShearVerdict:
+                              seed: int = 0) -> PeriodicShearVerdict:
     """Monte Carlo adjudication between the two candidate closed forms.
 
     The eddy diffusivity of the sinusoidally modulated shear has two
@@ -296,10 +299,9 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     quadratic-variation sweep estimates the true plateau as the average of
     the means at the two largest deltas and checks which candidate lies
     within 25% of it. The returned report spells out the comparison.
-    As in delta_sweep, batch_size is inert.
     """
     positive("dt", dt)
-    deltas = sorted(float(d) for d in deltas)
+    deltas = sorted(positive("delta", d) for d in deltas)
     if len(deltas) < 2:
         raise ParameterError("need at least 2 deltas to form a plateau estimate")
     multiples = [int(round(d / dt)) for d in deltas]
@@ -307,8 +309,7 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     flow = periodic_shear(omega)
     config = SimConfig(kappa=kappa, dt=dt, t_final=t_final, seed=seed,
                        store_stride=stride)
-    sweep = delta_sweep(flow, config, "qv", deltas, 0.0, n_realizations,
-                        "y", batch_size)
+    sweep = delta_sweep(flow, config, "qv", deltas, 0.0, n_realizations, "y")
     plateau = float(np.mean([rec.mean for rec in sweep.rows[-2:]]))
     candidates = {
         "printed": k_periodic_shear(kappa, omega, "printed"),
@@ -369,7 +370,7 @@ class RunPlan:
     The sweep settings take delta_sweep's defaults and are checked when the
     plan is built, by the checks delta_sweep calls: the estimator and the
     direction spec by ``estimators``, theta, each delta and the counts by
-    ``errors``. As in delta_sweep, batch_size is checked and inert.
+    ``errors``.
     """
 
     flow: FlowSpec
@@ -379,7 +380,6 @@ class RunPlan:
     theta: float = _SWEEP_PARAMS["theta"].default
     direction: str = _SWEEP_PARAMS["direction"].default
     realizations: int = _SWEEP_PARAMS["n_realizations"].default
-    batch_size: int = _SWEEP_PARAMS["batch_size"].default
     epsilons: tuple[float, ...] = ()
     alpha_exponent: float = 1.0
 
@@ -390,7 +390,6 @@ class RunPlan:
         nonnegative("theta", self.theta)
         _parse_direction(self.direction)
         integer("realizations", self.realizations, 2)
-        integer("batch_size", self.batch_size, 1)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -404,8 +403,8 @@ def _eta0(text: str) -> float | str:
 
 # the INI schema, one {key: cast} table per section. [flow] keys are the
 # FlowSpec fields and [simulation] keys the SimConfig fields of their name,
-# [estimation] and [sweep] keys the RunPlan fields (the key delta fills
-# deltas). A key left out keeps the dataclass default.
+# [estimation] and [sweep] keys the RunPlan fields (delta fills deltas, and
+# batch_size is checked and dropped). A key left out keeps the dataclass default.
 _SCHEMA = {
     "flow": {"kind": str, **{key: float for keys in FLOW_PARAMS.values() for key in keys}},
     "simulation": {"kappa": float, "dt": float, "t_final": float, "epsilon": float,
@@ -434,7 +433,8 @@ def parse_config(source) -> RunPlan:
     Sections [flow] and [simulation] are required for simulation-backed
     commands; [estimation] and [sweep] provide estimator and ensemble
     settings with the documented defaults. Unknown sections or keys raise
-    ConfigError so typos never silently fall back to defaults.
+    ConfigError so typos never silently fall back to defaults. [sweep]
+    batch_size is checked (an integer >= 1) and dropped: it changes nothing.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -471,8 +471,13 @@ def parse_config(source) -> RunPlan:
              "sim": _build(SimConfig, "simulation", values["simulation"])}
     if "delta" in values["estimation"]:
         values["estimation"]["deltas"] = values["estimation"].pop("delta")
+    batch_size = values["sweep"].pop("batch_size", 1)
     # [estimation] is checked before [sweep] joins it, so a refusal names its section
     for section in ("estimation", "sweep"):
         given.update(values[section])
         plan = _build(RunPlan, section, given)
+    try:
+        integer("batch_size", batch_size, 1)
+    except ParameterError as exc:
+        raise ConfigError(f"bad [sweep] value: {exc}") from exc
     return plan

@@ -590,8 +590,7 @@ def test_cellular_block_starts_no_pool(monkeypatch):
     config = SimConfig(kappa=0.3, dt=1e-2, t_final=0.1)
     simulate_ensemble(taylor_green(), config, 4)
     assert pools == [] and shares == [(0, 4)]
-    delta_sweep(taylor_green(), config, "qv", [0.02, 0.05], theta=0.1, n_realizations=5,
-                batch_size=5)
+    delta_sweep(taylor_green(), config, "qv", [0.02, 0.05], theta=0.1, n_realizations=5)
     assert pools == [] and shares == [(0, 4), (0, 5)]
 
 

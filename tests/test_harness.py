@@ -1,12 +1,13 @@
 """Tests for the ensemble harness, config parsing and the CLI.
 
 The bitwise invariants matter most here: realization streams are keyed by
-(seed, realization, source), so results must not depend on batch size, on
-whether deltas share a sweep, or on epsilon = 1 going through the rescaled
-path. CLI tests drive main() in process and assert on exit codes.
+(seed, realization, source), so results must not depend on how the rows are
+split, on whether deltas share a sweep, or on epsilon = 1 going through the
+rescaled path. CLI tests drive main() in process and assert on exit codes.
 """
 
 import csv
+import dataclasses
 import inspect
 import io
 import math
@@ -25,6 +26,7 @@ from eddykit import (
     IntegrationBlowupError,
     ObservationSeries,
     ParameterError,
+    RunPlan,
     SimConfig,
     SweepReport,
     Trajectory,
@@ -92,6 +94,28 @@ def test_csv_schema_and_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == ",".join(_CSV_COLUMNS)
 
 
+def test_csv_fields_read_back_as_the_values_the_run_used():
+    # an np.float32 kappa or theta runs as the float it converts to, and the
+    # record holds that float, so the CSV writes all 17 digits of it
+    kappa, theta = np.float32(0.1), np.float32(0.05)
+    settings = dict(dt=0.01, t_final=2.0, seed=1, store_stride=2)
+    report = delta_sweep(FLOW, SimConfig(kappa=kappa, **settings), "qv", [0.1], theta, 8)
+    twin = delta_sweep(FLOW, SimConfig(kappa=float(kappa), **settings), "qv", [0.1],
+                       float(theta), 8)
+    assert _csv(report) == _csv(twin)
+    rec = report.rows[0]
+    assert rec.kappa == 0.10000000149011612 and rec.theta == float(theta)
+    row = next(csv.DictReader(io.StringIO(_csv(report))))
+    for column, value in zip(_CSV_COLUMNS, dataclasses.astuple(rec)):
+        assert type(value) in (str, int, float)
+        assert type(value)(row[column]) == value, column
+    # an integer prints as it did before it was cast: 1 either way
+    ints = delta_sweep(FLOW, SimConfig(kappa=1, dt=0.01, t_final=2, seed=1), "qv", [0.1],
+                       0, 8)
+    row = next(csv.DictReader(io.StringIO(_csv(ints))))
+    assert (row["kappa"], row["T"], row["theta"]) == ("1", "2", "0")
+
+
 # ---------------------------------------------------------------------------
 # sweep mechanics
 # ---------------------------------------------------------------------------
@@ -113,13 +137,10 @@ def test_qv_and_shift_coincide_at_j_one():
 
 @pytest.mark.parametrize("theta", [0.0, 0.2])
 def test_results_do_not_depend_on_batch_size(theta):
-    reports = [
-        delta_sweep(FLOW, FAST, "qv", [0.1, 0.2], theta=theta, n_realizations=10,
-                    batch_size=bs)
-        for bs in (1, 3, 64)
-    ]
-    for other in reports[1:]:
-        assert other.rows == reports[0].rows
+    # run_ensemble still takes batch_size, checks it and drops it
+    records = [run_ensemble(FLOW, FAST, "qv", 0.1, theta, 10, batch_size=bs)
+               for bs in (1, 3, 64, 10**6)]
+    assert records == [delta_sweep(FLOW, FAST, "qv", [0.1], theta, 10).rows[0]] * 4
 
 
 def test_deltas_share_trajectories():
@@ -153,17 +174,16 @@ def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estima
         monkeypatch.setattr(dynamics, "_GROUP_BYTES", budget)
         for cpus in (1, 3):
             monkeypatch.setattr(dynamics, "_cpu_count", lambda cpus=cpus: cpus)
-            for batch_size in (5, 64):
-                texts.add(_csv(delta_sweep(flow, config, estimator, [0.01, 0.05, 0.3],
-                                           theta=0.05, n_realizations=13,
-                                           direction="xi:1,2", batch_size=batch_size)))
+            texts.add(_csv(delta_sweep(flow, config, estimator, [0.01, 0.05, 0.3],
+                                       theta=0.05, n_realizations=13, direction="xi:1,2")))
     assert len(texts) == 1
 
 
-@pytest.mark.parametrize("batch_size", [3, 10])
-def test_reduction_error_names_its_realization(monkeypatch, batch_size):
-    # realizations 4 and 8 fail in different shares; one thread meets 4 first
-    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
+@pytest.mark.parametrize("cpus", [3, 10])
+def test_reduction_error_names_its_realization(monkeypatch, cpus):
+    # realizations 4 and 8 fail in different shares, of three rows or of one;
+    # the error names 4 whichever share fails first
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
     block = simulate_ensemble(FLOW, FAST, 10)
     reduce_row = harness._reduce_row
 
@@ -174,7 +194,7 @@ def test_reduction_error_names_its_realization(monkeypatch, batch_size):
 
     monkeypatch.setattr(harness, "_reduce_row", failing)
     with pytest.raises(ParameterError, match="^realization 4: bad row$"):
-        delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=10, batch_size=batch_size)
+        delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=10)
 
 
 @pytest.mark.parametrize("flow, cpus, group_rows", [
@@ -213,7 +233,7 @@ def test_sweep_errors_do_not_depend_on_groups(monkeypatch, flow, cpus, group_row
     ]
     for failing_rows, blowups, error, message in cases:
         with pytest.raises(error, match=message):
-            delta_sweep(flow, FAST, "qv", [0.1], n_realizations=12, batch_size=12)
+            delta_sweep(flow, FAST, "qv", [0.1], n_realizations=12)
     # a real blow-up: every group goes non-finite in its first chunk
     monkeypatch.setattr(dynamics, "_block", run_block)
     overflow = SimConfig(kappa=1e308, dt=1.0, t_final=10.0)
@@ -241,7 +261,7 @@ def test_sweep_memory_is_bounded_by_the_group_budget(monkeypatch):
     monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * row_bytes)
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
     peak = _traced_peak(lambda: delta_sweep(steady_shear(), config, "box", [0.01, 0.1], 0.05,
-                                            m, "x", batch_size=m))
+                                            m, "x"))
     assert peak < block_bytes / 4
 
 
@@ -256,7 +276,7 @@ def test_group_budget_counts_the_chunk_buffers(monkeypatch):
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: shares)
     dynamics._dtbtrs()  # scipy's import is not the sweep's memory
     peak = _traced_peak(lambda: delta_sweep(ou_shear(1.0, 0.1), config, "qv", [1.0, 2.0],
-                                            n_realizations=m, batch_size=m))
+                                            n_realizations=m))
     assert peak < 2 * shares * dynamics._GROUP_BYTES
 
 
@@ -268,20 +288,20 @@ def test_full_resolution_sweep_memory_does_not_grow_with_m(monkeypatch):
     config = SimConfig(kappa=0.1, dt=0.01, t_final=1000.0, seed=7)
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
     peaks = [_traced_peak(lambda m=m: delta_sweep(steady_shear(), config, "box", [0.01, 1.0],
-                                                  0.05, m, "x", batch_size=m))
+                                                  0.05, m, "x"))
              for m in (8, 64)]
     assert peaks[1] < peaks[0] + config.n_stored * 2 * 8
 
 
 def test_cellular_sweep_memory_does_not_grow_with_m():
-    # a cellular block runs in groups of _CELL_ROWS rows whatever the batch
-    # size, so M = 512 holds the rounds of M = 64 plus its longer (n_delta, M)
+    # a cellular block runs in groups of _CELL_ROWS rows whatever M, so
+    # M = 512 holds the rounds of M = 64 plus its longer (n_delta, M)
     # values and its (M, n_delta, 2, 2) entries, kept per row and stacked
     config = SimConfig(kappa=0.05, dt=0.01, t_final=5.0, seed=8)
     deltas = [0.1, 0.5, 1.0]
 
     def sweep(m):
-        delta_sweep(taylor_green(), config, "qv", deltas, 0.05, m, "x", batch_size=512)
+        delta_sweep(taylor_green(), config, "qv", deltas, 0.05, m, "x")
 
     sweep(2)  # what the first sweep allocates once is not growth with M
     peaks = [_traced_peak(lambda m=m: sweep(m)) for m in (64, 512)]
@@ -295,7 +315,8 @@ def test_cellular_sweep_memory_does_not_grow_with_m():
 @pytest.mark.parametrize("flow", [steady_shear(), taylor_green()], ids=lambda f: f.kind)
 def test_batch_size_decides_no_block(monkeypatch, flow):
     # simulate_ensemble alone splits the rows: a shear block in rounds of two
-    # shares of two-row groups, a cellular one in groups of _CELL_ROWS rows
+    # shares of two-row groups, a cellular one in groups of _CELL_ROWS rows;
+    # run_ensemble's batch_size is only checked
     config = SimConfig(kappa=0.5, dt=0.01, t_final=0.5, seed=6)
     monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * dynamics._row_bytes(flow, config))
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
@@ -310,7 +331,7 @@ def test_batch_size_decides_no_block(monkeypatch, flow):
     seen = []
     for batch_size in (1, 7, 10**6):
         calls.clear()
-        delta_sweep(flow, config, "qv", [0.02, 0.1], 0.05, m, "x", batch_size)
+        run_ensemble(flow, config, "qv", 0.1, 0.05, m, "x", batch_size)
         seen.append(sorted(calls))
     expected = ([(0, 2), (2, 2), (4, 2), (6, 2), (8, 1), (9, 1)] if flow.is_shear
                 else [(0, dynamics._CELL_ROWS), (dynamics._CELL_ROWS, 6)])
@@ -349,7 +370,7 @@ def test_sweep_makes_its_streams_per_round(monkeypatch):
     monkeypatch.setattr(dynamics, "_block", recording_block)
     m, round_rows = 20, 4
     per_row = 3 + len(deltas)  # BM, OU, stationary eta0 and one noise stream per delta
-    delta_sweep(flow, config, "qv", deltas, 0.05, m, "x", batch_size=m)
+    delta_sweep(flow, config, "qv", deltas, 0.05, m, "x")
     assert state == {"streams": m * per_row, "run": m}
     assert len(starts) == m // 2
     for streams, run in starts:
@@ -370,7 +391,7 @@ def test_sweep_values_are_estimate_tensor_bitwise(monkeypatch, estimator):
         return value
 
     monkeypatch.setattr(harness, "directional_component", recording)
-    delta_sweep(FLOW, config, estimator, deltas, theta, m, direction, batch_size=3)
+    delta_sweep(FLOW, config, estimator, deltas, theta, m, direction)
     block = simulate_ensemble(FLOW, config, m)
     expected = [
         directional_component(
@@ -400,8 +421,8 @@ def test_sweep_validation_happens_before_any_simulation():
         delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=8, theta=-0.1)
     with pytest.raises(ParameterError):
         delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=8, direction="z")
-    with pytest.raises(ParameterError):
-        delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=8, batch_size=0)
+    with pytest.raises(ParameterError, match="^batch_size must be an integer >= 1, got 0$"):
+        run_ensemble(FLOW, FAST, "qv", 0.1, n_realizations=8, batch_size=0)
     # FAST stores 101 points: qv at delta = 2.0 fits (101 needed), box needs 200
     delta_sweep(FLOW, FAST, "qv", [2.0], n_realizations=2)
     with pytest.raises(InsufficientDataError, match=re.escape(
@@ -421,12 +442,30 @@ def test_rescaled_config_arithmetic():
     assert config.dt == pytest.approx(0.4 / 125)
     assert config.dt_stored == pytest.approx(delta)
     assert config.dt <= 0.4 ** 2 / 50.0 * (1 + 1e-12)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=re.escape("epsilon must lie in (0, 1], got 1.5")):
         rescaled_config(0.1, 1.5, 1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError,
+                       match=re.escape("alpha_exponent must lie in (0, 2), got 2.0")):
         rescaled_config(0.1, 0.4, 2.0)
     with pytest.raises(ParameterError):
         rescaled_config(0.1, 0.4, 0.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: rescaled_config(0.1, None, 1.0), "epsilon"),
+    (lambda: rescaled_config(0.1, "0.5", 1.0), "epsilon"),
+    (lambda: rescaled_config(0.1, 0.5, math.nan), "alpha_exponent"),
+    (lambda: rescaled_config(0.1, 0.5, "1"), "alpha_exponent"),
+    (lambda: rescaled_study(FLOW, 0.5, [0.4, None], 1.0), "epsilon"),
+    (lambda: adjudicate_periodic_shear(deltas=(1.0, math.nan)), "delta"),
+    (lambda: adjudicate_periodic_shear(deltas=(1.0, math.inf)), "delta"),
+    (lambda: adjudicate_periodic_shear(deltas=(1.0, None)), "delta"),
+], ids=["epsilon-none", "epsilon-text", "alpha-nan", "alpha-text", "study-epsilon-none",
+        "delta-nan", "delta-inf", "delta-none"])
+def test_rescaling_and_adjudication_check_their_numbers_first(monkeypatch, call, name):
+    monkeypatch.setattr(harness, "simulate_ensemble", None)
+    with pytest.raises(ParameterError, match=f"^{name} must be finite and positive, got "):
+        call()
 
 
 def test_rescaled_epsilon_one_reduces_to_plain_sweep():
@@ -528,7 +567,7 @@ def test_parse_full_config():
     assert plan.estimator == "shift"
     assert plan.deltas == (0.1, 0.2, 0.5)
     assert plan.theta == 0.05 and plan.direction == "xi:1,1"
-    assert plan.realizations == 32 and plan.batch_size == 8
+    assert plan.realizations == 32
     assert plan.epsilons == (0.4, 0.2) and plan.alpha_exponent == 1.0
 
 
@@ -575,11 +614,21 @@ def test_parse_config_rejections(mutation, needle):
         parse_config(mutation)
 
 
+def test_batch_size_is_gone_from_the_sweeps():
+    # run_ensemble and the INI [sweep] key are the only places that take it
+    for function in (delta_sweep, rescaled_study, adjudicate_periodic_shear):
+        assert "batch_size" not in inspect.signature(function).parameters
+    assert "batch_size" not in {field.name for field in dataclasses.fields(RunPlan)}
+    assert "batch_size" in inspect.signature(run_ensemble).parameters
+    with pytest.raises(TypeError):
+        delta_sweep(FLOW, FAST, "qv", [0.1], n_realizations=8, batch_size=64)
+
+
 def test_run_plan_defaults_are_the_sweep_defaults():
     plan = parse_config("[flow]\nkind = shear\n\n[simulation]\nkappa = 0.5\n")
     params = inspect.signature(delta_sweep).parameters
     for field, param in [("theta", "theta"), ("direction", "direction"),
-                         ("realizations", "n_realizations"), ("batch_size", "batch_size")]:
+                         ("realizations", "n_realizations")]:
         assert getattr(plan, field) == params[param].default
 
 
@@ -718,6 +767,22 @@ def test_cli_sweep_csv(tmp_path, capsys):
     # stdout target
     assert main(["sweep", "--config", config, "--output", "-"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == ",".join(_CSV_COLUMNS)
+
+
+def test_ini_batch_size_is_checked_and_dropped(tmp_path, capsys):
+    base = SIM_CONFIG + "\n[estimation]\ndelta = 0.1 0.2\n\n[sweep]\nrealizations = 8\n"
+    plain = _write(tmp_path, "plain.ini", base)
+    batched = _write(tmp_path, "batched.ini", base + "batch_size = 8\n")
+    assert parse_config(batched) == parse_config(plain)
+    assert main(["sweep", "--config", plain, "--output", "-"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["sweep", "--config", batched, "--output", "-"]) == 0
+    assert capsys.readouterr().out == expected
+    bad = _write(tmp_path, "bad.ini", base + "batch_size = 0\n")
+    assert main(["sweep", "--config", bad, "--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert "bad [sweep] value: batch_size must be an integer >= 1, got 0" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_rescaled_csv(tmp_path):
@@ -973,10 +1038,10 @@ def test_cli_estimate_refuses_non_finite_positions(tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [("n_realizations", 3.5), ("batch_size", 2.5)])
 def test_sweep_refuses_fractional_counts(monkeypatch, option, value):
-    # refused before anything is simulated
+    # refused before anything is simulated; run_ensemble is the one sweep taking batch_size
     monkeypatch.setattr(harness, "simulate_ensemble", None)
     with pytest.raises(ParameterError, match=f"^{option} must be an integer >= "):
-        delta_sweep(FLOW, FAST, "qv", [0.1], **{"n_realizations": 8, option: value})
+        run_ensemble(FLOW, FAST, "qv", 0.1, **{"n_realizations": 8, option: value})
 
 
 @pytest.mark.parametrize("name", ["notes.txt", "empty.npz", "array.npy"])

@@ -77,7 +77,7 @@ ini, csv = sys.argv[1:]
 assert cli.main(["sweep", "--config", ini, "--output", csv]) == 0
 print("shear sweep", subpackages())
 harness.delta_sweep(taylor_green(), SimConfig(kappa=0.5, dt=0.01, t_final=1.0, seed=2),
-                    "qv", [0.1], n_realizations=4, direction="x", batch_size=4)
+                    "qv", [0.1], n_realizations=4, direction="x")
 print("taylor-green sweep", subpackages())
 flow, config = ou_shear(1.0, 0.1), SimConfig(kappa=0.1, dt=0.01, t_final=2.0, seed=5)
 dynamics._cpu_count = lambda: 2
@@ -189,7 +189,7 @@ def test_traced_share_sweep_is_exact(monkeypatch):
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
     config = SimConfig(kappa=0.1, dt=0.01, t_final=5.0, seed=3)
     multiples, m = (1, 10, 30), 6
-    args = (steady_shear(), config, "box", [k * config.dt for k in multiples], 0.05, m, "x", 4)
+    args = (steady_shear(), config, "box", [k * config.dt for k in multiples], 0.05, m, "x")
     plain = harness.delta_sweep(*args)
     tracer = tracing.Tracer()
     enter, threads = tracer.enter, set()
@@ -222,7 +222,7 @@ def test_traced_cellular_sweep_is_exact(monkeypatch):
     tracing = importlib.import_module("tracing")
     config = SimConfig(kappa=0.05, dt=0.01, t_final=5.0, seed=4, store_stride=10)
     m = 6
-    args = (taylor_green(), config, "qv", [0.1, 0.5, 1.0], 0.0, m, "x", 4)
+    args = (taylor_green(), config, "qv", [0.1, 0.5, 1.0], 0.0, m, "x")
     plain = harness.delta_sweep(*args)
     tracer = tracing.Tracer()
     enter, threads = tracer.enter, set()
