@@ -73,15 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationBlowupError, ParameterError, integer, nonnegative, positive
-from .fields import (
-    OU_SHEAR,
-    PERIODIC_SHEAR,
-    TAYLOR_GREEN,
-    FlowSpec,
-    _childress_soward_drift,
-    _taylor_green_drift,
-)
+from .errors import IntegrationBlowupError, ParameterError, finite, integer, nonnegative, positive
+from .fields import OU_SHEAR, PERIODIC_SHEAR, TAYLOR_GREEN, FlowSpec
 
 # substream tags; (master seed, realization index, tag) identifies a stream
 SOURCE_BM = 0      # 2-D Brownian driver of the position equation
@@ -177,7 +170,8 @@ class SimConfig:
     burn_in: float = 0.0
 
     def __post_init__(self) -> None:
-        # each number is stored as the float its check returns: run and record agree
+        # each number is stored as the float its check returns: run and record agree,
+        # and x0 as a tuple of two, so equal configs compare and hash equal
         for name in ("kappa", "dt", "t_final", "epsilon"):
             object.__setattr__(self, name, positive(name, getattr(self, name)))
         if self.t_final < self.dt:
@@ -190,15 +184,14 @@ class SimConfig:
                 f"rescaled run with epsilon={self.epsilon} requires dt <= epsilon^2/50 "
                 f"= {self.epsilon ** 2 / 50.0:g}, got dt={self.dt}"
             )
-        if isinstance(self.eta0, str):
-            if self.eta0 != "stationary":
-                raise ParameterError(f"eta0 must be a number or 'stationary', got {self.eta0!r}")
-        elif not math.isfinite(float(self.eta0)):
-            raise ParameterError(f"eta0 must be finite, got {self.eta0!r}")
-        if len(self.x0) != 2:
-            raise ParameterError("x0 must have two components")
-        if not all(math.isfinite(float(c)) for c in self.x0):
-            raise ParameterError(f"x0 must be finite, got {self.x0!r}")
+        if not isinstance(self.eta0, str):
+            object.__setattr__(self, "eta0", finite("eta0", self.eta0))
+        elif self.eta0 != "stationary":
+            raise ParameterError(f"eta0 must be a number or 'stationary', got {self.eta0!r}")
+        x0 = tuple(self.x0) if np.iterable(self.x0) else ()
+        if len(x0) != 2:
+            raise ParameterError(f"x0 must have two components, got {self.x0!r}")
+        object.__setattr__(self, "x0", tuple(finite("x0", c) for c in x0))
 
     @property
     def n_steps(self) -> int:
@@ -355,7 +348,7 @@ def _ou_streams(flow: FlowSpec, config: SimConfig, realizations: range):
             for r in realizations
         ])
     else:
-        eta = np.full(len(realizations), float(config.eta0))
+        eta = np.full(len(realizations), config.eta0)
     gens = [stream_generator(config.seed, r, SOURCE_OU) for r in realizations]
     return eta, gens
 
@@ -431,20 +424,69 @@ def _shear_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: tuple | 
     return x_path, y_path, advance
 
 
+def _drift(flow: FlowSpec, h: float, trig: np.ndarray):
+    """drift(out), which writes h v(z) of a cellular flow for the step loop's state.
+
+    A state of n rows is one 1-D array z = [x_0 ... x_{n-1}, y_{n-1} ... y_0],
+    its y half mirrored, and trig = [sin z, cos z] one 1-D array of 4n that
+    the loop fills once per step. The mirror lines each x_i up with y_i in
+    the reversed view of a half: with s = sin z and c = cos z, s * c[::-1]
+    is [sx cy, sy cx] in the state's own layout. The signed factor [-h, h]
+    and the views of trig are made once per block; drift(out) writes h v(z)
+    into the 1-D array out of 2n, every numpy call on 1-D operands, and
+    h = 1 gives v itself. The sign of v1 rides on the factor, which is
+    exact. The shear drift (0, eta(t) sin x) is inlined in ``_shear_kernel``.
+    """
+    n = trig.size // 4
+    factor = np.repeat([-h, h], n)
+    s, c = trig[:2 * n], trig[2 * n:]
+    c_mirror = c[::-1]
+    multiply, subtract = np.multiply, np.subtract
+
+    if flow.kind == TAYLOR_GREEN:
+        # psi = sin x sin y: h v = [-h, h] * [sx cy, sy cx]
+        def drift(out: np.ndarray) -> None:
+            multiply(s, c_mirror, out)
+            multiply(out, factor, out)
+
+        return drift
+
+    # psi = sin x sin y + lam cos x cos y: h v = [-h, h] * (P - Q) with
+    # P = [sx cy, sy cx] and Q = [(lam cx) sy, (lam sx) cy]. lam multiplies
+    # the x half's cosines but the y half's sines, so Q takes one product
+    # per half of lam trig = [lam s, lam c], each half on views in its order
+    lam = flow.lam
+    lam_trig = np.empty_like(trig)
+    lam_cx, sy = lam_trig[2 * n:3 * n], s[::-1][:n]  # x order
+    lam_sx, cy = lam_trig[n - 1::-1], c[n:]  # mirrored y order
+    q = np.empty(2 * n)
+    q_x, q_y = q[:n], q[n:]
+
+    def drift(out: np.ndarray) -> None:
+        multiply(s, c_mirror, out)
+        multiply(trig, lam, lam_trig)
+        multiply(lam_cx, sy, q_x)
+        multiply(lam_sx, cy, q_y)
+        subtract(out, q, out)
+        multiply(out, factor, out)
+
+    return drift
+
+
 def _cellular_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: None,
                      width: int):
     """Path buffers and the chunk advance of the cellular flows: the step loop.
 
     The paths are one time-major (width+1, 2 rows) state, so step k's state
     z = [x_0 ... x_{n-1}, y_{n-1} ... y_0] is one contiguous 1-D row whose y
-    half is mirrored (see the velocity kernels of ``fields``). Each step
-    takes sin and cos of the phase z/eps (z itself at eps = 1, since
-    z * 1.0 == z) into one trig buffer, writes the drift h v of ``fields``
-    into the next state and adds z and the step's scaled draws, every numpy
-    call on 1-D operands. The draws are scaled and copied into the same
-    mirrored layout in pieces of at most _PIECE steps, so each step's are
-    one contiguous row while the copy stays small. The buffers serve every
-    chunk of the block, so their per-step rows are taken once.
+    half is mirrored (see ``_drift``). Each step takes sin and cos of the
+    phase z/eps (z itself at eps = 1, since z * 1.0 == z) into one trig
+    buffer, writes the drift h v of ``_drift`` into the next state and adds
+    z and the step's scaled draws, every numpy call on 1-D operands. The
+    draws are scaled and copied into the same mirrored layout in pieces of
+    at most _PIECE steps, so each step's are one contiguous row while the
+    copy stays small. The buffers serve every chunk of the block, so their
+    per-step rows are taken once.
     """
     inv_eps = 1.0 / config.epsilon
     drift_dt = config.dt * inv_eps
@@ -453,10 +495,7 @@ def _cellular_kernel(flow: FlowSpec, config: SimConfig, g: np.ndarray, ou: None,
     steps = np.empty((width + 1, 2 * count))
     trig = np.empty(4 * count)
     sin_z, cos_z = trig[:2 * count], trig[2 * count:]
-    if flow.kind == TAYLOR_GREEN:
-        drift = _taylor_green_drift(drift_dt, trig)
-    else:
-        drift = _childress_soward_drift(flow.lam, drift_dt, trig)
+    drift = _drift(flow, drift_dt, trig)
     rescaled = config.epsilon != 1.0
     scaled = np.empty(2 * count)
     g_piece = np.empty((min(_PIECE, width), 2 * count))
@@ -509,8 +548,7 @@ def _block(flow: FlowSpec, config: SimConfig, first: int, gens: list,
     g = np.empty((len(gens), width, 2))  # Brownian draws of x and y
     kernel = _shear_kernel if flow.is_shear else _cellular_kernel
     x_path, y_path, advance = kernel(flow, config, g, ou, width)
-    x_path[:, 0] = float(config.x0[0])
-    y_path[:, 0] = float(config.x0[1])
+    x_path[:, 0], y_path[:, 0] = config.x0
 
     def run_chunk(c: int, step0: int) -> None:
         for i, gen in enumerate(gens):

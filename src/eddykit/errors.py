@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the numeric domain checks.
 
-``positive``, ``nonnegative`` and ``integer`` are the one rule for a finite
-positive number, a finite nonnegative number and an integer with a lower
-bound; every module checks its numeric parameters with them, so a value
-outside its domain raises ParameterError with the same wording everywhere.
+``finite``, ``positive``, ``nonnegative`` and ``integer`` are the one rule
+for a finite number, a finite positive number, a finite nonnegative number
+and an integer with a lower bound; every module checks its numeric
+parameters with them, so a value outside its domain raises ParameterError
+with the same wording everywhere.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def _number(value) -> float:
         return float(value)
     except (TypeError, ValueError):
         return math.nan
+
+
+def finite(name: str, value) -> float:
+    """value as a float if it is a finite number, else ParameterError naming it."""
+    number = _number(value)
+    if not math.isfinite(number):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def positive(name: str, value) -> float:

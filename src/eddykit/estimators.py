@@ -40,6 +40,7 @@ from .errors import (
     CommensurabilityError,
     InsufficientDataError,
     ParameterError,
+    finite,
     nonnegative,
     positive,
 )
@@ -122,9 +123,9 @@ class DiffusivityTensor:
 
     def project(self, xi) -> float:
         """Directional value xi . K xi (not normalized by |xi|^2)."""
-        v = np.asarray(xi, dtype=float)
+        v = np.array([finite("xi", c) for c in xi] if np.iterable(xi) else [])
         if v.shape != (2,):
-            raise ParameterError("xi must be a 2-vector")
+            raise ParameterError(f"xi must be a 2-vector, got {xi!r}")
         return float(v @ self.entries @ v)
 
 

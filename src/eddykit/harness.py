@@ -159,7 +159,7 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     more than about 10^4 increments, so two pool sizes can give results
     that differ in the last bits; with one pool size they repeat bitwise.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = [positive("delta", d) for d in deltas]
     if not deltas:
         raise ParameterError("deltas must be non-empty")
     n_realizations = integer("n_realizations", n_realizations, 2)
@@ -300,11 +300,11 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     the means at the two largest deltas and checks which candidate lies
     within 25% of it. The returned report spells out the comparison.
     """
-    positive("dt", dt)
+    dt = positive("dt", dt)
     deltas = sorted(positive("delta", d) for d in deltas)
     if len(deltas) < 2:
         raise ParameterError("need at least 2 deltas to form a plateau estimate")
-    multiples = [int(round(d / dt)) for d in deltas]
+    multiples = [_resolve_multiple(d, dt)[0] for d in deltas]
     stride = math.gcd(*multiples)
     flow = periodic_shear(omega)
     config = SimConfig(kappa=kappa, dt=dt, t_final=t_final, seed=seed,

@@ -176,12 +176,14 @@ class CellSolution:
 
     def coefficient(self, component: int, k1: int, k2: int) -> complex:
         """Coefficient of exp(i k . z) in chi^component, component in {1, 2}."""
-        if component not in (1, 2):
-            raise ParameterError("component must be 1 or 2")
         m = self.modes
-        if abs(k1) > m or abs(k2) > m:
+        c = integer("component", component, 1)
+        k1, k2 = integer("k1", k1, -m), integer("k2", k2, -m)
+        if c > 2:
+            raise ParameterError(f"component must be 1 or 2, got {component!r}")
+        if k1 > m or k2 > m:
             raise ParameterError(f"wavenumber ({k1}, {k2}) outside truncation M={m}")
-        return complex(self.coefficients[component - 1, k1 + m, k2 + m])
+        return complex(self.coefficients[c - 1, k1 + m, k2 + m])
 
 
 class ScalingFit(NamedTuple):
@@ -634,13 +636,15 @@ def fit_scaling_exponent(samples) -> ScalingFit:
     samples, all finite and strictly positive in both coordinates, with
     at least two distinct kappa.
     """
-    pairs = [(float(k), float(v)) for k, v in samples]
+    pairs = []
+    for i, (k, v) in enumerate(samples):
+        try:
+            pairs.append((positive("kappa", k), positive("K", v)))
+        except ParameterError:
+            raise ParameterError(f"sample {i} (kappa={k!r}, K={v!r}) must be finite and "
+                                 "strictly positive") from None
     if len(pairs) < 3:
         raise ParameterError(f"need at least 3 samples, got {len(pairs)}")
-    for i, (k, v) in enumerate(pairs):
-        if not (0.0 < k < math.inf and 0.0 < v < math.inf):
-            raise ParameterError(
-                f"sample {i} (kappa={k!r}, K={v!r}) must be finite and strictly positive")
     if len({k for k, _ in pairs}) < 2:
         raise ParameterError("fewer than two distinct kappa were given")
     log_k = np.log([k for k, _ in pairs])

@@ -22,13 +22,8 @@ from eddykit import (
     taylor_green,
     velocity_modes,
 )
-from eddykit.fields import (
-    FLOW_KINDS,
-    FLOW_PARAMS,
-    TAYLOR_GREEN,
-    _childress_soward_drift,
-    _taylor_green_drift,
-)
+from eddykit.dynamics import _drift
+from eddykit.fields import FLOW_KINDS, FLOW_PARAMS
 
 RNG = np.random.default_rng(20240817)
 POINTS = RNG.uniform(-10.0, 10.0, size=(64, 2))
@@ -37,7 +32,7 @@ POINTS = RNG.uniform(-10.0, 10.0, size=(64, 2))
 def _velocity(flow, z):
     """Spatial velocity at z = (x, y), leading axis of size 2.
 
-    The cellular flows use the drift helpers of the step loop with h = 1,
+    The cellular flows use the drift of the step loop with h = 1,
     which gives v exactly, on the loop's flat state [x, y mirrored]; the
     shear family shares the spatial factor (0, sin x), its modulation left
     out.
@@ -49,10 +44,7 @@ def _velocity(flow, z):
     n = x.size
     state = np.concatenate([x, y[::-1]])
     trig = np.concatenate([np.sin(state), np.cos(state)])
-    if flow.kind == TAYLOR_GREEN:
-        drift = _taylor_green_drift(1.0, trig)
-    else:
-        drift = _childress_soward_drift(flow.lam, 1.0, trig)
+    drift = _drift(flow, 1.0, trig)
     v = np.empty(2 * n)
     drift(v)
     return np.array([v[:n], v[n:][::-1]]).reshape(z.shape)

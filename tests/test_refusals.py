@@ -1,0 +1,96 @@
+"""Every public numeric parameter refuses None, a numeric string and nan by name.
+
+One table of (callable, parameter) pairs: each call puts a bad value in the
+one parameter and must raise ParameterError (or CommensurabilityError) whose
+message names it, before any simulation or solve runs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from eddykit import (
+    CellSolution,
+    CommensurabilityError,
+    DiffusivityTensor,
+    ParameterError,
+    SimConfig,
+    adjudicate_periodic_shear,
+    delta_sweep,
+    fit_scaling_exponent,
+    steady_shear,
+)
+from eddykit.errors import finite
+
+BAD = [None, "0.1", math.nan]
+CONFIG = SimConfig(kappa=0.1, dt=0.1, t_final=1.0)
+SOLUTION = CellSolution(np.zeros((2, 5, 5), dtype=complex), 0.1, 2, 0.0)
+TENSOR = DiffusivityTensor(np.eye(2), "spectral")
+SAMPLES = [(0.1, 1.0), (0.2, 2.0)]
+
+
+def _sweep(**kwargs):
+    args = dict(deltas=[0.2], theta=0.0, n_realizations=2) | kwargs
+    return delta_sweep(steady_shear(), CONFIG, "qv", **args)
+
+
+CASES = {
+    "finite": (lambda v: finite("x", v), "x"),
+    "SimConfig.kappa": (lambda v: SimConfig(kappa=v), "kappa"),
+    "SimConfig.dt": (lambda v: SimConfig(kappa=0.1, dt=v), "dt"),
+    "SimConfig.t_final": (lambda v: SimConfig(kappa=0.1, t_final=v), "t_final"),
+    "SimConfig.epsilon": (lambda v: SimConfig(kappa=0.1, epsilon=v), "epsilon"),
+    "SimConfig.x0": (lambda v: SimConfig(kappa=0.1, x0=(0.0, v)), "x0"),
+    "SimConfig.eta0": (lambda v: SimConfig(kappa=0.1, eta0=v), "eta0"),
+    "SimConfig.seed": (lambda v: SimConfig(kappa=0.1, seed=v), "seed"),
+    "SimConfig.store_stride": (lambda v: SimConfig(kappa=0.1, store_stride=v), "store_stride"),
+    "SimConfig.burn_in": (lambda v: SimConfig(kappa=0.1, burn_in=v), "burn_in"),
+    "delta_sweep.delta": (lambda v: _sweep(deltas=[0.2, v]), "delta"),
+    "delta_sweep.theta": (lambda v: _sweep(theta=v), "theta"),
+    "delta_sweep.n_realizations": (lambda v: _sweep(n_realizations=v), "n_realizations"),
+    "adjudicate.dt": (lambda v: adjudicate_periodic_shear(dt=v), "dt"),
+    "adjudicate.delta": (lambda v: adjudicate_periodic_shear(deltas=(1.0, v)), "delta"),
+    "fit_scaling_exponent.kappa": (lambda v: fit_scaling_exponent([*SAMPLES, (v, 3.0)]),
+                                   "kappa"),
+    "fit_scaling_exponent.K": (lambda v: fit_scaling_exponent([*SAMPLES, (0.3, v)]), "K"),
+    "coefficient.component": (lambda v: SOLUTION.coefficient(v, 1, 1), "component"),
+    "coefficient.k1": (lambda v: SOLUTION.coefficient(1, v, 1), "k1"),
+    "coefficient.k2": (lambda v: SOLUTION.coefficient(1, 1, v), "k2"),
+    "project.xi": (lambda v: TENSOR.project((v, 1.0)), "xi"),
+}
+
+
+@pytest.mark.parametrize("call, name", CASES.values(), ids=CASES.keys())
+def test_bad_numbers_are_refused_by_name(call, name):
+    for value in BAD:
+        with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+            call(value)
+
+
+def test_adjudication_names_dt_for_a_delta_below_it():
+    with pytest.raises(CommensurabilityError,
+                       match=r"^delta=0\.0001 is not an integer multiple of dt_stored=0\.001$"):
+        adjudicate_periodic_shear(dt=1e-3, deltas=(1e-4, 1.0))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0], np.array([0.0, 0.0]), (0, 0)],
+                         ids=["list", "array", "ints"])
+def test_sim_config_stores_x0_as_a_tuple_of_floats(x0):
+    config = SimConfig(kappa=0.1, x0=x0)
+    assert config == SimConfig(kappa=0.1)
+    assert hash(config) == hash(SimConfig(kappa=0.1))
+    assert all(type(c) is float for c in config.x0) and type(config.x0) is tuple
+
+
+def test_sim_config_refuses_x0_that_is_not_a_pair_and_stores_eta0_as_float():
+    with pytest.raises(ParameterError, match="^x0 must have two components, got 5$"):
+        SimConfig(kappa=0.1, x0=5)
+    eta0 = SimConfig(kappa=0.1, eta0=np.float32(0.1)).eta0
+    assert type(eta0) is float and eta0 == float(np.float32(0.1))
+
+
+def test_integral_float_indices_name_the_same_coefficient():
+    coefficients = np.arange(50, dtype=complex).reshape(2, 5, 5)
+    solution = CellSolution(coefficients, 0.1, 2, 0.0)
+    assert solution.coefficient(2.0, 1.0, -1.0) == solution.coefficient(2, 1, -1) == 41
