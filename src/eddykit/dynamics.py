@@ -236,7 +236,7 @@ class Trajectory:
             raise ParameterError("positions must be an (n, 2) array with n >= 1")
         _check_finite_positions(pos)
         object.__setattr__(self, "positions", pos)
-        positive("dt_stored", self.dt_stored)
+        object.__setattr__(self, "dt_stored", positive("dt_stored", self.dt_stored))
         if self.config is not None and pos.shape[0] != self.config.n_stored:
             raise ParameterError(
                 f"expected {self.config.n_stored} stored positions, got {pos.shape[0]}"

@@ -16,7 +16,8 @@ bitwise.
 
 All three run through one row reduction, ``_reduce_row``, which
 ``estimate_tensor``, the library estimators here and the harness sweeps
-call alike. Under observation noise box perturbs each bin mean once, with
+call alike: each is the quadratic variation of one point sequence at one
+lag, written into one work array. Under observation noise box perturbs each bin mean once, with
 the law of the mean of J perturbed points, rather than every point. Box
 sums each bin sequentially, bitwise equal to ``np.mean`` along the bin
 axis. ``Trajectory`` stores C-ordered positions, so an estimate never
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class ObservationSeries:
             raise InsufficientDataError("an observation series needs at least 2 points")
         _check_finite_positions(pos)
         object.__setattr__(self, "positions", pos)
-        positive("delta", self.delta)
-        nonnegative("theta", self.theta)
+        object.__setattr__(self, "delta", positive("delta", self.delta))
+        object.__setattr__(self, "theta", nonnegative("theta", self.theta))
 
     @property
     def n_obs(self) -> int:
@@ -96,9 +96,10 @@ class ObservationSeries:
 class DiffusivityTensor:
     """Symmetric 2x2 diffusivity tensor plus provenance metadata.
 
-    ``provenance`` records how the entries were produced; the remaining
-    fields carry whatever run metadata makes sense for that provenance and
-    stay None otherwise.
+    The entries must be finite and symmetric; a non-finite one is refused
+    by its index. ``provenance`` records how the entries were produced;
+    the remaining fields carry whatever run metadata makes sense for that
+    provenance and stay None otherwise.
     """
 
     entries: np.ndarray
@@ -110,9 +111,10 @@ class DiffusivityTensor:
     n_increments: int | None = None
 
     def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=float)
-        if ent.shape != (2, 2):
+        if np.shape(self.entries) != (2, 2):
             raise ParameterError("entries must be a 2x2 matrix")
+        ent = np.array([[finite(f"entries[{a}, {b}]", self.entries[a][b]) for b in (0, 1)]
+                        for a in (0, 1)])
         if ent[0, 1] != ent[1, 0]:
             raise ParameterError("entries must be symmetric")
         object.__setattr__(self, "entries", ent)
@@ -199,48 +201,16 @@ def add_observation_noise(series: ObservationSeries, theta: float, rng) -> Obser
 
 
 def _qv_entries(d: np.ndarray, delta: float) -> np.ndarray:
-    """Quadratic-variation matrix of the increments d, normalized by their count."""
-    k00 = float(d[:, 0] @ d[:, 0])
-    k01 = float(d[:, 0] @ d[:, 1])
-    k11 = float(d[:, 1] @ d[:, 1])
+    """Quadratic-variation matrix of the increments d, normalized by their count.
+
+    ``np.einsum`` sums each product in an order fixed by numpy alone, so
+    the bits do not depend on the BLAS thread pool, as a BLAS dot would.
+    """
+    k00 = float(np.einsum("i,i->", d[:, 0], d[:, 0]))
+    k01 = float(np.einsum("i,i->", d[:, 0], d[:, 1]))
+    k11 = float(np.einsum("i,i->", d[:, 1], d[:, 1]))
     scale = 1.0 / (2.0 * d.shape[0] * delta)
     return np.array([[k00 * scale, k01 * scale], [k01 * scale, k11 * scale]])
-
-
-def _qv_tensor(points: np.ndarray, delta: float, diffs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Quadratic-variation matrix of one point sequence and its increment count.
-
-    The increments are written into the leading rows of ``diffs``.
-    """
-    n_inc = points.shape[0] - 1
-    d = np.subtract(points[1:], points[:-1], out=diffs[:n_inc])
-    return _qv_entries(d, delta), n_inc
-
-
-# rows per chunk in which a full-resolution qv or box row turns its noisy
-# points into increments in place; each chunk costs two numpy calls
-_CHUNK = 16384
-
-
-class _Work(NamedTuple):
-    """Work space of ``_reduce_row`` for rows of up to n points; one per thread.
-
-    ``diffs`` (n, 2) holds a row's observed points and their increments,
-    ``chunk`` (min(n, _CHUNK), 2) the points one chunk ahead while the
-    increments of a full-resolution row overwrite its points, and
-    ``noisy`` (n, 2) shift's noisy copy of the row, kept only for shift
-    under noise.
-    """
-
-    diffs: np.ndarray
-    chunk: np.ndarray
-    noisy: np.ndarray | None
-
-
-def _row_buffers(n: int, estimator: str = "qv", theta: float = 0.0) -> _Work:
-    """The ``_Work`` of one thread that reduces rows of up to n points."""
-    noisy = np.empty((n, 2)) if estimator == "shift" and theta > 0.0 else None
-    return _Work(np.empty((n, 2)), np.empty((min(n, _CHUNK), 2)), noisy)
 
 
 def _perturbed(points: np.ndarray, scale: float, gen: np.random.Generator,
@@ -253,72 +223,64 @@ def _perturbed(points: np.ndarray, scale: float, gen: np.random.Generator,
 
 
 def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: float,
-                gen: np.random.Generator | None, work: _Work) -> tuple[np.ndarray, int]:
+                gen: np.random.Generator | None, diffs: np.ndarray) -> tuple[np.ndarray, int]:
     """Entries and increment count of one estimate from one (n, 2) row of points.
 
-    qv observes every j-th point; box replaces each bin of j consecutive
-    points (the trailing partial bin is discarded) by its mean, summed
-    sequentially within the bin and divided by j, which is bitwise equal
-    to ``np.mean`` along the bin axis; shift
-    averages the qv of the j grids offset by 0, 1, ..., j-1 points, with
-    the fewest increments of any grid as its count. delta = j dt_stored.
+    Every estimator is the quadratic variation of one point sequence at one
+    lag, delta = j dt_stored apart. qv takes every j-th point at lag 1. box
+    takes the means of the bins of j consecutive points at lag 1 (the
+    trailing partial bin is discarded); each mean is summed sequentially
+    within its bin and divided by j, which is bitwise equal to ``np.mean``
+    along the bin axis. shift takes every point at lag j: its increments
+    split into the j interleaved grids offset by 0, 1, ..., j-1 points, the
+    average lag-j realized variance of Zhang, Mykland and Ait-Sahalia (2005).
+    It sums the j grids' qv from zeros and divides by j; its count is the
+    fewest increments of any grid.
+
     With theta > 0, ``gen`` draws the observation noise: qv and shift add
-    theta N(0, 1) to every point they observe; box adds theta/sqrt(j) N(0, 1)
-    to every bin mean, the law of the mean of j points with theta noise
-    each, at one draw per bin coordinate. ``work`` is from ``_row_buffers``:
-    qv and box keep their points and increments in its one (n, 2) array,
-    shift under noise also its noisy row; nothing else is allocated in
-    proportion to the row.
+    theta N(0, 1) to every point they observe; box adds theta/sqrt(j)
+    N(0, 1) to every bin mean, the law of the mean of j points with theta
+    noise each, at one draw per bin coordinate.
+
+    ``diffs`` is an (n, 2) work array; nothing else is allocated in
+    proportion to the row. The noisy points are written into its head.
+    box's clean bin means go to its tail under noise, apart from the head
+    for j > 1, where 2 (n // j) <= n, and to its head otherwise. One
+    ``np.subtract`` then writes each increment over the point it starts
+    from, which numpy computes correctly although the operands overlap.
     """
     n = row.shape[0]
     _check_points(estimator, delta, j, n)
-    diffs = work.diffs
-    if estimator == "shift":
-        if theta > 0.0:
-            row = _perturbed(row, theta, gen, work.noisy[:n])
-        total = np.zeros((2, 2))
-        n_inc_min = None
-        for s in range(j):
-            entries, n_inc = _qv_tensor(row[s::j], delta, diffs)
-            total += entries
-            n_inc_min = n_inc if n_inc_min is None else min(n_inc_min, n_inc)
-        return total / j, n_inc_min
+    lag, scale = 1, theta
     # box at j = 1 is qv: one-point bins are the points, theta/sqrt(1) = theta
     # and both draw the same (n, 2) noise, so the qv branch gives its bits
-    box = estimator == "box" and j > 1
-    if not box:
-        obs = row[::j]
-        if theta == 0.0:
-            return _qv_tensor(obs, delta, diffs)
-    count = n // j if box else obs.shape[0]
-    # the points take the tail of diffs and their increments its head, which
-    # stay apart for j > 1, where 2 count - 1 <= n
-    points = diffs[n - count:n]
-    if box:
+    if estimator == "box" and j > 1:
+        count = n // j
+        points = diffs[n - count:n] if theta > 0.0 else diffs[:count]
         # sequential sum within each bin: the bits of np.mean along axis 1
-        means = diffs[:count] if theta > 0.0 else points
-        np.einsum("bjc->bc", row[:count * j].reshape(count, j, 2), out=means)
-        means /= j
-        if theta > 0.0:
-            _perturbed(means, theta / math.sqrt(j), gen, points)
+        np.einsum("bjc->bc", row[:count * j].reshape(count, j, 2), out=points)
+        points /= j
+        scale = theta / math.sqrt(j)
+    elif estimator == "shift":
+        points, lag = row, j
     else:
-        _perturbed(obs, theta, gen, points)
-    if count < n:
-        return _qv_tensor(points, delta, diffs)
-    # j = 1 under noise: each increment overwrites its own point, with the
-    # points one ahead copied out a chunk at a time first
-    for start in range(0, n - 1, _CHUNK):
-        stop = min(start + _CHUNK, n - 1)
-        ahead = work.chunk[:stop - start]
-        np.copyto(ahead, diffs[start + 1:stop + 1])
-        np.subtract(ahead, diffs[start:stop], out=diffs[start:stop])
-    return _qv_entries(diffs[:n - 1], delta), n - 1
+        points = row[::j]
+    if theta > 0.0:
+        points = _perturbed(points, scale, gen, diffs[:points.shape[0]])
+    n_inc = points.shape[0] - lag
+    d = np.subtract(points[lag:], points[:-lag], out=diffs[:n_inc])
+    if estimator != "shift":
+        return _qv_entries(d, delta), n_inc
+    total = np.zeros((2, 2))
+    for s in range(j):
+        total += _qv_entries(d[s::j], delta)
+    return total / j, len(range(j - 1, n_inc, j))
 
 
 def qv_estimate(series: ObservationSeries) -> DiffusivityTensor:
     """Quadratic-variation estimator (1/(2 N delta)) sum dx dx^T."""
     entries, n_inc = _reduce_row("qv", series.positions, 1, series.delta, 0.0, None,
-                                 _row_buffers(series.n_obs))
+                                 np.empty((series.n_obs, 2)))
     return DiffusivityTensor(entries, "qv", delta=series.delta,
                              theta=series.theta, n_increments=n_inc)
 
@@ -338,7 +300,7 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
     gen = np.random.default_rng(noise) if theta > 0.0 else None
     entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,
-                                 _row_buffers(traj.n_points, estimator, theta))
+                                 np.empty((traj.n_points, 2)))
     return DiffusivityTensor(entries, estimator, flow=traj.flow, delta=delta_c,
                              theta=theta, n_increments=n_inc)
 

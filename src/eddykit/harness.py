@@ -57,7 +57,6 @@ from .estimators import (
     _parse_direction,
     _reduce_row,
     _resolve_multiple,
-    _row_buffers,
     directional_component,
 )
 
@@ -153,11 +152,9 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     direction)``, whatever the group size and the share thread count.
     Observation noise is thus drawn independently per (realization, delta)
     from streams disjoint from the dynamics streams. Estimator statistics
-    use the sample standard deviation (ddof=1); stderr = std / sqrt(M). The
-    qv entries are BLAS dot products, whose summation order depends on the
-    BLAS thread pool (``OPENBLAS_NUM_THREADS`` and the like) on rows of
-    more than about 10^4 increments, so two pool sizes can give results
-    that differ in the last bits; with one pool size they repeat bitwise.
+    use the sample standard deviation (ddof=1); stderr = std / sqrt(M).
+    The values do not depend on the BLAS thread pool either; they are
+    bitwise per (host CPU features, numpy build).
     """
     deltas = [positive("delta", d) for d in deltas]
     if not deltas:
@@ -175,14 +172,14 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     def reduction(rows: range):
         noise = [[noise_generator(config.seed, i, j) if theta > 0.0 else None
                   for j in range(len(resolved))] for i in rows]
-        work = _row_buffers(config.n_stored, estimator, theta)
+        diffs = np.empty((config.n_stored, 2))
 
         def row(i: int, path: np.ndarray) -> np.ndarray:
             entries = np.empty((len(resolved), 2, 2))
             for j, (m, d_c) in enumerate(resolved):
                 try:
                     entries[j], _ = _reduce_row(estimator, path, m, d_c, theta,
-                                                noise[i - rows.start][j], work)
+                                                noise[i - rows.start][j], diffs)
                 except (InsufficientDataError, ParameterError) as exc:
                     raise type(exc)(f"realization {i}: {exc}") from exc
             return entries

@@ -637,7 +637,11 @@ def fit_scaling_exponent(samples) -> ScalingFit:
     at least two distinct kappa.
     """
     pairs = []
-    for i, (k, v) in enumerate(samples):
+    for i, sample in enumerate(samples):
+        try:
+            k, v = sample
+        except (TypeError, ValueError):
+            raise ParameterError(f"sample {i} must be a (kappa, K) pair, got {sample!r}") from None
         try:
             pairs.append((positive("kappa", k), positive("K", v)))
         except ParameterError:

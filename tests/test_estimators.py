@@ -32,9 +32,8 @@ from eddykit import (
     subsample,
     taylor_green,
 )
-from eddykit import estimators
 from eddykit.dynamics import noise_generator
-from eddykit.estimators import _qv_tensor, _reduce_row, _row_buffers, estimate_tensor
+from eddykit.estimators import _qv_entries, _reduce_row, estimate_tensor
 
 
 def _bm_trajectory(rng, n_steps: int, kappa: float, dt: float) -> Trajectory:
@@ -272,10 +271,16 @@ def test_estimate_does_not_depend_on_memory_layout(estimator, j):
 _BIN_SIZES = [*range(1, 20), 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 500, 1000, 4096]
 
 
+def _qv_reference(points, delta):
+    """qv entries and increment count, the increments in an array of their own."""
+    d = points[1:] - points[:-1]
+    return _qv_entries(d, delta), d.shape[0]
+
+
 def _box_reference(row, j, delta):
     n_bins = row.shape[0] // j
     means = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1)
-    return _qv_tensor(means, delta, np.empty_like(means))
+    return _qv_reference(means, delta)
 
 
 @pytest.mark.parametrize("n", [17, 1001, 100001, 250000])
@@ -283,10 +288,10 @@ def test_box_bin_means_are_np_mean_bitwise(n):
     # the bin means are summed in np.mean's order, so box keeps its bits
     # exactly; most of these sizes leave a trailing partial bin
     row = _bm_trajectory(np.random.default_rng(n), n - 1, 0.5, 0.01).positions + 100.0
-    work = _row_buffers(n)
+    diffs = np.empty((n, 2))
     partial = 0
     for j in [jj for jj in _BIN_SIZES + [n // 2] if 2 * jj <= n]:
-        entries, n_inc = _reduce_row("box", row, j, j * 0.01, 0.0, None, work)
+        entries, n_inc = _reduce_row("box", row, j, j * 0.01, 0.0, None, diffs)
         ref_entries, ref_n_inc = _box_reference(row, j, j * 0.01)
         assert entries.tobytes() == ref_entries.tobytes(), j
         assert n_inc == ref_n_inc
@@ -345,50 +350,65 @@ def test_noisy_box_draws_once_per_bin_coordinate(n, j):
 
 
 def _one_shot(estimator, row, j, delta, theta, gen):
-    """qv and box with every observed point and its noise made in one array."""
+    """Each estimator with every observed point and its noise made in one array.
+
+    shift takes the qv of each of its j grids in a separate subtraction,
+    sums them from zeros and divides by j.
+    """
     if estimator == "box" and j > 1:
         n_bins = row.shape[0] // j
         obs = np.mean(row[:n_bins * j].reshape(n_bins, j, 2), axis=1)
         theta /= math.sqrt(j)
+    elif estimator == "shift":
+        obs = row
     else:
         obs = row[::j]
     if theta > 0.0:
         obs = obs + theta * gen.standard_normal(obs.shape)
-    return _qv_tensor(obs, delta, np.empty_like(obs))
+    if estimator != "shift":
+        return _qv_reference(obs, delta)
+    total, counts = np.zeros((2, 2)), []
+    for s in range(j):
+        entries, n_inc = _qv_reference(obs[s::j], delta)
+        total += entries
+        counts.append(n_inc)
+    return total / j, min(counts)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.05])
-@pytest.mark.parametrize("estimator", ["qv", "box"])
+@pytest.mark.parametrize("estimator", ["qv", "box", "shift"])
 def test_points_and_increments_in_one_buffer_are_bitwise(estimator, theta):
-    # qv and box keep their points in the tail of one (n, 2) buffer and a
-    # full-resolution row turns them into increments in place, in chunks of
-    # estimators._CHUNK rows: the bits of separate points and increments
-    chunk = estimators._CHUNK
-    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 5):
+    # every estimator keeps its points in one (n, 2) buffer and one
+    # subtraction turns them into increments in place, overlapping operands
+    # included: the bits of separate points and increments, and for shift
+    # of j separate grids
+    for n in (16383, 16384, 16385, 32769, 49157):
         row = _bm_trajectory(np.random.default_rng(n), n - 1, 0.5, 0.01).positions + 100.0
         for j in (1, 2, 3, 7):
             got = _reduce_row(estimator, row, j, j * 0.01, theta, np.random.default_rng(4),
-                              _row_buffers(n, estimator, theta))
+                              np.empty((n, 2)))
             want = _one_shot(estimator, row, j, j * 0.01, theta, np.random.default_rng(4))
             assert got[0].tobytes() == want[0].tobytes(), (n, j)
             assert got[1] == want[1]
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.05])
-@pytest.mark.parametrize("estimator", ["qv", "box"])
+@pytest.mark.parametrize("estimator", ["qv", "box", "shift"])
 def test_qv_and_box_hold_one_row_of_increments(estimator, theta):
-    # the (n, 2) points and increments plus a chunk and numpy's iteration
-    # buffers, well under 1 MiB; a noisy copy or the bin means of the whole
-    # row apart from the increments would add another (n, 2), 3.2 MB
+    # the (n, 2) points and increments plus numpy's iteration buffers, well
+    # under 1 MiB; a noisy copy, the bin means of the whole row apart from
+    # the increments or a temporary for the overlapping subtraction would
+    # add another (n, 2), 3.2 MB
     n = 200_001
     traj = _bm_trajectory(np.random.default_rng(3), n - 1, 0.5, 0.01)
-    tracemalloc.start()
-    try:
-        estimate_tensor(traj, estimator, 0.02, theta, np.random.default_rng(9))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * 2 * 8 + (1 << 20)
+    for j in (1, 2, 100):
+        tracemalloc.start()
+        try:
+            estimate_tensor(traj, estimator, j * 0.01, theta, np.random.default_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 2 * 8 + (1 << 20), j
 
 
 def test_noisy_box_on_a_zero_path_has_mean_theta_sq_over_j_delta():
@@ -440,7 +460,7 @@ def test_tensor_validation():
 def test_unknown_estimator_and_provenance_are_refused():
     traj = Trajectory(np.zeros((10, 2)), 0.1)
     with pytest.raises(ParameterError, match="estimator must be"):
-        _reduce_row("median", traj.positions, 1, 0.1, 0.0, None, _row_buffers(10))
+        _reduce_row("median", traj.positions, 1, 0.1, 0.0, None, np.empty((10, 2)))
     with pytest.raises(ParameterError, match="estimator must be"):
         estimate_tensor(traj, "median", 0.1)
     for stale in ("analytic", "oracle"):

@@ -11,10 +11,14 @@ import dataclasses
 import inspect
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,34 @@ def test_sweep_rows_do_not_depend_on_shares_or_batches(monkeypatch, flow, estima
             texts.add(_csv(delta_sweep(flow, config, estimator, [0.01, 0.05, 0.3],
                                        theta=0.05, n_realizations=13, direction="xi:1,2")))
     assert len(texts) == 1
+
+
+_POOL_SWEEP = """
+import hashlib, io
+from eddykit import SimConfig, delta_sweep, steady_shear
+config = SimConfig(kappa=0.1, dt=0.01, t_final=1000.0, seed=7)
+report = delta_sweep(steady_shear(), config, "qv", [0.01, 0.1], n_realizations=8, direction="x")
+text = io.StringIO()
+report.to_csv(text)
+print(hashlib.sha256(text.getvalue().encode()).hexdigest())
+"""
+
+
+def test_sweep_does_not_depend_on_the_blas_pool():
+    # full-resolution rows of 10^5 increments, long enough for a threaded
+    # BLAS dot to split its sum across the pool; two fresh interpreters,
+    # since the pool size is read once at load
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        pool = {name: threads for name in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        done = subprocess.run([sys.executable, "-c", _POOL_SWEEP],
+                              env=dict(os.environ, PYTHONPATH=path, **pool),
+                              capture_output=True, text=True, check=True, timeout=120)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("cpus", [3, 10])

@@ -389,13 +389,13 @@ DIGESTS = {
     'ensemble childress_soward base': '9daf2d52b7b10b90034a215039d0fc94c89e37127b6905fe3e828e88e5c308f8',
     'ensemble childress_soward eps0.5': 'ef6fe2fec77b3487b9bc4b1f5a2942ae8ce76e193f07ef439b414e9e48d20c3e',
     'ensemble childress_soward stride4100': 'e116db93ab70c1da9a1d3f8b7bb810e23aa0a7a58972492ac3eae7c20e82a602',
-    'estimate_tensor qv': '5407ab137d166f000f5108c209669343c519d471a79e3e7af28facaf7d78cdc2',
-    'estimate_tensor box': 'e531bdb0c31555c759d45c9e9f108430b1475b4a6cf1024ca313cdc69d5a39ff',
+    'estimate_tensor qv': '36bd2eb429df56bb8e7b79d759e6feab6dda81f68cf41207df3d208e712f3179',
+    'estimate_tensor box': '5cb8d572b3f19943292ff5d8609a7df83a92e546c3d16f0cec8cdc191a027feb',
     'estimate_tensor shift': '5e0fb13e26a8f862634d5b0b6864a3386e7c4a341acf482298b964c7095c4926',
-    'sweep-qv': 'd95f40ab818c2e25332901d1a5caabd411fc6319f191e9d8ddcd72b5851c7aa7',
-    'sweep-box': '5cb0af920a14728b2c12afb4504291de6fd64e6fa77b2a72d32d29a92132f47e',
-    'sweep-shift': '9269e7bd8b3650296a1e27e05afdc43423286ef62173a0244f33656618a684f4',
-    'sweep-noisy-box': '191829f460a12d8820d29d73cf7f60198cddc0ab58fe37b37d7920556b80c5df',
+    'sweep-qv': '64402780bdf8fe0aabea9ad4641dc1fbde12fda31e2fe11a24d6feaeb9c68ac2',
+    'sweep-box': '1ca21b2423ff66a73267ea5e4f32df3fb743f2ef7966eac57f8e2b207b38eb28',
+    'sweep-shift': '3545934e831998cb7810e7feb680cefe5e2115ad734b4eea1e3b1c989bfb2df7',
+    'sweep-noisy-box': '17ca57f9b2b5a41093c7bb5c45392bd11daf22d3aee35f5431f66870a6ab7214',
     'rescaled': '6b70c54a5b2fb83083fa44563cff21558bc845265d17260ba1714a7c359936f2',
     'simulate': 'ed6226bbe06ea1bc82b1dd9a40125c92ec1429fc76319675f6fd846f98555959',
     'estimate-qv': '90577fe7c8e7592f916361c97368d55afae27f10060476d31f57e17be8514392',
@@ -408,7 +408,7 @@ DIGESTS = {
     'oracle ou-qv': 'ff10ab51bc217e1ca9396d3d874dd73db2f64d506d3975053d18af1d12f326a4',
     'oracle bias-limit': 'c85ce6e2ac240bf6a5c8f275c26b2a653ae4678eb0c69c41e78ab5f8d4633063',
     'oracle bm-box': 'efbf31e83d870e167f599fddf501336dd06acdcf5fd78143510b0ab803acb19c',
-    'oracle adjudicate': '1a191aa8e7456c07ae61088ca7e41a48b425fe62c66da367764f4cc2b5392d2f',
+    'oracle adjudicate': '280a02183ce409daeed7e42ddfba8fcd9ae1a25119e28ccc5fdfed5e0993f736',
 }
 
 

@@ -14,12 +14,16 @@ from eddykit import (
     CellSolution,
     CommensurabilityError,
     DiffusivityTensor,
+    ObservationSeries,
     ParameterError,
     SimConfig,
+    Trajectory,
     adjudicate_periodic_shear,
     delta_sweep,
     fit_scaling_exponent,
+    qv_estimate,
     steady_shear,
+    subsample,
 )
 from eddykit.errors import finite
 
@@ -28,6 +32,7 @@ CONFIG = SimConfig(kappa=0.1, dt=0.1, t_final=1.0)
 SOLUTION = CellSolution(np.zeros((2, 5, 5), dtype=complex), 0.1, 2, 0.0)
 TENSOR = DiffusivityTensor(np.eye(2), "spectral")
 SAMPLES = [(0.1, 1.0), (0.2, 2.0)]
+POSITIONS = np.zeros((3, 2))
 
 
 def _sweep(**kwargs):
@@ -58,6 +63,17 @@ CASES = {
     "coefficient.k1": (lambda v: SOLUTION.coefficient(1, v, 1), "k1"),
     "coefficient.k2": (lambda v: SOLUTION.coefficient(1, 1, v), "k2"),
     "project.xi": (lambda v: TENSOR.project((v, 1.0)), "xi"),
+    "Trajectory.dt_stored": (lambda v: Trajectory(POSITIONS, v), "dt_stored"),
+    "ObservationSeries.delta": (lambda v: ObservationSeries(POSITIONS, v), "delta"),
+    "ObservationSeries.theta": (lambda v: ObservationSeries(POSITIONS, 0.1, v), "theta"),
+    "fit_scaling_exponent.sample": (lambda v: fit_scaling_exponent([*SAMPLES, v]),
+                                    "sample 2"),
+    "fit_scaling_exponent.short_sample": (lambda v: fit_scaling_exponent([*SAMPLES, (v,)]),
+                                          "sample 2"),
+    "DiffusivityTensor.diagonal": (lambda v: DiffusivityTensor([[v, 0.0], [0.0, 1.0]], "qv"),
+                                   r"entries\[0, 0"),
+    "DiffusivityTensor.off_diagonal": (
+        lambda v: DiffusivityTensor([[1.0, v], [v, 1.0]], "qv"), r"entries\[0, 1"),
 }
 
 
@@ -88,6 +104,27 @@ def test_sim_config_refuses_x0_that_is_not_a_pair_and_stores_eta0_as_float():
         SimConfig(kappa=0.1, x0=5)
     eta0 = SimConfig(kappa=0.1, eta0=np.float32(0.1)).eta0
     assert type(eta0) is float and eta0 == float(np.float32(0.1))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)], ids=str)
+def test_diffusivity_tensor_refuses_an_infinite_entry_by_name(entry):
+    entries = np.eye(2)
+    entries[entry] = entries[entry[::-1]] = math.inf
+    with pytest.raises(ParameterError, match=r"^entries\[%d, %d\] must be finite" % entry):
+        DiffusivityTensor(entries, "qv")
+
+
+def test_trajectory_and_series_store_the_floats_their_checks_return():
+    positions = np.cumsum(np.random.default_rng(2).standard_normal((101, 2)), axis=0)
+    dt = float(np.float32(0.1))
+    traj = Trajectory(positions, np.float32(0.1))
+    assert type(traj.dt_stored) is float and traj.dt_stored == dt
+    assert type(subsample(traj, 2 * dt).delta) is float
+    series = ObservationSeries(positions, np.float32(0.1), np.float32(0.05))
+    assert type(series.delta) is float and type(series.theta) is float
+    # a float32 delta once scaled the estimate in float32
+    same = qv_estimate(ObservationSeries(positions, dt)).entries
+    assert qv_estimate(series).entries.tobytes() == same.tobytes()
 
 
 def test_integral_float_indices_name_the_same_coefficient():
