@@ -5,7 +5,9 @@ trajectory to an .npz file, ``estimate`` turns such a file into a
 diffusivity tensor, ``sweep`` and ``rescaled`` drive Monte Carlo studies
 from an INI config into CSV, ``diffusivity`` prints spectral reference
 tensors and ``oracle`` exposes the closed forms. Exit codes: 0 success,
-2 configuration or input error, 3 numerical failure.
+2 configuration or input error, 3 numerical failure: a non-finite path,
+an unconverged cell solve, or a non-finite estimate, named by its
+estimator and delta and, in a sweep, its realization.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     InsufficientDataError,
-    IntegrationBlowupError,
     ParameterError,
     UnsupportedFlowError,
 )
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
         # a missing input, an output path that is a directory, a full disk
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationBlowupError, ConvergenceError) as exc:
+    except (FloatingPointError, ConvergenceError) as exc:  # IntegrationBlowupError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -135,7 +135,7 @@ def _parse_direction(direction: str) -> int | tuple[float, float]:
     """Diagonal index of "x" or "y", or the vector (a, b) of "xi:a,b"."""
     if direction in ("x", "y"):
         return "xy".index(direction)
-    if direction.startswith("xi:"):
+    if isinstance(direction, str) and direction.startswith("xi:"):
         parts = direction[3:].split(",")
         if len(parts) != 2:
             raise ParameterError(f"bad direction spec {direction!r}, expected xi:<a>,<b>")
@@ -248,6 +248,8 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
     for j > 1, where 2 (n // j) <= n, and to its head otherwise. One
     ``np.subtract`` then writes each increment over the point it starts
     from, which numpy computes correctly although the operands overlap.
+    Entries that are not finite, from an overflow, raise FloatingPointError
+    naming the estimator and delta.
     """
     n = row.shape[0]
     _check_points(estimator, delta, j, n)
@@ -269,12 +271,17 @@ def _reduce_row(estimator: str, row: np.ndarray, j: int, delta: float, theta: fl
         points = _perturbed(points, scale, gen, diffs[:points.shape[0]])
     n_inc = points.shape[0] - lag
     d = np.subtract(points[lag:], points[:-lag], out=diffs[:n_inc])
-    if estimator != "shift":
-        return _qv_entries(d, delta), n_inc
-    total = np.zeros((2, 2))
-    for s in range(j):
-        total += _qv_entries(d[s::j], delta)
-    return total / j, len(range(j - 1, n_inc, j))
+    if estimator == "shift":
+        entries = np.zeros((2, 2))
+        for s in range(j):
+            entries += _qv_entries(d[s::j], delta)
+        entries, n_inc = entries / j, len(range(j - 1, n_inc, j))
+    else:
+        entries = _qv_entries(d, delta)
+    if not np.isfinite(entries).all():
+        raise FloatingPointError(f"{estimator} at delta={delta:g} gave non-finite entries "
+                                 f"{entries.tolist()}")
+    return entries, n_inc
 
 
 def qv_estimate(series: ObservationSeries) -> DiffusivityTensor:
@@ -296,7 +303,7 @@ def estimate_tensor(traj: Trajectory, estimator: str, delta: float, theta: float
     consulted when theta > 0; a seed, or None for fresh entropy, makes a new
     generator.
     """
-    nonnegative("theta", theta)
+    theta = nonnegative("theta", theta)
     j, delta_c = _resolve_multiple(delta, traj.dt_stored)
     gen = np.random.default_rng(noise) if theta > 0.0 else None
     entries, n_inc = _reduce_row(estimator, traj.positions, j, delta_c, theta, gen,

@@ -17,9 +17,12 @@ The two cellular flows are time independent:
     childress_soward    psi = sin x sin y + lam cos x cos y,  lam in [0, 1]
 
 All expressions are hard coded; there is no runtime expression parser.
-This module holds what a flow is: its spec, label and Fourier data. The
-integrator evaluates the velocity itself, on its own state layout
-(``dynamics._drift`` for the cellular flows).
+This module holds what a flow is: its spec, label and Fourier data.
+``FLOW_PARAMS`` names the parameters of each kind and holds the check of
+each, which FlowSpec runs and whose float it stores, so flows that compare
+equal compute the same paths. The integrator evaluates the velocity
+itself, on its own state layout (``dynamics._drift`` for the cellular
+flows).
 """
 
 from __future__ import annotations
@@ -37,13 +40,23 @@ OU_SHEAR = "ou_shear"
 TAYLOR_GREEN = "taylor_green"
 CHILDRESS_SOWARD = "childress_soward"
 
-# the parameters each kind takes; FlowSpec, config files and the CLI read them here
+
+def _unit(name: str, value) -> float:
+    """value as a float if it is a number in [0, 1], else ParameterError naming it."""
+    number = nonnegative(name, value)
+    if number > 1.0:
+        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
+    return number
+
+
+# the parameters each kind takes and the check of each; FlowSpec, flow_label,
+# config files and the CLI read them here
 FLOW_PARAMS = {
-    STEADY_SHEAR: (),
-    PERIODIC_SHEAR: ("omega",),
-    OU_SHEAR: ("alpha", "sigma"),
-    TAYLOR_GREEN: (),
-    CHILDRESS_SOWARD: ("lam",),
+    STEADY_SHEAR: {},
+    PERIODIC_SHEAR: {"omega": positive},
+    OU_SHEAR: {"alpha": positive, "sigma": nonnegative},
+    TAYLOR_GREEN: {},
+    CHILDRESS_SOWARD: {"lam": _unit},
 }
 FLOW_KINDS = tuple(FLOW_PARAMS)
 SHEAR_FAMILY = (STEADY_SHEAR, PERIODIC_SHEAR, OU_SHEAR)
@@ -80,13 +93,8 @@ class FlowSpec:
         for name, value in vars(self).items():
             if name != "kind" and value is not None and name not in FLOW_PARAMS[self.kind]:
                 raise ParameterError(f"{name} is not a parameter of {self.kind}")
-        if self.kind == PERIODIC_SHEAR:
-            positive("omega", self.omega)
-        if self.kind == OU_SHEAR:
-            positive("alpha", self.alpha)
-            nonnegative("sigma", self.sigma)
-        if self.kind == CHILDRESS_SOWARD and nonnegative("lam", self.lam) > 1.0:
-            raise ParameterError(f"lam must lie in [0, 1], got {self.lam!r}")
+        for name, check in FLOW_PARAMS[self.kind].items():
+            object.__setattr__(self, name, check(name, getattr(self, name)))
 
     @property
     def is_shear(self) -> bool:
@@ -119,13 +127,8 @@ def childress_soward(lam: float) -> FlowSpec:
 
 def flow_label(flow: FlowSpec) -> str:
     """Short human readable label including parameter values."""
-    if flow.kind == PERIODIC_SHEAR:
-        return f"{flow.kind}(omega={flow.omega:g})"
-    if flow.kind == OU_SHEAR:
-        return f"{flow.kind}(alpha={flow.alpha:g}, sigma={flow.sigma:g})"
-    if flow.kind == CHILDRESS_SOWARD:
-        return f"{flow.kind}(lam={flow.lam:g})"
-    return flow.kind
+    params = ", ".join(f"{name}={getattr(flow, name):g}" for name in FLOW_PARAMS[flow.kind])
+    return f"{flow.kind}({params})" if params else flow.kind
 
 
 # ---------------------------------------------------------------------------

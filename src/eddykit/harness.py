@@ -180,7 +180,7 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
                 try:
                     entries[j], _ = _reduce_row(estimator, path, m, d_c, theta,
                                                 noise[i - rows.start][j], diffs)
-                except (InsufficientDataError, ParameterError) as exc:
+                except (InsufficientDataError, ParameterError, FloatingPointError) as exc:
                     raise type(exc)(f"realization {i}: {exc}") from exc
             return entries
 
@@ -313,14 +313,8 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
         "figure": k_periodic_shear(kappa, omega, "figure"),
     }
     hits = {name: abs(plateau - val) <= 0.25 * val for name, val in candidates.items()}
-    if hits["printed"] and not hits["figure"]:
-        verdict = "printed"
-    elif hits["figure"] and not hits["printed"]:
-        verdict = "figure"
-    elif hits["printed"] and hits["figure"]:
-        verdict = "both"
-    else:
-        verdict = "neither"
+    inside = [name for name, hit in hits.items() if hit]
+    verdict = inside[0] if len(inside) == 1 else "both" if inside else "neither"
 
     lines = [
         "Periodic-shear eddy diffusivity: empirical adjudication",

@@ -534,7 +534,7 @@ def solve_cell_problem(flow: FlowSpec, kappa: float, modes: int = 16) -> CellSol
         raise UnsupportedFlowError(
             f"the cell problem is solved for time-independent flows only, got {flow.kind}"
         )
-    positive("kappa", kappa)
+    kappa = positive("kappa", kappa)
     modes = integer("modes", modes, 4)
 
     blocks, swap, mirror = _assemble(flow, kappa, modes)

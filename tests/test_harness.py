@@ -972,6 +972,31 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                  str(tmp_path / "y.npz")]) == 2
     assert "x0 must be finite" in capsys.readouterr().err
 
+    # an estimate that overflows is a numerical failure that names where it happened
+    overflow = _write(tmp_path, "overflow.ini", textwrap.dedent("""\
+        [flow]
+        kind = shear
+
+        [simulation]
+        kappa = 1e307
+        dt = 1.0
+        t_final = 10.0
+
+        [estimation]
+        delta = 1.0
+
+        [sweep]
+        realizations = 2
+        """))
+    assert main(["sweep", "--config", overflow]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: realization 0: qv at delta=1 ")
+    big = str(tmp_path / "big.npz")
+    assert main(["simulate", "--config", overflow, "--output", big]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", big, "--delta", "1"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: qv at delta=1 ")
+
 
 @pytest.mark.parametrize("theta", ["-1", "nan"])
 def test_estimate_rejects_bad_theta(tmp_path, capsys, theta):

@@ -6,6 +6,7 @@ message names it, before any simulation or solve runs.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,12 +20,20 @@ from eddykit import (
     SimConfig,
     Trajectory,
     adjudicate_periodic_shear,
+    childress_soward,
     delta_sweep,
+    eddy_diffusivity_from_cell,
     fit_scaling_exponent,
+    ou_shear,
+    periodic_shear,
     qv_estimate,
+    simulate_ensemble,
+    solve_cell_problem,
     steady_shear,
     subsample,
+    taylor_green,
 )
+from eddykit.estimators import estimate_tensor
 from eddykit.errors import finite
 
 BAD = [None, "0.1", math.nan]
@@ -54,6 +63,11 @@ CASES = {
     "delta_sweep.delta": (lambda v: _sweep(deltas=[0.2, v]), "delta"),
     "delta_sweep.theta": (lambda v: _sweep(theta=v), "theta"),
     "delta_sweep.n_realizations": (lambda v: _sweep(n_realizations=v), "n_realizations"),
+    "delta_sweep.direction": (lambda v: _sweep(direction=v), "direction"),
+    "periodic_shear.omega": (periodic_shear, "omega"),
+    "ou_shear.alpha": (lambda v: ou_shear(v, 0.1), "alpha"),
+    "ou_shear.sigma": (lambda v: ou_shear(0.1, v), "sigma"),
+    "childress_soward.lam": (childress_soward, "lam"),
     "adjudicate.dt": (lambda v: adjudicate_periodic_shear(dt=v), "dt"),
     "adjudicate.delta": (lambda v: adjudicate_periodic_shear(deltas=(1.0, v)), "delta"),
     "fit_scaling_exponent.kappa": (lambda v: fit_scaling_exponent([*SAMPLES, (v, 3.0)]),
@@ -131,3 +145,44 @@ def test_integral_float_indices_name_the_same_coefficient():
     coefficients = np.arange(50, dtype=complex).reshape(2, 5, 5)
     solution = CellSolution(coefficients, 0.1, 2, 0.0)
     assert solution.coefficient(2.0, 1.0, -1.0) == solution.coefficient(2, 1, -1) == 41
+
+
+def _ou_paths(alpha):
+    flow = ou_shear(alpha, 0.1)
+    config = SimConfig(kappa=0.1, dt=0.01, t_final=2.0, seed=1)
+    return simulate_ensemble(flow, config, 2), flow.alpha
+
+
+def _box(theta):
+    positions = np.cumsum(np.random.default_rng(2).standard_normal((101, 2)), axis=0)
+    tensor = estimate_tensor(Trajectory(positions, 0.01), "box", 0.03, theta, 3)
+    return tensor.entries, tensor.theta
+
+
+def _cell(kappa):
+    solution = solve_cell_problem(taylor_green(), kappa, 16)
+    return eddy_diffusivity_from_cell(solution).entries, solution.kappa
+
+
+@pytest.mark.parametrize("run, value", [(_ou_paths, 0.1), (_box, 0.05), (_cell, 0.1)],
+                         ids=["FlowSpec.alpha", "estimate_tensor.theta",
+                              "solve_cell_problem.kappa"])
+def test_float32_inputs_run_as_the_floats_their_checks_return(run, value):
+    # a float32 once ran in float32: the OU decay, box's theta/sqrt(J), kappa |k|^2 w
+    single = np.float32(value)
+    result, stored = run(single)
+    twin, _ = run(float(single))
+    assert type(stored) is float and stored == float(single)
+    assert result.tobytes() == twin.tobytes()
+
+
+def test_flow_parameters_keep_their_messages():
+    for call, message in [
+        (lambda: periodic_shear(0.0), "omega must be finite and positive, got 0.0"),
+        (lambda: ou_shear(-1.0, 0.1), "alpha must be finite and positive, got -1.0"),
+        (lambda: ou_shear(1.0, -0.1), "sigma must be finite and nonnegative, got -0.1"),
+        (lambda: childress_soward(-0.5), "lam must be finite and nonnegative, got -0.5"),
+        (lambda: childress_soward(1.5), "lam must lie in [0, 1], got 1.5"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call()
