@@ -88,7 +88,7 @@ class FlowSpec:
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FLOW_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in FLOW_PARAMS:
             raise ParameterError(f"unknown flow kind {self.kind!r}; expected one of {FLOW_KINDS}")
         for name, value in vars(self).items():
             if name != "kind" and value is not None and name not in FLOW_PARAMS[self.kind]:

@@ -2,9 +2,18 @@
 
 This module collects every formula that the rest of the package is tested
 against: effective diffusivities of the shear family, the exact expectation
-of the quadratic variation estimator for the steady shear flow, the bias
-limit under the critical subsampling scaling, and an exact covariance
+of the quadratic variation estimator for the steady and the OU shear, the
+bias limit under the critical subsampling scaling, and an exact covariance
 oracle for the box-averaged estimator applied to Brownian motion.
+
+Both qv expectations come from one engine, :func:`_qv_mean`. It takes the
+drift covariance along the shear direction as a sum of terms
+c e^{a tau + b s} (s the earlier time, tau the lag) and sums each term's
+window integrals in divided differences of exp, which :func:`_divided_exp`
+evaluates as the corner entry of a small scaled-and-squared matrix
+exponential. The steady shear has the two terms (1/2, -kappa, 0) and
+(-1/2, -kappa, -4 kappa); the stationary OU shear has the one term
+(sigma/(2 alpha), -(alpha + kappa), 0).
 
 Conventions. The Lagrangian dynamics is
 
@@ -80,6 +89,49 @@ def k_ou_shear(kappa: float, alpha: float, sigma: float) -> float:
     return kappa + sigma / (2.0 * (kappa + alpha) * alpha)
 
 
+def _divided_exp(*nodes: float) -> float:
+    """Divided difference exp[z_0, ..., z_k] of the exponential at real nodes.
+
+    It is the top-right entry of exp(Z), where Z carries the nodes on its
+    diagonal and ones on its superdiagonal (Opitz). exp(Z) is evaluated by
+    scaling Z by 2^-s until its largest entry is below 1, summing 17 Taylor
+    terms by Horner's rule and squaring s times, with no switch on where the
+    nodes fall (McCurdy, Ng and Parlett, Math. Comp. 1984). Z has no
+    negative off-diagonal entry, so the squarings never cancel, and the
+    result is exact for nodes each moved by a few ulps of the largest |z_i|.
+    That is accurate to rounding when the nodes share one scale, coincident
+    or not, as they do in every call from :func:`_qv_mean`.
+    """
+    z = np.diag(np.asarray(nodes, dtype=float)) + np.eye(len(nodes), k=1)
+    s = max(0, math.frexp(float(np.max(np.abs(z))))[1])
+    z /= 2.0 ** s
+    eye = total = np.eye(len(nodes))
+    for m in range(17, 0, -1):
+        total = eye + z @ total / m
+    for _ in range(s):
+        total = total @ total
+    return float(total[0, -1])
+
+
+def _qv_mean(kappa: float, delta: float, n: int, terms) -> float:
+    """Mean of the qv estimator along a shear whose drift covariance is a sum.
+
+    The drift integrand f along the shear direction has covariance
+    E[f(s) f(s + tau)] = sum of c e^{a tau + b s} over the (c, a, b) terms,
+    with s the earlier time. One window's double integral of a term is
+    2 c delta^2 e^{b s_0} exp[a delta, b delta, 0], and the sum over the N
+    windows is a geometric series in e^{b delta}, so
+
+        E K_{N,delta} = kappa + delta * sum of c exp[a delta, b delta, 0]
+                        * exp[N b delta, 0] / exp[b delta, 0].
+
+    A term with b = 0 needs no branch, since exp[0, 0] = 1.
+    """
+    return kappa + delta * sum(c * _divided_exp(a * delta, b * delta, 0.0)
+                               * _divided_exp(n * b * delta, 0.0) / _divided_exp(b * delta, 0.0)
+                               for c, a, b in terms)
+
+
 def qv_expectation_shear(kappa: float, n: int, delta: float) -> float:
     """Exact expectation of the quadratic variation estimator, steady shear.
 
@@ -94,39 +146,19 @@ def qv_expectation_shear(kappa: float, n: int, delta: float) -> float:
 
     with u = kappa delta, T = N delta and K = kappa + 1/(2 kappa). The
     expression follows from integrating the two point function
-    E[sin x(s) sin x(u)] = (1/2) e^{-kappa |s-u|} (1 - e^{-4 kappa min(s,u)})
+    E[sin x(s) sin x(s + tau)] = (1/2) e^{-kappa tau} (1 - e^{-4 kappa s})
     of Brownian motion over each sampling window and summing the resulting
-    geometric series over windows.
-
-    The implementation is numerically stable across many orders of
-    magnitude of kappa * delta: expm1 is used for the small differences, a
-    series is substituted for the bracket when u < 1e-4 (it cancels to
-    -u^2 + O(u^3)), and the ratio switches to a series in u once
-    4 u < 1e-8. Exponentials of large negative arguments underflow to zero
-    harmlessly.
+    geometric series over windows. The value is computed by :func:`_qv_mean`
+    from that covariance's two terms, (1/2, -kappa, 0) and
+    (-1/2, -kappa, -4 kappa), not from the display above, whose bracket
+    cancels to -u^2 for small u.
 
     Limits: delta -> 0 gives kappa, delta -> infinity (N fixed) gives K.
     """
     kappa = positive("kappa", kappa)
     delta = positive("delta", delta)
     n = integer("n", n, 1)
-    u = kappa * delta
-    t_total = n * delta
-    k_eff = kappa + 1.0 / (2.0 * kappa)
-    term_a = math.expm1(-u) / (2.0 * kappa * kappa * delta)
-    if u < 1e-4:
-        # (2/3) e^{-u} - (1/6) e^{-4u} - 1/2 = -u^2 (1 - (5/3) u + (7/4) u^2 + O(u^3))
-        bracket = -u * u * (1.0 - (5.0 / 3.0) * u + (7.0 / 4.0) * u * u)
-    else:
-        bracket = (2.0 / 3.0) * math.exp(-u) - (1.0 / 6.0) * math.exp(-4.0 * u) - 0.5
-    if 4.0 * u < 1e-8:
-        # 1 - e^{-4u} = 4u (1 - 2u + O(u^2))
-        denom = 4.0 * u * (1.0 - 2.0 * u)
-    else:
-        denom = -math.expm1(-4.0 * u)
-    ratio = -math.expm1(-4.0 * kappa * t_total) / denom
-    term_b = bracket * ratio / (4.0 * kappa * kappa * t_total)
-    return k_eff + term_a + term_b
+    return _qv_mean(kappa, delta, n, [(0.5, -kappa, 0.0), (-0.5, -kappa, -4.0 * kappa)])
 
 
 def qv_expectation_ou_shear(kappa: float, alpha: float, sigma: float,
@@ -144,22 +176,18 @@ def qv_expectation_ou_shear(kappa: float, alpha: float, sigma: float,
                      (1 - (1 - e^{-gamma delta}) / (gamma delta)),
 
     which increases monotonically from kappa at delta -> 0 to the
-    effective value k_ou_shear as delta -> infinity. Unlike
-    qv_expectation_shear this drops the finite-horizon boundary terms, so
-    it describes the T >> delta, T >> 1/kappa regime.
+    effective value k_ou_shear as delta -> infinity. The value is computed
+    by :func:`_qv_mean` from the one covariance term (sigma/(2 alpha),
+    -gamma, 0), not from the display above, whose bracket cancels to
+    gamma delta / 2 for small delta. Unlike qv_expectation_shear this drops
+    the finite-horizon boundary terms, so it describes the T >> delta,
+    T >> 1/kappa regime.
     """
     kappa = positive("kappa", kappa)
     alpha = positive("alpha", alpha)
     delta = positive("delta", delta)
     sigma = nonnegative("sigma", sigma)
-    gamma = alpha + kappa
-    w = gamma * delta
-    if w < 1e-6:
-        # 1 - (1 - e^{-w})/w = w/2 - w^2/6 + O(w^3)
-        frac = w / 2.0 - w * w / 6.0
-    else:
-        frac = 1.0 + math.expm1(-w) / w
-    return kappa + sigma / (2.0 * alpha * gamma) * frac
+    return _qv_mean(kappa, delta, 1, [(sigma / (2.0 * alpha), -(alpha + kappa), 0.0)])
 
 
 def subsample_bias_limit_shear(n: int) -> float:

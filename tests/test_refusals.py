@@ -15,6 +15,7 @@ from eddykit import (
     CellSolution,
     CommensurabilityError,
     DiffusivityTensor,
+    FlowSpec,
     ObservationSeries,
     ParameterError,
     SimConfig,
@@ -64,6 +65,7 @@ CASES = {
     "delta_sweep.theta": (lambda v: _sweep(theta=v), "theta"),
     "delta_sweep.n_realizations": (lambda v: _sweep(n_realizations=v), "n_realizations"),
     "delta_sweep.direction": (lambda v: _sweep(direction=v), "direction"),
+    "FlowSpec.kind": (lambda v: FlowSpec([v]), "kind"),
     "periodic_shear.omega": (periodic_shear, "omega"),
     "ou_shear.alpha": (lambda v: ou_shear(v, 0.1), "alpha"),
     "ou_shear.sigma": (lambda v: ou_shear(0.1, v), "sigma"),

@@ -68,16 +68,17 @@ def test_k_periodic_shear_variants():
 # ---------------------------------------------------------------------------
 
 QV_CASES = [
-    # (kappa, n, delta, expectation, rtol); rtol is loose only where the
-    # closed form cancels heavily in double precision
+    # (kappa, n, delta, expectation, rtol); the seventh and last rows sit
+    # at u = kappa delta ~ 1e-4, where the closed form cancels to -u^2
     (0.5, 100, 1.0, 0.7116942911991107722424, 1e-12),
     (0.1, 100, 10.0, 1.932831968192412046661, 1e-12),
     (0.1, 10, 100.0, 4.587523456630377068648, 1e-12),
     (1.0, 3, 50.0, 1.489166666666666666667, 1e-12),
     (0.5, 10, 1000.0, 1.49795, 1e-12),
     (0.1, 100000, 0.01, 0.1024929147931883800292, 1e-12),
-    (1e-4, 5, 0.999, 0.0003327099488727048067388, 1e-6),
+    (1e-4, 5, 0.999, 0.0003327099488727048067388, 1e-12),
     (0.1, 7, 1e-8, 0.1000000000000000388844, 1e-12),
+    (1e-3, 1, 0.1, 0.001003332916701664326947, 1e-13),
 ]
 
 
@@ -113,16 +114,19 @@ def test_qv_expectation_shear_validation():
 # ---------------------------------------------------------------------------
 
 OU_QV_CASES = [
-    (1.0, 0.1178872348635570128508),
-    (10.0, 0.1413223830648793061931),
-    (50.0, 0.1446280991735537268157),
+    # (kappa, alpha, sigma, delta, expectation, rtol); the last row sits at
+    # w = gamma delta = 1.1e-6, where the closed form cancels to w/2
+    (0.1, 1.0, 0.1, 1.0, 0.1178872348635570128508, 1e-12),
+    (0.1, 1.0, 0.1, 10.0, 0.1413223830648793061931, 1e-12),
+    (0.1, 1.0, 0.1, 50.0, 0.1446280991735537268157, 1e-12),
+    (1e-3, 0.01, 0.1, 1e-4, 0.001249999908333358583132, 1e-13),
 ]
 
 
-@pytest.mark.parametrize("delta, expected", OU_QV_CASES)
-def test_qv_expectation_ou_shear_frozen(delta, expected):
-    assert qv_expectation_ou_shear(0.1, 1.0, 0.1, delta) == pytest.approx(
-        expected, rel=1e-12, abs=0.0)
+@pytest.mark.parametrize("kappa, alpha, sigma, delta, expected, rtol", OU_QV_CASES)
+def test_qv_expectation_ou_shear_frozen(kappa, alpha, sigma, delta, expected, rtol):
+    assert qv_expectation_ou_shear(kappa, alpha, sigma, delta) == pytest.approx(
+        expected, rel=rtol, abs=0.0)
 
 
 def test_qv_expectation_ou_shear_limits():
@@ -133,7 +137,7 @@ def test_qv_expectation_ou_shear_limits():
 
 
 def test_qv_expectation_ou_shear_series_branch_is_continuous():
-    # the small-w series takes over below gamma * delta = 1e-6
+    # no jump across gamma * delta = 1e-6, deep in the range where the closed form cancels
     boundary = 1e-6 / 1.1
     lo = qv_expectation_ou_shear(0.1, 1.0, 0.1, boundary * (1.0 - 1e-9))
     hi = qv_expectation_ou_shear(0.1, 1.0, 0.1, boundary * (1.0 + 1e-9))
@@ -162,6 +166,15 @@ def test_subsample_bias_limit_values():
     assert subsample_bias_limit_shear(10 ** 9) == pytest.approx(-0.5, rel=1e-9, abs=0.0)
     with pytest.raises(ParameterError):
         subsample_bias_limit_shear(0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 10])
+@pytest.mark.parametrize("kappa", [0.1, 0.03, 0.01, 0.003])
+def test_subsample_bias_limit_is_the_limit_of_the_qv_bias(eps, n, kappa):
+    # under delta = kappa^{-2-eps}, kappa^{-eps} (E K_{N,delta} - K) -> limit
+    bias = qv_expectation_shear(kappa, n, kappa ** (-2.0 - eps)) - k_shear(kappa)
+    assert kappa ** -eps * bias == pytest.approx(subsample_bias_limit_shear(n), rel=0.0, abs=1e-6)
 
 
 @given(st.integers(1, 10 ** 6))
