@@ -7,7 +7,10 @@ from an INI config into CSV, ``diffusivity`` prints spectral reference
 tensors and ``oracle`` exposes the closed forms. Exit codes: 0 success,
 2 configuration or input error, 3 numerical failure: a non-finite path,
 an unconverged cell solve, or a non-finite estimate, named by its
-estimator and delta and, in a sweep, its realization.
+estimator and delta and, in a sweep, its realization. Every numeric flag is
+read by ``harness._value``, as a config file's values are, and checked by
+the library function it goes to, so a bad value exits 2 with that
+function's message rather than argparse's.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .estimators import ESTIMATORS, directional_component, estimate_tensor
 from .fields import CHILDRESS_SOWARD, TIME_INDEPENDENT, FlowSpec, flow_label
-from .harness import adjudicate_periodic_shear, delta_sweep, parse_config, rescaled_study
+from .harness import _value, adjudicate_periodic_shear, delta_sweep, parse_config, rescaled_study
 from .homogenization import eddy_diffusivity_from_cell, solve_cell_problem, spectral_diffusivity
 from .theory import (
     bm_box_expectation,
@@ -42,7 +45,7 @@ from .theory import (
 )
 
 # each closed-form oracle subcommand: its theory function and help text; the
-# subcommand's flags are the function's parameters, typed by their annotations
+# subcommand's flags are the function's parameters
 _ORACLES = {
     "k-shear": (k_shear, "kappa + 1/(2 kappa)"),
     "k-periodic-shear": (k_periodic_shear, "modulated-shear candidates"),
@@ -94,9 +97,9 @@ def _cmd_estimate(args) -> int:
         # np.load refuses pickles, and an empty or plain array file is no archive
         raise ParameterError(f"{args.input} is not an .npz archive with numeric "
                              f"'positions' and 'dt_stored'") from exc
-    noise = noise_generator(args.noise_seed, 0, 0) if args.theta > 0.0 else None
+    # estimate_tensor draws from the noise stream only when theta > 0
     tensor = estimate_tensor(Trajectory(positions, dt_stored), args.estimator, args.delta,
-                             args.theta, noise)
+                             args.theta, noise_generator(args.noise_seed, 0, 0))
     component = directional_component(tensor, args.direction)  # refuse a bad spec first
     _print_tensor(tensor.entries)
     print(f"{args.direction} component = {component:.12g}")
@@ -196,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate a diffusivity tensor from a trajectory file")
     p.add_argument("--input", required=True, help=".npz produced by simulate")
     p.add_argument("--estimator", default="qv", choices=ESTIMATORS)
-    p.add_argument("--delta", type=float, required=True, help="subsampling interval")
-    p.add_argument("--theta", type=float, default=0.0, help="observation-noise strength")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--delta", type=_value, required=True, help="subsampling interval")
+    p.add_argument("--theta", type=_value, default=0.0, help="observation-noise strength")
+    p.add_argument("--noise-seed", type=_value, default=0)
     p.add_argument("--direction", default="y", help="x, y or xi:<a>,<b>")
     p.set_defaults(func=_cmd_estimate)
 
@@ -214,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffusivity", help="spectral reference diffusivity")
     p.add_argument("--flow", required=True, choices=TIME_INDEPENDENT)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--kappa", type=_value, required=True)
+    p.add_argument("--lam", type=_value, default=None,
                    help=f"childress_soward parameter (default {_LAM:g})")
-    p.add_argument("--modes", type=int, default=None,
+    p.add_argument("--modes", type=_value, default=None,
                    help="fixed truncation M; omit for adaptive doubling")
-    p.add_argument("--rtol", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--rtol", type=_value, default=argparse.SUPPRESS,
                    help="adaptive-doubling relative tolerance (default: the library's)")
     p.add_argument("--csv", default=None, help="also write a machine-readable row")
     p.set_defaults(func=_cmd_diffusivity)
@@ -229,18 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (oracle, text) in _ORACLES.items():
         q = osub.add_parser(name, help=text)
-        for param in inspect.signature(oracle, eval_str=True).parameters.values():
-            q.add_argument(f"--{param.name}", type=param.annotation, required=True)
+        for param in inspect.signature(oracle).parameters:
+            q.add_argument(f"--{param}", type=_value, required=True)
 
     # no defaults here: a flag left out takes adjudicate_periodic_shear's
     q = osub.add_parser("adjudicate", help="periodic-shear empirical adjudication",
                         argument_default=argparse.SUPPRESS)
-    q.add_argument("--kappa", type=float)
-    q.add_argument("--omega", type=float)
-    q.add_argument("--realizations", type=int, dest="n_realizations")
-    q.add_argument("--t-final", type=float)
-    q.add_argument("--dt", type=float)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--kappa", type=_value)
+    q.add_argument("--omega", type=_value)
+    q.add_argument("--realizations", type=_value, dest="n_realizations")
+    q.add_argument("--t-final", type=_value)
+    q.add_argument("--dt", type=_value)
+    q.add_argument("--seed", type=_value)
     q.add_argument("--output", default=None, help="write the text report here")
     q.add_argument("--csv", default=None, help="write the underlying sweep CSV here")
 

@@ -49,12 +49,15 @@ class ConfigError(ValueError):
 
 
 def _number(value) -> float:
-    """float(value), or nan when value is not a number; None and strings are not."""
+    """float(value), or nan when value is not a number; None and strings are not.
+
+    An int too large for a float is nan too, so it is refused as inf is.
+    """
     if isinstance(value, str):
         return math.nan
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return math.nan
 
 

@@ -49,8 +49,8 @@ def _unit(name: str, value) -> float:
     return number
 
 
-# the parameters each kind takes and the check of each; FlowSpec, flow_label,
-# config files and the CLI read them here
+# the parameters each kind takes and the check of each; FlowSpec and
+# flow_label read them here
 FLOW_PARAMS = {
     STEADY_SHEAR: {},
     PERIODIC_SHEAR: {"omega": positive},

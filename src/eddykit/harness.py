@@ -25,9 +25,11 @@ shares only draw and reduce.
 The rules for valid inputs live with their owners: the flow kinds and their
 parameters in ``fields``, the estimators, the points each needs and direction
 specs in ``estimators``, numeric domains (theta, counts, steps) in
-``errors``. This module and the CLI only call those checks; a config file's
-[flow] and [simulation] sections are built by FlowSpec and SimConfig, and
-its [estimation] and [sweep] sections are checked by RunPlan.
+``errors``. This module and the CLI only call those checks. ``_value`` reads
+every INI value and CLI value flag as an int, else a float, else the text,
+and leaves its type and domain to its owner: a config file's [flow] and
+[simulation] keys are the fields of FlowSpec and SimConfig, which build those
+sections, and its [estimation] and [sweep] sections are checked by RunPlan.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
     ParameterError,
+    finite,
     integer,
     nonnegative,
     positive,
@@ -70,7 +73,7 @@ from .estimators import (  # noqa: F401
     shift_estimate,
     subsample,
 )
-from .fields import FLOW_PARAMS, FlowSpec, flow_label, periodic_shear
+from .fields import FlowSpec, flow_label, periodic_shear
 from .theory import k_periodic_shear
 
 # the EnsembleRecord fields in order, n_realizations as M and t_final as T
@@ -319,7 +322,7 @@ def adjudicate_periodic_shear(kappa: float = 0.1, omega: float = 1.0,
     lines = [
         "Periodic-shear eddy diffusivity: empirical adjudication",
         f"flow: sinusoidally modulated shear, kappa={kappa:g}, omega={omega:g}",
-        f"ensemble: M={n_realizations}, T={t_final:g}, dt={dt:g}, seed={seed}",
+        f"ensemble: M={sweep.rows[0].n_realizations}, T={t_final:g}, dt={dt:g}, seed={config.seed}",
         "",
         "quadratic-variation means by delta:",
     ]
@@ -361,7 +364,9 @@ class RunPlan:
     The sweep settings take delta_sweep's defaults and are checked when the
     plan is built, by the checks delta_sweep calls: the estimator and the
     direction spec by ``estimators``, theta, each delta and the counts by
-    ``errors``.
+    ``errors``. Each number is stored as the float or int its check returns;
+    epsilons and alpha_exponent, which only ``rescaled_study`` reads, are
+    checked as finite here.
     """
 
     flow: FlowSpec
@@ -376,35 +381,42 @@ class RunPlan:
 
     def __post_init__(self) -> None:
         _check_estimator(self.estimator)
-        for delta in self.deltas:
-            positive("delta", delta)
-        nonnegative("theta", self.theta)
+        object.__setattr__(self, "deltas", tuple(positive("delta", d) for d in self.deltas))
+        object.__setattr__(self, "theta", nonnegative("theta", self.theta))
         _parse_direction(self.direction)
-        integer("realizations", self.realizations, 2)
+        object.__setattr__(self, "realizations", integer("realizations", self.realizations, 2))
+        object.__setattr__(self, "epsilons", tuple(finite("epsilon", e) for e in self.epsilons))
+        object.__setattr__(self, "alpha_exponent", finite("alpha_exponent", self.alpha_exponent))
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return tuple(float(p) for p in parts)
+def _value(text: str):
+    """int(text), else float(text), else the text: every INI value and CLI value flag.
+
+    Its owner (FlowSpec, SimConfig, RunPlan or the library function called)
+    checks its type and domain. "-0" is read as the float -0.0, so a float
+    value keeps its sign.
+    """
+    for cast in (int, float):
+        try:
+            number = cast(text)
+        except ValueError:
+            continue
+        return -0.0 if cast is int and not number and "-" in text else number
+    return text
 
 
-def _eta0(text: str) -> float | str:
-    return text if text == "stationary" else float(text)
-
-
-# the INI schema, one {key: cast} table per section. [flow] keys are the
-# FlowSpec fields and [simulation] keys the SimConfig fields of their name,
-# [estimation] and [sweep] keys the RunPlan fields (delta fills deltas, and
-# batch_size is checked and dropped). A key left out keeps the dataclass default.
-_SCHEMA = {
-    "flow": {"kind": str, **{key: float for keys in FLOW_PARAMS.values() for key in keys}},
-    "simulation": {"kappa": float, "dt": float, "t_final": float, "epsilon": float,
-                   "x0": _floats, "eta0": _eta0, "seed": int, "store_stride": int,
-                   "burn_in": float},
-    "estimation": {"estimator": str, "delta": _floats, "theta": float, "direction": str},
-    "sweep": {"realizations": int, "batch_size": int, "epsilons": _floats,
-              "alpha_exponent": float},
+# the keys of each INI section: [flow] keys are the FlowSpec fields and
+# [simulation] keys the SimConfig fields, [estimation] and [sweep] keys the
+# RunPlan fields (delta fills deltas, and batch_size is checked and dropped).
+# A key left out keeps the dataclass default. The list keys are read word by
+# word, split on commas and spaces.
+_SECTIONS = {
+    "flow": tuple(f.name for f in fields(FlowSpec)),
+    "simulation": tuple(f.name for f in fields(SimConfig)),
+    "estimation": ("estimator", "delta", "theta", "direction"),
+    "sweep": ("realizations", "batch_size", "epsilons", "alpha_exponent"),
 }
+_LISTS = ("x0", "delta", "epsilons")
 
 
 def _build(cls, section: str, values: dict):
@@ -441,19 +453,16 @@ def parse_config(source) -> RunPlan:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    values = {section: {} for section in _SCHEMA}
+    values = {section: {} for section in _SECTIONS}
     for section in parser.sections():
-        schema = _SCHEMA.get(section)
-        if schema is None:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        extra = set(parser[section]).difference(schema)
+        extra = set(parser[section]).difference(_SECTIONS[section])
         if extra:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(extra)}")
         for key, text in parser[section].items():
-            try:
-                values[section][key] = schema[key](text)
-            except ValueError as exc:
-                raise ConfigError(f"bad [{section}] value for {key}: {exc}") from exc
+            values[section][key] = (tuple(map(_value, text.replace(",", " ").split()))
+                                    if key in _LISTS else _value(text))
     for section in ("flow", "simulation"):
         if not parser.has_section(section):
             raise ConfigError(f"missing [{section}] section")

@@ -15,6 +15,8 @@ BAD_FOR_ALL = [None, "abc", math.nan, math.inf, -math.inf, -1]
     (0, {"positive": None, "nonnegative": 0.0, "integer": None}),
     (2.5, {"positive": 2.5, "nonnegative": 2.5, "integer": None}),
     (3.0, {"positive": 3.0, "nonnegative": 3.0, "integer": 3}),
+    # an int too large for a float, as the CLI and config files read 1 and 400 zeros
+    (10 ** 400, {"positive": None, "nonnegative": None, "integer": 10 ** 400}),
 ])
 def test_numeric_checks(value, expected):
     checks = {"positive": lambda v: positive("x", v),

@@ -191,7 +191,7 @@ def test_spec_validation():
 
 
 def test_flow_params_build_the_catalog_flows():
-    # config files and the CLI build FlowSpec(kind, **params) from FLOW_PARAMS
+    # a config file's [flow] section builds FlowSpec(kind, **params) with these names
     builders = {"shear": steady_shear, "periodic_shear": periodic_shear,
                 "ou_shear": ou_shear, "taylor_green": taylor_green,
                 "childress_soward": childress_soward}

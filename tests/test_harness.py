@@ -631,6 +631,12 @@ def test_parse_config_from_file(tmp_path):
     ("[flow]\nkind = shear\n", "missing \\[simulation\\]"),
     ("[flow]\nkind = shear\n\n[simulation]\ndt = 0.1\n", "must set kappa"),
     ("[flow]\nkind = shear\n\n[simulation]\nkappa = fast\n", "bad \\[simulation\\]"),
+    ("[flow]\nkind = shear\n\n[simulation]\nkappa = fast\n",
+     "^bad \\[simulation\\] value: kappa must be finite and positive, got 'fast'$"),
+    ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\nseed = 2.5\n",
+     "^bad \\[simulation\\] value: seed must be a nonnegative integer, got 2.5$"),
+    ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\n\n[sweep]\nepsilons = 0.4 abc\n",
+     "^bad \\[sweep\\] value: epsilon must be finite, got 'abc'$"),
     ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\nx0 = 1 2 3\n", "two components"),
     ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\nnote = hi\n", "unknown keys"),
     ("[flow]\nkind = shear\n\n[simulation]\nkappa = 1\n\n[estimation]\nestimator = mad\n",
@@ -667,7 +673,7 @@ def test_run_plan_defaults_are_the_sweep_defaults():
 @pytest.mark.parametrize("key, value, needle", [
     ("theta", "-1", "theta must be finite and nonnegative"),
     ("direction", "z", "direction must be x, y or xi:<a>,<b>, got 'z'"),
-    ("delta", "0.1 -3", "delta must be finite and positive, got -3.0"),
+    ("delta", "0.1 -3", "delta must be finite and positive, got -3"),
     ("estimator", "mad", "estimator must be one of"),
 ])
 def test_estimation_section_is_checked_at_parse_time(tmp_path, capsys, key, value, needle):
@@ -693,6 +699,32 @@ def test_parse_config_numeric_eta0():
         "[flow]\nkind = ou_shear\nalpha = 1.0\nsigma = 0.1\n\n"
         "[simulation]\nkappa = 0.5\neta0 = 0.25\n")
     assert plan.sim.eta0 == 0.25
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("12345678901234567890", 12345678901234567890), ("3.0", 3.0), ("2e2", 200.0),
+    ("-0", -0.0), ("nan", math.nan), ("fast", "fast"), ("xi:1,1", "xi:1,1"), ("", ""),
+])
+def test_value_reads_an_int_else_a_float_else_the_text(text, value):
+    # an int above 2**53 stays exact for a seed, and "-0" keeps its sign for a float
+    assert repr(harness._value(text)) == repr(value)
+
+
+def test_ini_counts_take_integral_floats():
+    # errors.integer takes an integral float, in a config file as in the library
+    plan = parse_config("[flow]\nkind = shear\n\n[simulation]\nkappa = 0.5\nseed = 3.0\n"
+                        "store_stride = 1e3\n\n[sweep]\nrealizations = 2e2\n")
+    counts = (plan.sim.seed, plan.sim.store_stride, plan.realizations)
+    assert counts == (3, 1000, 200) and all(type(n) is int for n in counts)
+
+
+def test_run_plan_stores_what_its_checks_return():
+    plan = RunPlan(FLOW, FAST, deltas=[1, np.float32(0.5)], theta=0, realizations=4.0,
+                   epsilons=[1], alpha_exponent=1)
+    assert plan.deltas == (1.0, float(np.float32(0.5))) and plan.epsilons == (1.0,)
+    assert all(type(v) is float for v in (*plan.deltas, plan.theta, *plan.epsilons,
+                                          plan.alpha_exponent))
+    assert type(plan.realizations) is int and plan.realizations == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1042,35 @@ def test_estimate_rejects_bad_theta(tmp_path, capsys, theta):
         estimate_tensor(simulate_em(FLOW, FAST), "qv", 0.1, float(theta))
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["--theta", "abc"], "theta must be finite and nonnegative, got 'abc'"),
+    (["--delta", "abc"], "delta must be finite and positive, got 'abc'"),
+    (["--noise-seed", "1.5"], "seed must be a nonnegative integer, got 1.5"),
+])
+def test_estimate_flags_are_checked_by_the_library(tmp_path, capsys, argv, needle):
+    config = _write(tmp_path, "run.ini", SIM_CONFIG)
+    out = str(tmp_path / "traj.npz")
+    main(["simulate", "--config", config, "--output", out])
+    capsys.readouterr()
+    assert main(["estimate", "--input", out, "--delta", "0.1", *argv]) == 2
+    assert capsys.readouterr().err == f"input error: {needle}\n"
+
+
+@pytest.mark.parametrize("command", [
+    "oracle shear-qv --kappa 0.5 --delta 1.0 --n 10{}",
+    "diffusivity --flow taylor_green --kappa 0.5 --modes 8{}",
+    "oracle adjudicate --kappa 0.2 --t-final 60 --dt 0.01 --realizations 4{} --seed 9{}",
+])
+def test_cli_counts_take_integral_floats(capsys, command):
+    # each count reaches the library as written, and errors.integer takes 10.0 as 10
+    assert main(command.format("", "").split()) == 0
+    expected = capsys.readouterr().out
+    assert main(command.format(".0", ".0").split()) == 0
+    assert capsys.readouterr().out == expected
+    assert main(command.format(".5", "").split()) == 2
+    assert "must be an integer >= " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("theta", [-0.1, float("nan")])
 def test_theta_rule_has_one_message(theta):
     series = ObservationSeries(np.zeros((6, 2)), 0.1)
@@ -1024,7 +1085,8 @@ def test_theta_rule_has_one_message(theta):
             call()
 
 
-@pytest.mark.parametrize("command", ["simulate", "estimate", "adjudicate"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "estimate_noiseless",
+                                     "adjudicate"])
 def test_cli_negative_seed_is_an_input_error(tmp_path, capsys, command):
     config = _write(tmp_path, "run.ini", SIM_CONFIG)
     out = str(tmp_path / "traj.npz")
@@ -1036,6 +1098,9 @@ def test_cli_negative_seed_is_an_input_error(tmp_path, capsys, command):
                      "--output", str(tmp_path / "neg.npz")],
         "estimate": ["estimate", "--input", out, "--delta", "0.1", "--theta", "0.1",
                      "--noise-seed", "-3"],
+        # at theta = 0 no noise is drawn, and the bad seed is still refused
+        "estimate_noiseless": ["estimate", "--input", out, "--delta", "0.1",
+                               "--noise-seed", "-3"],
         "adjudicate": ["oracle", "adjudicate", "--realizations", "2", "--seed", "-1"],
     }[command]
     assert main(argv) == 2

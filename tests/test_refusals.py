@@ -18,6 +18,7 @@ from eddykit import (
     FlowSpec,
     ObservationSeries,
     ParameterError,
+    RunPlan,
     SimConfig,
     Trajectory,
     adjudicate_periodic_shear,
@@ -45,6 +46,10 @@ SAMPLES = [(0.1, 1.0), (0.2, 2.0)]
 POSITIONS = np.zeros((3, 2))
 
 
+def _plan(**kwargs):
+    return RunPlan(steady_shear(), CONFIG, **kwargs)
+
+
 def _sweep(**kwargs):
     args = dict(deltas=[0.2], theta=0.0, n_realizations=2) | kwargs
     return delta_sweep(steady_shear(), CONFIG, "qv", **args)
@@ -65,6 +70,12 @@ CASES = {
     "delta_sweep.theta": (lambda v: _sweep(theta=v), "theta"),
     "delta_sweep.n_realizations": (lambda v: _sweep(n_realizations=v), "n_realizations"),
     "delta_sweep.direction": (lambda v: _sweep(direction=v), "direction"),
+    "RunPlan.delta": (lambda v: _plan(deltas=(0.2, v)), "delta"),
+    "RunPlan.theta": (lambda v: _plan(theta=v), "theta"),
+    "RunPlan.realizations": (lambda v: _plan(realizations=v), "realizations"),
+    "RunPlan.direction": (lambda v: _plan(direction=v), "direction"),
+    "RunPlan.epsilon": (lambda v: _plan(epsilons=(0.5, v)), "epsilon"),
+    "RunPlan.alpha_exponent": (lambda v: _plan(alpha_exponent=v), "alpha_exponent"),
     "FlowSpec.kind": (lambda v: FlowSpec([v]), "kind"),
     "periodic_shear.omega": (periodic_shear, "omega"),
     "ou_shear.alpha": (lambda v: ou_shear(v, 0.1), "alpha"),

@@ -13,8 +13,12 @@ A name it patches that the package no longer defines would break every
 traced benchmark run, so this pins each one: it exists, it is replaced
 while the tracer is installed, and it is restored afterwards. A traced
 sweep must also give the untraced values and exact counters.
+
+The INI keys of each section are the fields of the dataclass that section
+builds, so a field added there cannot miss its key.
 """
 
+import dataclasses
 import importlib
 import math
 import os
@@ -25,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from eddykit import SimConfig, dynamics, harness, steady_shear, taylor_green
+from eddykit import FlowSpec, RunPlan, SimConfig, dynamics, harness, steady_shear, taylor_green
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -241,3 +245,15 @@ def test_traced_cellular_sweep_is_exact(monkeypatch):
     assert threads == {threading.get_ident()}
     assert tracer._stack == []
     assert tracer.counts["dynamics.draws"] == 2 * m * config.n_steps
+
+
+def test_ini_keys_are_the_fields_of_their_owners():
+    sections = harness._SECTIONS
+    assert list(sections) == ["flow", "simulation", "estimation", "sweep"]
+    assert sections["flow"] == tuple(f.name for f in dataclasses.fields(FlowSpec))
+    assert sections["simulation"] == tuple(f.name for f in dataclasses.fields(SimConfig))
+    # delta fills deltas, and batch_size is checked and dropped
+    keys = {"deltas" if key == "delta" else key
+            for key in sections["estimation"] + sections["sweep"]}
+    plan = {f.name for f in dataclasses.fields(RunPlan)} - {"flow", "sim"}
+    assert keys == plan | {"batch_size"}
