@@ -33,24 +33,27 @@ Its advance kernel is time-vectorised for the shear family and a step
 loop for the cellular flows (Taylor-Green, Childress-Soward).
 ``simulate_ensemble`` alone splits the realizations, into rounds of
 n_shares * group_rows rows, each split evenly into at most n_shares
-contiguous shares; the flow family sets only the two counts.
+contiguous tasks; the flow family sets only the two counts.
 A shear block has one share per CPU in the process's affinity mask, each
 on a thread of its own, and groups of as many rows as fit the 4 MiB
 ``_GROUP_BYTES``, at least one. A row is priced by all it holds
 (``_row_bytes``): its stored path plus its chunk buffers (draws, x and y
 chunk paths and, for OU shear, the modulation), so a full-resolution
-share of 10^5 points per path integrates two paths at a time. The
+task of 10^5 points per path integrates two paths at a time. The
 kernel's draws, cumulative sums and the OU modulation's banded solve
-work row by row and release the interpreter lock on long rows. A
-cellular round is one share of ``_CELL_ROWS`` rows in the calling thread:
-each step advances one flat 1-D state [x, y mirrored] with one sin and one
-cos call shared by both coordinates, and its few small numpy calls per
-step, all on 1-D operands, hold the lock, so threads would only slow it
-down. Before a round starts, the calling thread makes its streams and,
-given a row reduction (the harness sweeps pass their estimators), calls
-``reduce(rows)`` per share for its noise streams and work buffers; each
-share reduces its rows once they are integrated, and a round's buffers
-go before the next round's are built, so a sweep holds one round.
+work row by row and release the interpreter lock on long rows. The
+tasks of a shear block form one stream with no join per round: the
+calling thread makes each task's streams and, given a row reduction (the
+harness sweeps pass their estimators), calls ``reduce(rows)`` for its
+noise streams, one round ahead of the shares, and a share that frees up
+takes the next ready task. At most n_shares tasks run at once, so a sweep
+holds one round of paths; its work arrays are made on the share's thread
+as it starts reducing, so a waiting task holds only its generators. A
+cellular block is one share of ``_CELL_ROWS``-row tasks in the calling
+thread: each step advances one flat 1-D state [x, y mirrored] with one
+sin and one cos call shared by both coordinates, and its few small numpy
+calls per step, all on 1-D operands, hold the lock, so threads would only
+slow it down.
 
 Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
@@ -67,8 +70,8 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +87,7 @@ SOURCE_NOISE = 3   # observation noise, consumed by the harness
 
 _CHUNK = 4096
 _GROUP_BYTES = 4 << 20  # what a shear share's group of rows holds at once (``_row_bytes``)
-_CELL_ROWS = 64  # rows of a cellular round: a count, as each step's numpy calls cost per call
+_CELL_ROWS = 64  # rows of a cellular task: a count, as each step's numpy calls cost per call
 _PIECE = 256  # steps of scaled draws the cellular loop copies at a time
 
 
@@ -604,28 +607,36 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
     first_realization + r, source), so blocks compose: simulating [0, 200)
     in one call or in any partition yields bitwise identical rows.
 
-    The rows run in rounds that the flow family sets (see the module
-    docstring): a shear share integrates groups of
-    ``_GROUP_BYTES // _row_bytes(flow, config)`` rows, at least one, each
-    row priced by its stored path and its chunk buffers; a cellular round
-    is one share of ``_CELL_ROWS`` rows in the calling thread. The result is
-    bitwise identical to one thread and any rounds.
+    The rows run as tasks that the flow family sizes (see the module
+    docstring): each round of n_shares * group_rows rows is split evenly
+    into at most n_shares contiguous tasks. A shear task integrates a group
+    of ``_GROUP_BYTES // _row_bytes(flow, config)`` rows, at least one,
+    each row priced by its stored path and its chunk buffers, on one of
+    n_shares threads; the calling thread makes every task's streams, at
+    most 2 * n_shares tasks submitted and unfinished, and a thread that
+    frees up takes the next task. A cellular task is ``_CELL_ROWS`` rows,
+    run in the calling thread. The result is bitwise identical to one
+    thread and any tasks.
 
     ``reduce``, if given, replaces each stored path by its reduction, so
-    that a block never holds more than one round of paths.
-    ``reduce(rows)`` is called once per share, in the calling thread before
-    the round starts, on the range of block rows the share runs, and
+    that a block never holds more than n_shares tasks' paths.
+    ``reduce(rows)`` is called once per task, in the calling thread with
+    the task's streams, on the range of block rows the task runs, and
     returns ``row(i, path)``, which gets row i of the block and its
-    (n_stored, 2) path on the share's thread once the share is integrated,
+    (n_stored, 2) path on the share's thread once the task is integrated,
     in row order, and returns an array of one shape for every row. The
-    result is then those arrays stacked in row order.
+    result is then those arrays stacked in row order. As a task may wait
+    for up to a round, what ``row`` needs in proportion to a path is best
+    made at its first call, on the share's thread.
 
-    Every round runs to its end; the block then raises what one thread over
+    Every task runs to its end; the block then raises what one thread over
     all its rows would have. A non-finite state raises
     IntegrationBlowupError naming its realization and steps: the earliest
     step interval first, ties going to the lowest realization. Any blow-up
     outranks an error raised by ``row``, and among those the lowest row's
-    is raised.
+    is raised. Any other error of a task, or of ``reduce`` or the streams
+    in the calling thread, is raised as it was once every submitted task has
+    ended; no thread outlives the call.
     """
     first = integer("first_realization", first_realization, 0)
     count = integer("n_realizations", n_realizations, 1)
@@ -664,15 +675,38 @@ def simulate_ensemble(flow: FlowSpec, config: SimConfig, n_realizations: int,
         ou = _ou_streams(flow, config, keys) if flow.kind == OU_SHEAR else None
         return rows, gens, ou, None if reduce is None else reduce(rows)
 
-    round_rows = n_shares * group_rows
-    with ThreadPoolExecutor(n_shares) if n_shares > 1 else nullcontext() as pool:
+    def tasks():
+        # each round of n_shares * group_rows rows, split evenly into at most
+        # n_shares contiguous tasks
+        round_rows = n_shares * group_rows
         for a in range(0, count, round_rows):
             b = min(a + round_rows, count)
             k = min(n_shares, b - a)
             bounds = [a + (b - a) * s // k for s in range(k + 1)]
-            tasks = [streams(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-            list((map if pool is None else pool.map)(share, *zip(*tasks)))
-            del tasks  # the round's streams and buffers go before the next round's
+            yield from (range(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+    if n_shares == 1:
+        for rows in tasks():
+            share(*streams(rows))
+    else:
+        # a task's streams are made once a slot frees, so at most two rounds of
+        # tasks are submitted and unfinished: a share that frees up takes a
+        # ready task, and a waiting task holds only its generators
+        slots = threading.Semaphore(2 * n_shares)
+
+        def task(*args) -> None:
+            try:
+                share(*args)
+            finally:
+                slots.release()
+
+        futures = []
+        with ThreadPoolExecutor(n_shares) as pool:
+            for rows in tasks():
+                slots.acquire()
+                futures.append(pool.submit(task, *streams(rows)))
+        for future in futures:
+            future.result()  # what a share raised that is not ranked below
     if raised:
         raise min(raised, key=lambda keyed: keyed[0])[1]
     return out if reduce is None else np.stack(reduced)

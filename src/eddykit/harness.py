@@ -12,15 +12,17 @@ background).
 A sweep makes one ``dynamics.simulate_ensemble`` call for all its rows
 and hands it the one row reduction of the estimators, which
 ``estimators.estimate_tensor`` and the library estimators call too. That
-call alone splits the rows, into rounds whose shares run the reduction
-as soon as their rows are integrated: a shear block's per-CPU share
-threads, so a sweep holds one round of stored paths, never an (M,
-n_stored, 2) block, and a cellular block's one share, in the calling
-thread. Neither the share thread count nor the group size changes a digit.
-``run_ensemble`` and the INI [sweep] section still accept a ``batch_size``,
-which they check and drop: it changes nothing.
-Noise streams and direction values are made in the calling thread; the
-shares only draw and reduce.
+call alone splits the rows, into tasks whose share runs the reduction as
+soon as their rows are integrated: a shear block's per-CPU share
+threads, which take the next task as they free up, so a sweep holds one
+round of stored paths, never an (M, n_stored, 2) block, and a cellular
+block's one share, in the calling thread. Neither the share thread count
+nor the group size changes a digit. ``run_ensemble`` and the INI [sweep]
+section still accept a ``batch_size``, which they check and drop: it
+changes nothing. Noise streams and direction values are made in the
+calling thread, one round of tasks ahead of the shares; a task's work
+array is made on its share's thread when it reduces its first row, so a
+task waiting its turn holds only its generators.
 
 The rules for valid inputs live with their owners: the flow kinds and their
 parameters in ``fields``, the estimators, the points each needs and direction
@@ -144,12 +146,14 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
 
     All M realizations run in one ``simulate_ensemble`` call, which
     reduces every row on its simulation's shares (one thread per CPU for a
-    shear block, the calling thread for a cellular one), round by round,
-    making each round's streams and work buffers just before it runs. A
-    shear share integrates and reduces groups whose stored paths and chunk
-    buffers fit ``dynamics._GROUP_BYTES`` (4 MiB; two rows of 10^5 points),
-    a cellular round ``dynamics._CELL_ROWS`` rows, so only the (n_delta, M)
-    values and entries grow with M. Realization r's value at the j-th
+    shear block, the calling thread for a cellular one), task by task. Each
+    task's noise streams are made in the calling thread, up to a round
+    ahead, and its (n_stored, 2) work array on the share's thread when it
+    reduces its first row. A shear task integrates and reduces a group
+    whose stored paths and chunk buffers fit ``dynamics._GROUP_BYTES``
+    (4 MiB; two rows of 10^5 points), a cellular task
+    ``dynamics._CELL_ROWS`` rows, so only the (n_delta, M) values and
+    entries grow with M. Realization r's value at the j-th
     delta is bitwise ``directional_component(estimators.estimate_tensor(
     traj_r, estimator, delta_j, theta, noise_generator(seed, r, j)),
     direction)``, whatever the group size and the share thread count.
@@ -175,9 +179,12 @@ def delta_sweep(flow: FlowSpec, config: SimConfig, estimator: str, deltas,
     def reduction(rows: range):
         noise = [[noise_generator(config.seed, i, j) if theta > 0.0 else None
                   for j in range(len(resolved))] for i in rows]
-        diffs = np.empty((config.n_stored, 2))
+        diffs = None
 
         def row(i: int, path: np.ndarray) -> np.ndarray:
+            nonlocal diffs
+            if diffs is None:  # made on the share's thread, so a waiting task holds none
+                diffs = np.empty((config.n_stored, 2))
             entries = np.empty((len(resolved), 2, 2))
             for j, (m, d_c) in enumerate(resolved):
                 try:

@@ -18,6 +18,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -371,9 +372,9 @@ def test_batch_size_decides_no_block(monkeypatch, flow):
 
 
 def test_sweep_makes_its_streams_per_round(monkeypatch):
-    # rounds of two shares of two-row groups: each round's BM, OU and noise
-    # streams are made just before it, so no _block call starts after more
-    # streams than the rows already run and one round need
+    # rounds of two shares of two-row groups: a task's BM, OU and noise
+    # streams are made one round ahead, so no _block call starts after more
+    # streams than the rows already run and two rounds need
     flow = ou_shear(1.0, 0.1)
     config = SimConfig(kappa=0.3, dt=0.01, t_final=1.0, seed=4)
     deltas = [0.02, 0.1, 0.5]
@@ -406,7 +407,152 @@ def test_sweep_makes_its_streams_per_round(monkeypatch):
     assert state == {"streams": m * per_row, "run": m}
     assert len(starts) == m // 2
     for streams, run in starts:
-        assert streams <= (run + round_rows) * per_row
+        assert streams <= (run + 2 * round_rows) * per_row
+
+
+def _hold_first_task(monkeypatch, release_at, blowup=None):
+    """Patch _block so the task of row 0 waits until the task of row release_at ends.
+
+    The other share runs every task up to release_at meanwhile, so they end
+    first; ``ended`` lists the first rows of the tasks in the order they end.
+    With ``blowup``, the held task then raises IntegrationBlowupError at
+    that step.
+    """
+    run_block, released, ended = dynamics._block, threading.Event(), []
+
+    def holding_block(flow, config, first, gens, ou, out):
+        if first == 0 and not released.wait(timeout=60):
+            raise TimeoutError("the held task was never released")
+        run_block(flow, config, first, gens, ou, out)
+        ended.append(first)
+        if first == release_at:
+            released.set()
+        if first == 0 and blowup is not None:
+            raise IntegrationBlowupError(blowup, f"realization 0 at step {blowup}")
+
+    monkeypatch.setattr(dynamics, "_block", holding_block)
+    return ended
+
+
+@pytest.mark.parametrize("flow, estimator", [(steady_shear(), "box"), (ou_shear(1.0, 0.1), "qv")],
+                         ids=lambda v: getattr(v, "kind", v))
+def test_sweep_does_not_depend_on_the_order_tasks_end(monkeypatch, flow, estimator):
+    # one-row tasks in rounds of two shares: row 0's task ends after rows 1-3,
+    # which the other share took as they came
+    config = SimConfig(kappa=0.3, dt=0.01, t_final=2.0, seed=12)
+    args = (flow, config, estimator, [0.01, 0.05, 0.2], 0.05, 8, "x")
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", dynamics._row_bytes(flow, config))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 1)
+    reference = _csv(delta_sweep(*args))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    ended = _hold_first_task(monkeypatch, release_at=3)
+    threads = threading.active_count()
+    assert _csv(delta_sweep(*args)) == reference
+    assert ended[:3] == [1, 2, 3] and sorted(ended) == list(range(8))
+    assert threading.active_count() == threads
+
+
+def test_held_blowup_outranks_a_later_reduction_error(monkeypatch):
+    # row 5's reduction fails while row 0's task is held; once every task has
+    # ended, row 0's blow-up is raised, as one thread over all rows would
+    config = SimConfig(kappa=0.3, dt=0.01, t_final=2.0, seed=12)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", dynamics._row_bytes(FLOW, config))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    block = simulate_ensemble(FLOW, config, 8)
+    reduce_row = harness._reduce_row
+
+    def failing(estimator, row, *args):
+        if np.array_equal(row, block[5]):
+            raise ParameterError("bad row")
+        return reduce_row(estimator, row, *args)
+
+    monkeypatch.setattr(harness, "_reduce_row", failing)
+    ended = _hold_first_task(monkeypatch, release_at=5, blowup=90)
+    with pytest.raises(IntegrationBlowupError, match="^realization 0 at step 90$"):
+        delta_sweep(FLOW, config, "qv", [0.1], n_realizations=8)
+    assert ended[:5] == [1, 2, 3, 4, 5]
+
+
+def test_waiting_tasks_hold_no_work_array(monkeypatch):
+    # one-row tasks, two shares: at most two _block calls run at once, and at
+    # most two reduction work arrays are alive, however many tasks wait. The
+    # work arrays _reduce_row receives are tracked from the moment the
+    # harness makes them, so an array made ahead for a waiting task counts
+    config = SimConfig(kappa=0.3, dt=0.01, t_final=2.0, seed=13)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", dynamics._row_bytes(FLOW, config))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    lock, running, peaks, arrays = threading.Lock(), [0], {"blocks": 0, "arrays": 0}, []
+    run_block, reduce_row = dynamics._block, harness._reduce_row
+
+    def track(array):
+        with lock:
+            if not any(ref() is array for ref in arrays):
+                arrays.append(weakref.ref(array))
+            alive = sum(ref() is not None for ref in arrays)
+            peaks["arrays"] = max(peaks["arrays"], alive)
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kwargs):
+            array = np.empty(shape, *args, **kwargs)
+            if shape == (config.n_stored, 2):
+                track(array)
+            return array
+
+    def counting_block(flow, config, first, gens, ou, out):
+        with lock:
+            running[0] += 1
+            peaks["blocks"] = max(peaks["blocks"], running[0])
+        try:
+            run_block(flow, config, first, gens, ou, out)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def tracking(estimator, row, j, delta, theta, gen, diffs):
+        track(diffs)
+        return reduce_row(estimator, row, j, delta, theta, gen, diffs)
+
+    monkeypatch.setattr(harness, "np", Numpy())
+    monkeypatch.setattr(dynamics, "_block", counting_block)
+    monkeypatch.setattr(harness, "_reduce_row", tracking)
+    delta_sweep(FLOW, config, "box", [0.01, 0.1], 0.05, 12, "x")
+    assert len(arrays) == 12
+    assert peaks["blocks"] <= 2 and peaks["arrays"] <= 2
+
+
+def test_error_making_a_later_tasks_streams_propagates(monkeypatch):
+    # two-row tasks: realization 5's noise stream, made for the third task
+    # while the first two run, raises; the error is raised as it was, once
+    # the running tasks have ended, and no share thread is left
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 2 * dynamics._row_bytes(FLOW, FAST))
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    lock, state = threading.Lock(), {"started": 0, "ended": 0}
+    run_block, make_noise = dynamics._block, harness.noise_generator
+    error = LookupError("no noise stream for realization 5")
+
+    def counting_block(flow, config, first, gens, ou, out):
+        with lock:
+            state["started"] += 1
+        run_block(flow, config, first, gens, ou, out)
+        with lock:
+            state["ended"] += 1
+
+    def failing_noise(seed, realization, index=0):
+        if realization == 5:
+            raise error
+        return make_noise(seed, realization, index)
+
+    monkeypatch.setattr(dynamics, "_block", counting_block)
+    monkeypatch.setattr(harness, "noise_generator", failing_noise)
+    threads = threading.active_count()
+    with pytest.raises(LookupError) as info:
+        delta_sweep(FLOW, FAST, "qv", [0.1], 0.05, 12)
+    assert info.value is error
+    assert state == {"started": 2, "ended": 2}
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
