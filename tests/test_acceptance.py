@@ -24,6 +24,7 @@ from eddykit import (
     k_shear,
     ou_shear,
     qv_estimate,
+    qv_expectation_ou_shear,
     qv_expectation_shear,
     rescaled_study,
     run_ensemble,
@@ -118,14 +119,20 @@ def test_criterion_09_box_estimator_matches_its_oracle():
 
 
 def test_criterion_10_ou_modulated_sweep_has_interior_optimum():
+    # the exact mean rises monotonically in delta, so the optimum is one of
+    # the error: the sampling rate that minimises bias^2 + variance
     config = SimConfig(kappa=0.1, dt=1e-3, t_final=1000.0, seed=0, store_stride=1000)
     report = delta_sweep(ou_shear(1.0, 0.1), config, "qv",
                          [1.0, 2.0, 5.0, 10.0, 20.0, 50.0], n_realizations=200)
     means = [row.mean for row in report.rows]
     target = k_ou_shear(0.1, 1.0, 0.1)
     assert min(abs(m - target) for m in means) <= 0.015
-    peak = int(np.argmax(means))
-    assert 0 < peak < len(means) - 1
+    for row in report.rows:
+        expected = qv_expectation_ou_shear(0.1, 1.0, 0.1, row.delta)
+        assert abs(row.mean - expected) <= 3.0 * row.stderr
+    errors = [(row.mean - target) ** 2 + row.std ** 2 for row in report.rows]
+    best = int(np.argmin(errors))
+    assert 0 < best < len(errors) - 1
 
 
 def test_criterion_11_rescaled_error_shrinks_with_epsilon():
