@@ -59,6 +59,12 @@ Randomness is organized so ensembles are reproducible independently of
 batching: realization r of a run with master seed s draws from generators
 keyed by (s, r, source), one source tag per noise channel. Simulating
 realization r alone or inside any block yields bitwise identical output.
+Every keyed generator is numpy's SFC64 bit generator seeded by
+SeedSequence(key); a standard normal costs about 12 ns with it on a 2-CPU
+x86-64 Xeon host (numpy 2.4), a fifth less than the 15 ns of the PCG64
+generator the package drew from before. The switch kept every key, draw
+shape and draw order but changed every stream, so results computed before
+it are reproduced in law, not bitwise.
 """
 
 from __future__ import annotations
@@ -113,11 +119,16 @@ def _keyed_generator(*key: int) -> np.random.Generator:
     # every key is a nonnegative integer; an integral float keys the same stream
     names = ("seed", "realization", "source", "index")
     key = tuple(integer(name, k, 0) for name, k in zip(names, key))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 def stream_generator(seed: int, realization: int, source: int) -> np.random.Generator:
-    """Independent generator for one (seed, realization, source) triple."""
+    """Independent generator for one (seed, realization, source) triple.
+
+    An SFC64 stream seeded by SeedSequence((seed, realization, source)), about
+    12 ns per standard normal on a 2-CPU x86-64 host; streams drawn from
+    PCG64, before the package switched, do not reproduce bitwise.
+    """
     return _keyed_generator(seed, realization, source)
 
 
@@ -125,7 +136,11 @@ def noise_generator(seed: int, realization: int, index: int = 0) -> np.random.Ge
     """Observation-noise stream, independent of all dynamics streams.
 
     ``index`` separates repeated noise applications to the same realization
-    (one per subsampling interval in a sweep, for instance).
+    (one per subsampling interval in a sweep, for instance). Like every keyed
+    stream it is SFC64, seeded by SeedSequence((seed, realization,
+    SOURCE_NOISE, index)), about 12 ns per normal on a 2-CPU x86-64 host;
+    noise drawn from PCG64, before the package switched, does not reproduce
+    bitwise, nor does the CLI's ``--noise-seed`` stream.
     """
     return _keyed_generator(seed, realization, SOURCE_NOISE, index)
 

@@ -12,6 +12,7 @@ rescaling, eta handling) becomes exactly predictable. Statistical checks
 use fixed seeds and z-score style bands of four to five standard errors.
 """
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.stats import kstest
 
 from eddykit import (
     IntegrationBlowupError,
@@ -795,6 +797,26 @@ def test_integral_stream_keys_give_the_same_streams():
         simulate_ensemble(steady_shear(), config, 2, first_realization=3.0), rows)
     np.testing.assert_array_equal(
         simulate_ensemble(steady_shear(), config, 2, first_realization=np.int64(3)), rows)
+
+
+def test_keyed_streams_are_normal_and_uncorrelated():
+    # margins declared before the seed was frozen: a KS p-value above 1e-3, and
+    # |corr| <= 4/sqrt(n), four standard errors of a correlation of independent draws
+    seed, n = 11, 2048
+
+    def first_draws(make):
+        return np.array([make(r).standard_normal() for r in range(n + 1)])
+
+    bm = first_draws(lambda r: stream_generator(seed, r, SOURCE_BM))
+    assert kstest(bm[:n], "norm").pvalue > 1e-3
+    sources = [bm] + [first_draws(lambda r, s=s: stream_generator(seed, r, s))
+                      for s in (SOURCE_OU, SOURCE_ETA0)]
+    noise = [first_draws(lambda r, j=j: dynamics.noise_generator(seed, r, j)) for j in range(3)]
+    pairs = [(bm[:n], bm[1:])]  # adjacent realizations
+    pairs += itertools.combinations(sources + noise[:1], 2)  # sources of one realization
+    pairs += [(noise[j], noise[j + 1]) for j in range(2)]  # neighbouring noise indices
+    for a, b in pairs:
+        assert abs(np.corrcoef(a[:n], b[:n])[0, 1]) <= 4.0 / math.sqrt(n)
 
 
 def test_trajectory_validation():

@@ -1168,10 +1168,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         """))
     assert main(["sweep", "--config", overflow]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: realization 0: qv at delta=1 ")
-    big = str(tmp_path / "big.npz")
-    assert main(["simulate", "--config", overflow, "--output", big]) == 0
+    # the failure names the lowest realization whose own qv at delta=1 overflows
+    plan = parse_config(overflow)
+
+    def overflows(path):
+        try:
+            estimate_tensor(Trajectory(path, plan.sim.dt_stored, plan.flow), "qv", 1.0)
+        except FloatingPointError:
+            return True
+        return False
+
+    paths = simulate_ensemble(plan.flow, plan.sim, plan.realizations)
+    first = next(r for r, path in enumerate(paths) if overflows(path))
+    assert err.startswith(f"numerical failure: realization {first}: qv at delta=1 ")
+    assert main(["simulate", "--config", overflow, "--output", str(tmp_path / "big.npz")]) == 0
     capsys.readouterr()
+    # simulate writes realization 0; estimate that overflowing realization's path
+    big = str(tmp_path / "first.npz")
+    np.savez(big, positions=paths[first], dt_stored=plan.sim.dt_stored)
     assert main(["estimate", "--input", big, "--delta", "1"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: qv at delta=1 ")
 

@@ -374,33 +374,33 @@ def _environment() -> dict:
 # the environment DIGESTS were recorded in
 DIGEST_ENV = {'python': '3.11.7', 'numpy': '2.4.6', 'scipy': '1.17.1', 'machine': 'x86_64'}
 DIGESTS = {
-    'ensemble shear base': 'a1171aa2b74098f4bfe1762bb02aebeeec85bf20851bfbf372ffde7a16474769',
-    'ensemble shear eps0.5': 'a83018572e51a012bb119ba7f3690c8cd1fb950aa94556017ef37920ff1e7903',
-    'ensemble shear stride4100': '1630dcda15cb679971352be53d4a14801e792af4268a1c324e722f1c1d34383d',
-    'ensemble periodic_shear base': 'de6c24ec9de8f27ac5aa483587a7ec91c89898368beb19e7da2d505ff0f731bf',
-    'ensemble periodic_shear eps0.5': 'b4a1470c103006cb3d24aa98650289742a1ac246bcb995fc263c0fbcfc4c09dc',
-    'ensemble periodic_shear stride4100': '601e66dd5f8e9f2b4b2f592f7e9a4d48520f4f531b465c33cfc0e6b1d7f411fa',
-    'ensemble ou_shear base': '12234daff1e5b425be206812ab418ebb1238ec12e6d504c45d64ff00c0b2811a',
-    'ensemble ou_shear eps0.5': 'ec0cad159c3d819b6fc356081ffc52fef07f1ab19a9f5a242463d6085e9bcce3',
-    'ensemble ou_shear stride4100': '995e2e6b875a9d043003d4614ac7d1d93bbf05cdd7d0b9ce8cf719ad112a4551',
-    'ensemble taylor_green base': 'd55201b3395afff10a6d9ff26623b7c3b4d16d5f28ed27dc94dd1d1d97176901',
-    'ensemble taylor_green eps0.5': '04291d63ca324337249e01f8701bd5911aeb0f1efa7612b86ef6eccdacca7796',
-    'ensemble taylor_green stride4100': 'c7185a8e8a08f02ec73f502a904b252fce30379554507f475c096e31c965d68c',
-    'ensemble childress_soward base': '9daf2d52b7b10b90034a215039d0fc94c89e37127b6905fe3e828e88e5c308f8',
-    'ensemble childress_soward eps0.5': 'ef6fe2fec77b3487b9bc4b1f5a2942ae8ce76e193f07ef439b414e9e48d20c3e',
-    'ensemble childress_soward stride4100': 'e116db93ab70c1da9a1d3f8b7bb810e23aa0a7a58972492ac3eae7c20e82a602',
-    'estimate_tensor qv': '36bd2eb429df56bb8e7b79d759e6feab6dda81f68cf41207df3d208e712f3179',
-    'estimate_tensor box': '5cb8d572b3f19943292ff5d8609a7df83a92e546c3d16f0cec8cdc191a027feb',
-    'estimate_tensor shift': '5e0fb13e26a8f862634d5b0b6864a3386e7c4a341acf482298b964c7095c4926',
-    'sweep-qv': '64402780bdf8fe0aabea9ad4641dc1fbde12fda31e2fe11a24d6feaeb9c68ac2',
-    'sweep-box': '1ca21b2423ff66a73267ea5e4f32df3fb743f2ef7966eac57f8e2b207b38eb28',
-    'sweep-shift': '3545934e831998cb7810e7feb680cefe5e2115ad734b4eea1e3b1c989bfb2df7',
-    'sweep-noisy-box': '17ca57f9b2b5a41093c7bb5c45392bd11daf22d3aee35f5431f66870a6ab7214',
-    'rescaled': '6b70c54a5b2fb83083fa44563cff21558bc845265d17260ba1714a7c359936f2',
-    'simulate': 'ed6226bbe06ea1bc82b1dd9a40125c92ec1429fc76319675f6fd846f98555959',
-    'estimate-qv': '90577fe7c8e7592f916361c97368d55afae27f10060476d31f57e17be8514392',
-    'estimate-box': 'be22d67d30d0909c95272d8dfe96c624130ebe723fc3709ac56940688a3722e0',
-    'estimate-shift': '72d87d4eb81dcad3ff2fb18d964f5ac1623389434ad2563e72d7fa4999e14917',
+    'ensemble shear base': '9fbafd2e39bf82e7ddf617357bc98575ff64292634566a76f09ab5ef30a4e610',
+    'ensemble shear eps0.5': 'f7d5a011b4dc22965f3e787b24fe7426239e949561b34f5173cf7d4e18d822d1',
+    'ensemble shear stride4100': '9f0f9ceaf6ce29420dde8bf72106d0600a338d8a5890f4918d7edb60d4a13553',
+    'ensemble periodic_shear base': '0e65a2977948255207b412e082dd13a6e6350375d5f8318bf21f82332a55f4b8',
+    'ensemble periodic_shear eps0.5': '975fefe70c3f93df1160b3874895f0b0f0f7a876941d4cf00dd117262c4509e6',
+    'ensemble periodic_shear stride4100': '09909f4acfdf72ca9a573d6c4dcf9087b1137589e0609b4b782fb1f18a4e36c1',
+    'ensemble ou_shear base': 'e7bfeb44fafa1d92894b188482032b29f9c7442a444893fe71dfc4f3637ad532',
+    'ensemble ou_shear eps0.5': 'cefe60857e3460127b0668b44d2cb9c81d493136fb6ab887cbaac03c8fafb4b5',
+    'ensemble ou_shear stride4100': 'b24ea8d60f0f823dfddd931b4bf87158bf7839227961195158cd7d1ed300e5b6',
+    'ensemble taylor_green base': '37ed6cf7c3de44f8ecb4f52891adffcb1a0240810f105603e33c79f85c0d0b2b',
+    'ensemble taylor_green eps0.5': 'ad216688238df1f133bb2cd5d3bfd82a048ac8ca485ea7c770be6cbd07a9d489',
+    'ensemble taylor_green stride4100': '7cf8736605adb5d1ce5be31bacf02a1cee7c249c54d0cd66ba14f7b46b88d3e1',
+    'ensemble childress_soward base': 'e4538556ad4fc188a3779e3a6e7ba2299196bdb0eefaf6ab97417efe9bece18e',
+    'ensemble childress_soward eps0.5': '236f3df50b125b646d2a0381110c0e2965c74839f8d4ccbd086730f8b909a7c1',
+    'ensemble childress_soward stride4100': '62b80f51880dbd9853c1f11b83a8aeb3af2763e020b606ace07bbebf0248ddcb',
+    'estimate_tensor qv': '3386b6332475355ae6a051d4a184fa5fbea30877963a182beba25924444f0aac',
+    'estimate_tensor box': '370d8674d5e6c289da6477531c7dbe0d936c8e91714d810992b14f0b7be42a5d',
+    'estimate_tensor shift': 'b8d7e536253d319c5662b40c5b18356edb52d9469a90d77ed83f7829f1541367',
+    'sweep-qv': '849512a2a64aa88649da115b7719bc75d451232ea5ef35a5c42e23603d01efcc',
+    'sweep-box': '7c96b095c27a415424a79254b3aa8b1fec7c0f691cf84e3f9b73c0428bae3ba5',
+    'sweep-shift': '8f0f2410c9ac128b156fece85a9ff1a3727bda2500ee64712b905e5cb9aa3c38',
+    'sweep-noisy-box': '8c8cb296df32d4dcdd38e5ea29a9eb42a43832a61646a4ae733cbdab229e8950',
+    'rescaled': '52c69511a58720402fd8b6cdaccac3540bd48a54ede8cc33125111351b5490e4',
+    'simulate': 'b5718b81c5e1f19663120adb676178b0db10ea2ca93c7492755d8753ef2dbb5f',
+    'estimate-qv': '01bf5b715fa70b7a582db8549eb0b1798c371dc02f6328e3da469d598e0ac63d',
+    'estimate-box': '66cf2763b11e2537806ae2ac7926d7735951b977a7542cdd8285640399d2de06',
+    'estimate-shift': 'f1f2b224bf7c31f5d016e47484dc678f6be2191889f255c013a103a03b3a2edf',
     'oracle k-shear': 'e077ea99ed5b569f57fdf9d4543e58125c0421e754b76271293e61f9923d58dd',
     'oracle k-periodic-shear': 'c31ef1244cdf9cb4bb0053698aed4965e4a96756fccd4083f394e1c019879864',
     'oracle k-ou-shear': '6b84e7b3344c57fe675d1f4b161fd0bce1fd0c28008269dec7518dee79f1f6f1',
@@ -408,7 +408,7 @@ DIGESTS = {
     'oracle ou-qv': 'ff10ab51bc217e1ca9396d3d874dd73db2f64d506d3975053d18af1d12f326a4',
     'oracle bias-limit': 'c85ce6e2ac240bf6a5c8f275c26b2a653ae4678eb0c69c41e78ab5f8d4633063',
     'oracle bm-box': 'efbf31e83d870e167f599fddf501336dd06acdcf5fd78143510b0ab803acb19c',
-    'oracle adjudicate': '280a02183ce409daeed7e42ddfba8fcd9ae1a25119e28ccc5fdfed5e0993f736',
+    'oracle adjudicate': 'b4f09e7e583bdd0a95ab9754593de291a47875f73866bc94a4977e38e833c219',
 }
 
 
